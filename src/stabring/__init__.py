@@ -1,12 +1,12 @@
 """Exact feedback stabilizability and controller synthesis over rings of
 stable causal transfer functions."""
 
-from .poly import (Monomial, ParseError, Polynomial, Rational, arith,
-                   divide_exact, format_canonical, gcd_univariate, parse_poly)
+from .poly import (ParseError, Polynomial, Rational, arith, divide_exact,
+                   format_canonical, gcd_univariate, parse_poly)
 from .ring import (LocalElem, PolyFraction, Presentation, RingModel,
-                   StableElem, ZERO_CONSTANT_TERM, ZERO_IDEAL, causal,
-                   fraction_in_ring, in_Z, loc_arith, membership,
-                   presentation, strictly_causal, z_nonsingular)
+                   ZERO_CONSTANT_TERM, ZERO_IDEAL, causal, fraction_in_ring,
+                   in_Z, loc_arith, membership, presentation, strictly_causal,
+                   z_nonsingular)
 from .matrixring import IndexSet, Mat, enumerate_index_sets, minor_ideal, selection
 from .groebner import (BezoutCertificate, GroebnerBasis, GREVLEX, IdealHandle,
                        LEX, MonomialOrder, buchberger, elimination_order,

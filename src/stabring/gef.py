@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 from .groebner import IdealHandle
 from .matrixring import IndexSet, Mat, enumerate_index_sets
-from .poly import NotDivisibleError, Polynomial, divide_exact
+from .poly import (NotDivisibleError, Polynomial, common_denominator,
+                   divide_exact)
 from .ring import (NotCausalError, Presentation, PolyFraction, RingModel,
                    causal, in_Z, membership, presentation, unit_multiplier)
 
@@ -109,14 +110,7 @@ def scalar_denominator(entries, ring: RingModel) -> PlantFraction:
             raise NotCausalError("no scalar denominator found within the search bound")
         return plant
 
-    dens: list[Polynomial] = []
-    for row in pairs:
-        for _, den in row:
-            if all(den != seen for seen in dens):
-                dens.append(den)
-    d = Polynomial.one(ring.variables)
-    for den in dens:
-        d = d * den
+    d = common_denominator((den for row in pairs for _, den in row), ring.variables)
     if in_Z(d, ring):
         raise NotCausalError(f"product denominator {d} lies in the causality ideal")
     N = Mat.build(n, m, lambda i, j: pairs[i][j][0] * divide_exact(d, pairs[i][j][1]))
@@ -124,15 +118,7 @@ def scalar_denominator(entries, ring: RingModel) -> PlantFraction:
 
 
 def _scalar_denominator_pairs(pairs, ring: RingModel) -> PlantFraction | None:
-    from .poly import gcd_univariate
-    lcm = None
-    for row in pairs:
-        for _, den in row:
-            if lcm is None:
-                lcm = den
-            else:
-                g = gcd_univariate(lcm, den)
-                lcm = lcm * divide_exact(den, g)
+    lcm = common_denominator((den for row in pairs for _, den in row), ring.variables)
     base = [[num * divide_exact(lcm, den) for num, den in row] for row in pairs]
     targets = [lcm] + [e for row in base for e in row]
     s = _denominator_multiplier(targets, ring)

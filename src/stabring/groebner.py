@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import Exponents, Polynomial
+from .poly import Exponents, Polynomial, _grevlex_key
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -50,10 +50,6 @@ class MonomialOrder:
         if self.kind == "block":
             return f"MonomialOrder('block', front={self.front})"
         return f"MonomialOrder({self.kind!r})"
-
-
-def _grevlex_key(exps: Exponents):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 LEX = MonomialOrder("lex")

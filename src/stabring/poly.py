@@ -19,7 +19,6 @@ accepted so that every string produced by `format_canonical` parses back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -51,23 +50,6 @@ class NotDivisibleError(PolyError):
 
 class NotUnivariateError(PolyError):
     """Raised when a univariate-only operation receives multivariate input."""
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A power product, as a map from variable name to positive exponent."""
-
-    exponents: tuple[tuple[str, int], ...]  # sorted by variable name, exp > 0
-
-    @staticmethod
-    def from_dict(exps: dict[str, int]) -> "Monomial":
-        return Monomial(tuple(sorted((v, e) for v, e in exps.items() if e != 0)))
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.exponents)
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.exponents)
 
 
 class Polynomial:
@@ -123,13 +105,6 @@ class Polynomial:
 
     def items(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self._terms.items())
-
-    def monomial_items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        for exps, coeff in self._terms.items():
-            yield Monomial.from_dict(dict(zip(self.variables, exps))), coeff
-
-    def num_terms(self) -> int:
-        return len(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -443,14 +418,6 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(quot, a.variables)
 
 
-def divides(q: Polynomial, p: Polynomial) -> bool:
-    try:
-        divide_exact(p, q)
-        return True
-    except NotDivisibleError:
-        return False
-
-
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor of two univariate polynomials."""
     used = set(p.used_variables()) | set(q.used_variables())
@@ -497,6 +464,27 @@ def lcm_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """p*q/gcd, keeping the scaling of the given arguments."""
     g = gcd_univariate(p, q)
     return p * divide_exact(q, g)
+
+
+def common_denominator(dens: Iterable[Polynomial], variables: Iterable[str]) -> Polynomial:
+    """One common multiple of the given denominators.
+
+    Over one variable it is their running lcm, which keeps the scaling of the
+    first denominator; otherwise it is the product of the distinct
+    denominators.
+    """
+    variables = tuple(variables)
+    c = Polynomial.one(variables)
+    if len(variables) == 1:
+        for den in dens:
+            c = lcm_univariate(c, den)
+        return c
+    distinct: list[Polynomial] = []
+    for den in dens:
+        if den not in distinct:
+            distinct.append(den)
+            c = c * den
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ ring, elements of localizations A_f, and the causality decision procedures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -163,21 +162,6 @@ def membership(p: Polynomial, ring: RingModel) -> bool:
         return True
     p = p.with_variables(ring.variables)
     return all(ring.semigroup_contains(exps[0]) for exps, _ in p.items())
-
-
-@dataclass(frozen=True)
-class StableElem:
-    """A polynomial together with the ring it is checked to belong to."""
-
-    poly: Polynomial
-    ring: RingModel
-
-    def __post_init__(self):
-        if not membership(self.poly, self.ring):
-            raise MembershipError(f"{self.poly} is not in {self.ring!r}")
-
-    def __str__(self):
-        return str(self.poly)
 
 
 def in_Z(a: Polynomial, ring: RingModel) -> bool:
@@ -502,10 +486,6 @@ def strictly_causal(x: PolyFraction, ring: RingModel) -> bool:
     return divide_exact(x.num, x.den).constant_coeff() == 0
 
 
-def matrix_causal(P: Mat, ring: RingModel) -> bool:
-    return all(causal(entry, ring) for entry in P.entries)
-
-
 def matrix_strictly_causal(P: Mat, ring: RingModel) -> bool:
     return all(strictly_causal(entry, ring) for entry in P.entries)
 
@@ -553,10 +533,6 @@ class LocalElem:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("LocalElem is immutable")
-
-    @staticmethod
-    def from_poly(p: Polynomial, f: Polynomial, ring: RingModel) -> "LocalElem":
-        return LocalElem(p, 0, f, ring)
 
     def _check_compatible(self, other: "LocalElem"):
         if self.f != other.f or self.ring != other.ring:

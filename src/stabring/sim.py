@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linsolve import solve_exact
 from .matrixring import Mat
 from .ring import PolyFraction
-from .synth import closed_loop
+from .synth import IllPosedError, closed_loop
 
 
 class SimError(Exception):
@@ -130,25 +129,6 @@ def _pad(channels: list[list[Fraction]], count: int, steps: int) -> list[list[Fr
     return out
 
 
-def _invert(rows: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    k = len(rows)
-    cols = []
-    for j in range(k):
-        rhs = [Fraction(1) if i == j else Fraction(0) for i in range(k)]
-        sol = solve_exact([list(r) for r in rows], rhs)
-        if sol is None:
-            return None
-        cols.append(sol)
-    inv = [[cols[j][i] for j in range(k)] for i in range(k)]
-    # solve_exact returns some solution; confirm it is a two-sided inverse
-    for i in range(k):
-        for j in range(k):
-            acc = sum(rows[i][l] * inv[l][j] for l in range(k))
-            if acc != (1 if i == j else 0):
-                return None
-    return inv
-
-
 def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
                   u2: list[list[Fraction]], steps: int) -> SignalTrace:
     """Exact simulation of the loop e1 = u1 - y2, e2 = u2 + y1."""
@@ -162,20 +142,17 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
     u1 = _pad(u1, n, steps)
     u2 = _pad(u2, m, steps)
 
-    # instantaneous constraint: [E_n  F_P; -F_C  E_m] [e1; e2] = rhs
+    # instantaneous constraint: [E_n  F_P; -F_C  E_m] [e1; e2] = rhs, whose
+    # inverse is the closed loop of the feedthrough matrices
     k = n + m
-    loop = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(n):
-        loop[i][i] = Fraction(1)
-        for j in range(m):
-            loop[i][n + j] = plant[i][j].eq.feedthrough
-    for i in range(m):
-        loop[n + i][n + i] = Fraction(1)
-        for j in range(n):
-            loop[n + i][j] = -ctrl[i][j].eq.feedthrough
-    inv = _invert(loop)
-    if inv is None:
+    feed_p = Mat.build(n, m, lambda i, j: PolyFraction(plant[i][j].eq.feedthrough))
+    feed_c = Mat.build(m, n, lambda i, j: PolyFraction(ctrl[i][j].eq.feedthrough))
+    try:
+        H0 = closed_loop(feed_p, feed_c)
+    except IllPosedError:
         raise AlgebraicLoopSingularError("det(E + P(0)*C(0)) = 0")
+    inv = [[H0[r, c].as_polynomial().constant_coeff() for c in range(k)]
+           for r in range(k)]
 
     e1 = [[] for _ in range(n)]
     e2 = [[] for _ in range(m)]

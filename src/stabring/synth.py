@@ -16,6 +16,17 @@ When the candidate denominator is Z-singular it is repaired by a 0/1 selector
 matrix obtained from a Z-nonsingular full-size minor search, after which the
 controller is recomputed.  Every synthesized controller is verified against
 the exact closed-loop map before it is returned.
+
+The closed loop is computed over the ring, never in the fraction field.  The
+plant and the controller are each put over one scalar common denominator,
+P = N d^-1 and C = X^-1 Y with X = c E; with Delta = X d + Y N,
+
+    H = [[E - N Delta^-1 Y, -N Delta^-1 X], [d Delta^-1 Y, d Delta^-1 X]],
+
+which needs ring products, one det(Delta) and adj(Delta) of size m x m, and
+exact division by det(Delta).  A synthesized controller is verified the same
+way as one read from a file: from its fractions alone.  Fractions appear only
+where plants and controllers are parsed and where reports are rendered.
 """
 
 from __future__ import annotations
@@ -27,7 +38,8 @@ from itertools import combinations
 from .gef import (GefResult, LocalFreenessWitness, PlantFraction, gef,
                   local_freeness_witness)
 from .matrixring import IndexSet, Mat, selection
-from .poly import Polynomial
+from .poly import (NotDivisibleError, Polynomial, common_denominator,
+                   divide_exact)
 from .ring import (LocalElem, PolyFraction, RingModel, causal,
                    fraction_in_ring, in_Z, matrix_strictly_causal,
                    membership, z_nonsingular)
@@ -317,16 +329,47 @@ def repair_nonsingular(Amat: Mat, Bmat: Mat, ring: RingModel) -> RepairResult:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_identity(k: int, like: PolyFraction) -> Mat:
-    return Mat.identity(k, like.one_like(), like.zero_like())
+def _over(num: Polynomial, den: Polynomial) -> PolyFraction:
+    """num/den, built without a gcd when den divides num."""
+    try:
+        return PolyFraction.from_poly(divide_exact(num, den))
+    except NotDivisibleError:
+        return PolyFraction(num, den)
 
 
-def _fraction_inverse(M: Mat) -> Mat:
-    det = M.det()
+def _closed_loop(N: Mat, d: Polynomial, Y: Mat, c: Polynomial) -> Mat:
+    """The closed loop of P = N d^-1 and C = (cE)^-1 Y from ring products.
+
+    With X = cE and Delta = X d + Y N,
+    H = [[E - N Delta^-1 Y, -N Delta^-1 X], [d Delta^-1 Y, d Delta^-1 X]],
+    so every entry is a ring element over det(Delta), with adj(Delta) in
+    place of the inverse.
+    """
+    n, m = N.rows, N.cols
+    zero = d.zero_like()
+    delta = Mat.scalar_matrix(m, c * d, zero) + Y * N
+    det = delta.det()
     if det.is_zero():
-        raise IllPosedError("matrix over the transfer-function field is singular")
-    inv_det = det.inverse()
-    return M.adjugate().map(lambda e: e * inv_det)
+        # det(Delta) = (c d)^m det(E + P*C), and c and d are nonzero
+        raise IllPosedError("det(E + P*C) = 0")
+    adj = delta.adjugate()
+    if delta * adj != Mat.scalar_matrix(m, det, zero):
+        raise SynthesisInternalError("adj(Delta) is not the inverse of Delta up to det(Delta)")
+    adj_y = adj * Y
+    adj_x = adj.scale(c)
+    H11 = Mat.scalar_matrix(n, det, zero) - N * adj_y
+    H12 = -(N * adj_x)
+    H21 = adj_y.scale(d)
+    H22 = adj_x.scale(d)
+    return H11.hstack(H12).vstack(H21.hstack(H22)).map(lambda e: _over(e, det))
+
+
+def _scalar_fraction(M: Mat, variables: tuple[str, ...]) -> tuple[Mat, Polynomial]:
+    """A polynomial matrix and one scalar c with M = (numerators) / c."""
+    dens = [e.den.with_variables(variables) for e in M.entries]
+    c = common_denominator(dens, variables)
+    return Mat(M.rows, M.cols, [e.num.with_variables(variables) * divide_exact(c, den)
+                                for e, den in zip(M.entries, dens)]), c
 
 
 def closed_loop(P: Mat, C: Mat) -> Mat:
@@ -334,20 +377,12 @@ def closed_loop(P: Mat, C: Mat) -> Mat:
     n, m = P.rows, P.cols
     if C.rows != m or C.cols != n:
         raise SynthError(f"controller shape ({C.rows},{C.cols}) does not match plant")
-    like = P.entries[0].one_like() if P.entries else PolyFraction.from_poly(Polynomial.one())
-    E_n = _fraction_identity(n, like)
-    E_m = _fraction_identity(m, like)
-    loop_n = E_n + P * C
-    if loop_n.det().is_zero():
-        raise IllPosedError("det(E + P*C) = 0")
-    H11 = _fraction_inverse(loop_n)
-    loop_m = E_m + C * P
-    H22 = _fraction_inverse(loop_m)
-    H12 = -(P * H22)
-    H21 = C * H11
-    if H11 + P * H21 != E_n:
-        raise SynthesisInternalError("closed-loop defining relation failed")
-    return H11.hstack(H12).vstack(H21.hstack(H22))
+    variables: tuple[str, ...] = ()
+    for e in P.entries + C.entries:
+        variables += tuple(v for v in e.num.variables if v not in variables)
+    N, d = _scalar_fraction(P, variables)
+    Y, c = _scalar_fraction(C, variables)
+    return _closed_loop(N, d, Y, c)
 
 
 @dataclass
@@ -378,22 +413,13 @@ def verify_stabilizing(P: Mat, C: Mat, ring: RingModel) -> VerificationReport:
     return VerificationReport(True, H, flags, ok, H_ring)
 
 
-def _swap_embedding(a: int, b: int, one, zero) -> Mat:
-    """The block permutation [[O_{a x b}, E_a], [E_b, O_{b x a}]]."""
-    return Mat.build(a + b, b + a,
-                     lambda i, j: one if (i < a and j == b + i) or
-                                         (i >= a and j == i - a) else zero)
-
-
 def transpose_duality_check(P: Mat, C: Mat, ring: RingModel | None = None) -> bool:
     """The closed loop of the transposed pair is the permuted closed loop."""
     n, m = P.rows, P.cols
     H = closed_loop(P, C)
     H_t = closed_loop(P.transpose(), C.transpose())
-    like = H.entries[0].one_like()
-    left = _swap_embedding(m, n, like, like.zero_like())
-    right = _swap_embedding(n, m, like, like.zero_like())
-    if H_t.transpose() != left * H * right:
+    order = list(range(n, n + m)) + list(range(n))
+    if H_t.transpose() != H.submatrix(order, order):
         return False
     if ring is not None:
         direct = all(fraction_in_ring(e, ring) for e in H.entries)

@@ -8,13 +8,15 @@ import pytest
 from stabring.gef import scalar_denominator
 from stabring.matrixring import IndexSet, Mat
 from stabring.poly import Polynomial, parse_poly
-from stabring.ring import (LocalElem, PolyFraction, RingModel, membership,
-                           presentation, z_nonsingular)
+from stabring.ring import (LocalElem, PolyFraction, RingModel, ZERO_IDEAL,
+                           fraction_in_ring, membership, presentation,
+                           z_nonsingular)
 from stabring.synth import (IllPosedError, NotStabilizableError,
-                            causality_check, local_factorization,
+                            causality_check, closed_loop, local_factorization,
                             partition_powers, repair_nonsingular, stabilizable,
                             synthesize, transpose_duality_check,
                             verify_stabilizing)
+from test_acceptance import _Budget
 
 Z = ("z",)
 
@@ -237,6 +239,17 @@ class TestSynthesize:
             synthesize(xy_plant)
 
 
+class TestFourOutputDelayPlant:
+    def test_synthesis_verifies_within_budget(self, ring23):
+        pairs = [[(zp(f"1 - {c ** 3}*z^3"), zp(f"1 - {c ** 2}*z^2"))]
+                 for c in (1, 2, 3, 4)]
+        with _Budget("4-output delay synth verifies", 30):
+            pf = scalar_denominator(pairs, ring23)
+            result = synthesize(pf)
+            assert result.report.ok
+            assert transpose_duality_check(pf.P, result.C, ring23)
+
+
 class TestVerifyStabilizing:
     def test_published_controller_reproduces_h(self, delay_plant, paper):
         report = verify_stabilizing(delay_plant.P, paper.controller,
@@ -288,6 +301,84 @@ class TestDuality:
             except IllPosedError:
                 continue
             checked += 1
+
+
+def _fraction_inverse(M):
+    det = M.det()
+    if det.is_zero():
+        raise IllPosedError("matrix over the transfer-function field is singular")
+    inv_det = det.inverse()
+    return M.adjugate().map(lambda e: e * inv_det)
+
+
+def _fraction_closed_loop(P, C):
+    """Reference closed loop: (E + P C)^-1 and (E + C P)^-1 in the fraction field."""
+    one = P.entries[0].one_like()
+    E_n = Mat.identity(P.rows, one, one.zero_like())
+    E_m = Mat.identity(P.cols, one, one.zero_like())
+    H11 = _fraction_inverse(E_n + P * C)
+    H22 = _fraction_inverse(E_m + C * P)
+    return H11.hstack(-(P * H22)).vstack((C * H11).hstack(H22))
+
+
+def _ill_posed_partner(P):
+    """A controller with E + C P singular: minus the inverse of P's (0, 0) entry."""
+    zero = P.entries[0].zero_like()
+    return Mat.build(P.cols, P.rows, lambda i, j:
+                     -P[0, 0].inverse() if (i, j) == (0, 0) else zero)
+
+
+class TestClosedLoopOracle:
+    DELAY_DENS = ("1", "1 - z^2", "1 - 4*z^2", "1 + 2*z^3")
+    XY = ("x", "y")
+
+    def _delay_entry(self, rng):
+        return PolyFraction(_random_causal_poly(rng), zp(rng.choice(self.DELAY_DENS)))
+
+    def _xy_entry(self, rng, den):
+        # numerators share a factor with their denominator; multivariate
+        # fractions are stored unreduced
+        terms = ["1", "x", "y", "x*y", "x^2"]
+        num = parse_poly(" + ".join(rng.sample(terms, rng.randint(1, 3))), self.XY)
+        den = parse_poly(den, self.XY)
+        return PolyFraction(num * parse_poly("1 + x", self.XY), den)
+
+    def _pairs(self, rng, ring23):
+        """Random pairs of each shape, then one ill-posed pair per shape."""
+        siso = lambda: Mat.from_rows([[self._delay_entry(rng)]])
+        square = lambda: Mat.build(2, 2, lambda i, j: self._delay_entry(rng))
+        # the second plant denominator divides the first
+        xy_plant = lambda: Mat.from_rows([[self._xy_entry(rng, "(1 + x)*(1 + y)")],
+                                          [self._xy_entry(rng, "1 + x")]])
+        xy_controller = lambda: Mat.from_rows([[self._xy_entry(rng, "1 + x*y"),
+                                                self._xy_entry(rng, "1 + y")]])
+        xy_ring = RingModel.polynomial(self.XY, ZERO_IDEAL)
+        for plant, controller, ring, count in ((siso, siso, ring23, 8),
+                                               (square, square, ring23, 2),
+                                               (xy_plant, xy_controller, xy_ring, 2)):
+            for _ in range(count):
+                yield plant(), controller(), ring
+            P = plant()
+            yield P, _ill_posed_partner(P), ring
+
+    def test_matches_fraction_field_reference(self, ring23):
+        rng = random.Random(97)
+        ill_posed = 0
+        for P, C, ring in self._pairs(rng, ring23):
+            try:
+                expected = _fraction_closed_loop(P, C)
+            except IllPosedError:
+                ill_posed += 1
+                with pytest.raises(IllPosedError):
+                    closed_loop(P, C)
+                assert not verify_stabilizing(P, C, ring).well_posed
+                continue
+            assert closed_loop(P, C) == expected
+            reference_failures = [(i, j) for i in range(expected.rows)
+                                  for j in range(expected.cols)
+                                  if not fraction_in_ring(expected[i, j], ring)]
+            assert verify_stabilizing(P, C, ring).failures() == reference_failures
+        assert ill_posed == 3
 
 
 def _random_causal_poly(rng):
