@@ -51,6 +51,8 @@ class InputError(Exception):
 
 
 def ring_from_config(cfg: dict) -> RingModel:
+    if not isinstance(cfg, dict):
+        raise InputError("'ring' must be a JSON object")
     kind = cfg.get("kind")
     z_mode = cfg.get("z_mode", ZERO_CONSTANT_TERM)
     if z_mode not in (ZERO_CONSTANT_TERM, ZERO_IDEAL):
@@ -60,14 +62,20 @@ def ring_from_config(cfg: dict) -> RingModel:
         gens = cfg.get("generators")
         if not isinstance(var, str) or not isinstance(gens, list):
             raise InputError("monomial_subalgebra needs 'variable' and 'generators'")
+        if not all(isinstance(g, int) and not isinstance(g, bool) for g in gens):
+            raise InputError("'generators' must be integers")
         try:
-            return RingModel.monomial_subalgebra(var, tuple(int(g) for g in gens), z_mode)
+            return RingModel.monomial_subalgebra(var, tuple(gens), z_mode)
         except RingError as exc:
             raise InputError(str(exc))
     if kind == "polynomial_ring":
         variables = cfg.get("variables")
         if not isinstance(variables, list) or not variables:
             raise InputError("polynomial_ring needs a nonempty 'variables' list")
+        if not all(isinstance(v, str) for v in variables):
+            raise InputError("'variables' must be strings")
+        if len(set(variables)) != len(variables):
+            raise InputError(f"duplicate ring variable in {variables!r}")
         try:
             return RingModel.polynomial(tuple(variables), z_mode)
         except RingError as exc:

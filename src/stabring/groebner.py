@@ -6,16 +6,29 @@ handle carries a list of relation generators that are implicitly adjoined to
 all computations, which makes the engine operate modulo a quotient-ring
 presentation while staying inside an ordinary polynomial ring.
 
+Reduction: `_reduce_full` keeps the pending polynomial as integer
+coefficients over one common denominator and its monomials in a heap keyed
+on the order, so each step pops the greatest pending term instead of
+rescanning them all.  Basis elements are kept monic, each with its lead and
+an integer tail computed once (`_Divisor`).  Division quotients are formed
+only when cofactors are tracked (`track_cofactors`, witnesses, Bezout
+certificates); colon, intersection and elimination never ask for them.
+
 Determinism: the selection strategy is sugar with a fixed tie-break by
 (order key of the pair lcm, input index), reducers are chosen by basis
-index, and the reduced basis is sorted by leading monomial.  Identical
-inputs therefore produce identical bases and identical certificates.
+index, and the reduced basis is sorted by leading monomial.  Each reduction
+step is fixed by the exact polynomial still pending, and the heap and the
+integer form change only how that polynomial is stored, so identical inputs
+produce identical bases and identical certificates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .poly import Exponents, Polynomial, _grevlex_key
@@ -43,6 +56,15 @@ class MonomialOrder:
             return _grevlex_key(exps)
         return (_grevlex_key(exps[:self.front]), _grevlex_key(exps[self.front:]))
 
+    def descending_key(self, exps: Exponents) -> tuple[int, ...]:
+        """Flat tuple that sorts ascending exactly when monomials sort descending."""
+        if self.kind == "lex":
+            return tuple(-e for e in exps)
+        if self.kind == "grevlex":
+            return (-sum(exps),) + exps[::-1]
+        front, back = exps[:self.front], exps[self.front:]
+        return (-sum(front),) + front[::-1] + (-sum(back),) + back[::-1]
+
     def cache_key(self):
         return (self.kind, self.front)
 
@@ -67,66 +89,146 @@ def elimination_order(front_count: int) -> MonomialOrder:
 
 
 def _lead(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fraction]:
-    terms = dict(p.items())
-    exps = max(terms, key=order.key)
-    return exps, terms[exps]
+    exps = max((e for e, _ in p.items()), key=order.key)
+    return exps, p.coeff(exps)
 
 
 def _mul_term(p: Polynomial, shift: Exponents, coeff: Fraction) -> Polynomial:
-    return Polynomial(
-        {tuple(a + b for a, b in zip(exps, shift)): c * coeff for exps, c in p.items()},
-        p.variables)
+    """p * coeff * x^shift for a nonzero coeff."""
+    return Polynomial._from_clean(
+        {tuple(map(add, exps, shift)): c * coeff for exps, c in p.items()}, p.variables)
 
 
 def _exp_divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _exp_add(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _exp_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
-def _reduce_full(p: Polynomial, basis: list[Polynomial],
-                 leads: list[tuple[Exponents, Fraction]], order: MonomialOrder,
-                 want_quotients: bool = False):
-    """Full normal form of p modulo basis; optionally the division quotients."""
-    nvars = len(p.variables)
-    work = dict(p.items())
-    remainder: dict[Exponents, Fraction] = {}
-    quotients = [dict() for _ in basis] if want_quotients else None
-    while work:
-        exps = max(work, key=order.key)
-        coeff = work.pop(exps)
-        for idx, (lexp, lcoeff) in enumerate(leads):
-            if _exp_divides(lexp, exps):
-                factor = coeff / lcoeff
-                shift = _exp_sub(exps, lexp)
-                if want_quotients:
-                    quotients[idx][shift] = quotients[idx].get(shift, Fraction(0)) + factor
-                for e2, c2 in basis[idx].items():
-                    if e2 == lexp:
+# Inside the engine a polynomial is in integer form: a dict of integer
+# coefficients `terms` and a positive integer `scale`, standing for
+# sum terms[e] / scale * x^e.  Fractions appear only at the boundary.
+
+
+def _integer_form(p: Polynomial) -> tuple[dict[Exponents, int], int]:
+    scale = math.lcm(*(c.denominator for _, c in p.items()))
+    return {e: c.numerator * (scale // c.denominator) for e, c in p.items()}, scale
+
+
+def _from_integer_form(terms: dict[Exponents, int], scale: int,
+                       variables: tuple[str, ...]) -> Polynomial:
+    return Polynomial._from_clean({e: Fraction(a, scale) for e, a in terms.items()},
+                                  variables)
+
+
+class _Divisor:
+    """A monic polynomial prepared for division: lead monomial and integer tail.
+
+    The polynomial is x^lead + sum a / den * x^e over (e, a) in `tail`.
+    """
+
+    __slots__ = ("lead", "den", "tail")
+
+    def __init__(self, terms: dict[Exponents, int], lead: Exponents):
+        """The monic multiple of the nonzero integer form `terms`, whose lead is `lead`."""
+        g = math.gcd(*terms.values())
+        if terms[lead] < 0:
+            g = -g
+        self.lead = lead
+        self.den = terms[lead] // g
+        self.tail = [(e, a // g) for e, a in terms.items() if e != lead]
+
+    @staticmethod
+    def of(p: Polynomial, order: MonomialOrder) -> "_Divisor":
+        return _Divisor(_integer_form(p)[0], _lead(p, order)[0])
+
+    def integer_form(self) -> tuple[dict[Exponents, int], int]:
+        terms = {self.lead: self.den}
+        terms.update(self.tail)
+        return terms, self.den
+
+
+def _s_polynomial(di: _Divisor, dj: _Divisor, si: Exponents, sj: Exponents):
+    """x^si * gi - x^sj * gj in integer form; the leads cancel, so only tails enter."""
+    scale = math.lcm(di.den, dj.den)
+    mi, mj = scale // di.den, scale // dj.den
+    terms = {tuple(map(add, e, si)): a * mi for e, a in di.tail}
+    for e, a in dj.tail:
+        e = tuple(map(add, e, sj))
+        s = terms.get(e, 0) - a * mj
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return terms, scale
+
+
+def _reduce_full(work: dict[Exponents, int], scale: int, divisors: list[_Divisor],
+                 order: MonomialOrder, want_quotients: bool = False):
+    """Full normal form of work / scale modulo the divisors.
+
+    Returns (remainder, scale, quotients): the remainder in integer form over
+    the returned scale, in descending monomial order, and with want_quotients
+    one dict of `Fraction` coefficients per divisor (else None).  `work` is
+    consumed.
+
+    Each step takes the greatest pending term and reduces it by the first
+    divisor whose lead divides it, else moves it to the remainder.  Pending
+    monomials wait in a heap on `order.descending_key`; a monomial that
+    cancelled after it was pushed leaves a stale entry, skipped on pop.
+    """
+    key = order.descending_key
+    heap = [(key(e), e) for e in work]
+    heapify(heap)
+    remainder: dict[Exponents, int] = {}
+    quotients = [dict() for _ in divisors] if want_quotients else None
+    while heap:
+        exps = heappop(heap)[1]
+        w = work.pop(exps, None)
+        if w is None:
+            continue
+        for idx, d in enumerate(divisors):
+            if all(map(le, d.lead, exps)):
+                shift = tuple(map(sub, exps, d.lead))
+                if quotients is not None:
+                    # exps only decreases, so no shift repeats for one idx
+                    quotients[idx][shift] = Fraction(w, scale)
+                # work/scale - (w/scale)*(a/den) == (work*m - (w/g)*a) / (scale*m)
+                g = math.gcd(w, d.den)
+                factor, m = w // g, d.den // g
+                if m != 1:
+                    scale *= m
+                    for e in work:
+                        work[e] *= m
+                    for e in remainder:
+                        remainder[e] *= m
+                for e2, a in d.tail:
+                    e = tuple(map(add, e2, shift))
+                    old = work.get(e)
+                    if old is None:
+                        # terms added are below exps, so e was never popped
+                        work[e] = -factor * a
+                        heappush(heap, (key(e), e))
                         continue
-                    e = _exp_add(e2, shift)
-                    s = work.get(e, Fraction(0)) - factor * c2
+                    s = old - factor * a
                     if s:
                         work[e] = s
                     else:
-                        work.pop(e, None)
+                        del work[e]
                 break
         else:
-            remainder[exps] = coeff
-    rem = Polynomial(remainder, p.variables)
-    if want_quotients:
-        return rem, [Polynomial(q, p.variables) for q in quotients]
-    return rem
+            remainder[exps] = w
+    return remainder, scale, quotients
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +245,10 @@ class GroebnerBasis:
     generators: list[Polynomial]
     basis: list[Polynomial]
     cofactors: list[list[Polynomial]] | None = None
+    _divisors: list[_Divisor] = field(init=False, repr=False, compare=False)
 
-    def leads(self) -> list[tuple[Exponents, Fraction]]:
-        return [_lead(g, self.order) for g in self.basis]
+    def __post_init__(self):
+        self._divisors = [_Divisor.of(g, self.order) for g in self.basis]
 
     def check_cofactors(self):
         """Assert basis[i] = sum_j cofactors[i][j] * generators[j] exactly."""
@@ -171,125 +274,113 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
     variables = tuple(variables)
     gens = [g.with_variables(variables) for g in generators]
     track = track_cofactors
-    nvars = len(variables)
 
-    polys: list[Polynomial] = []       # current basis
-    leads: list[tuple[Exponents, Fraction]] = []
+    divs: list[_Divisor] = []          # current basis, monic
     cofs: list[list[Polynomial]] = []  # over gens
     sugars: list[int] = []
-    pairs: set[tuple[int, int]] = set()
+    pairs: dict[tuple[int, int], tuple] = {}  # pair -> selection key
 
     def unit_cof(i: int) -> list[Polynomial]:
         return [Polynomial.one(variables) if j == i else Polynomial.zero(variables)
                 for j in range(len(gens))]
 
-    def add_element(p: Polynomial, cof: list[Polynomial] | None, sugar: int):
-        """Gebauer-Moeller pair update, then append p to the basis."""
+    def pair_key(i: int, j: int) -> tuple:
+        li, lj = divs[i].lead, divs[j].lead
+        lcm = _exp_lcm(li, lj)
+        sugar = max(sugars[i] + sum(_exp_sub(lcm, li)), sugars[j] + sum(_exp_sub(lcm, lj)))
+        return (sugar, order.key(lcm), i, j)
+
+    def add_element(terms: dict[Exponents, int], scale: int, lexp: Exponents,
+                    cof: list[Polynomial] | None, sugar: int):
+        """Gebauer-Moeller pair update, then append terms / scale, made monic."""
         nonlocal pairs
-        lexp, lcoeff = _lead(p, order)
-        if lcoeff != 1:
-            p = p.scale(Fraction(1) / lcoeff)
-            if track:
+        if track:
+            lcoeff = Fraction(terms[lexp], scale)
+            if lcoeff != 1:
                 cof = [c.scale(Fraction(1) / lcoeff) for c in cof]
-            lcoeff = Fraction(1)
-        t = len(polys)
-        kept = set()
-        for (i, j) in pairs:
-            lcm_ij = _exp_lcm(leads[i][0], leads[j][0])
+        leads = [d.lead for d in divs]
+        t = len(divs)
+        kept = {}
+        for (i, j), k in pairs.items():
+            lcm_ij = _exp_lcm(leads[i], leads[j])
             if (not _exp_divides(lexp, lcm_ij)
-                    or _exp_lcm(leads[i][0], lexp) == lcm_ij
-                    or _exp_lcm(leads[j][0], lexp) == lcm_ij):
-                kept.add((i, j))
+                    or _exp_lcm(leads[i], lexp) == lcm_ij
+                    or _exp_lcm(leads[j], lexp) == lcm_ij):
+                kept[i, j] = k
         lcm_groups: dict[Exponents, list[int]] = {}
         for i in range(t):
-            lcm_groups.setdefault(_exp_lcm(leads[i][0], lexp), []).append(i)
+            lcm_groups.setdefault(_exp_lcm(leads[i], lexp), []).append(i)
         minimal: list[Exponents] = []
         for lcm in sorted(lcm_groups, key=order.key):
             if all(not _exp_divides(prev, lcm) for prev in minimal):
                 minimal.append(lcm)
-        for lcm in minimal:
-            members = lcm_groups[lcm]
-            if any(_exp_lcm(leads[i][0], lexp) == _exp_add(leads[i][0], lexp)
-                   for i in members):
-                continue  # product criterion
-            kept.add((min(members), t))
-        polys.append(p)
-        leads.append((lexp, lcoeff))
+        divs.append(_Divisor(terms, lexp))
         cofs.append(cof)
         sugars.append(sugar)
+        for lcm in minimal:
+            members = lcm_groups[lcm]
+            if any(_exp_lcm(leads[i], lexp) == _exp_add(leads[i], lexp)
+                   for i in members):
+                continue  # product criterion
+            kept[min(members), t] = pair_key(min(members), t)
         pairs = kept
 
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        add_element(g, unit_cof(i) if track else None, g.total_degree())
-
-    def pair_sort_key(pair: tuple[int, int]):
-        i, j = pair
-        lcm = _exp_lcm(leads[i][0], leads[j][0])
-        sugar = max(sugars[i] + sum(_exp_sub(lcm, leads[i][0])),
-                    sugars[j] + sum(_exp_sub(lcm, leads[j][0])))
-        return (sugar, order.key(lcm), i, j)
+        terms, scale = _integer_form(g)
+        add_element(terms, scale, _lead(g, order)[0], unit_cof(i) if track else None,
+                    g.total_degree())
 
     while pairs:
-        i, j = min(pairs, key=pair_sort_key)
-        pairs.discard((i, j))
-        (li, ci), (lj, cj) = leads[i], leads[j]
+        i, j = min(pairs, key=pairs.__getitem__)
+        sugar = pairs.pop((i, j))[0]
+        li, lj = divs[i].lead, divs[j].lead
         lcm = _exp_lcm(li, lj)
-        s = (_mul_term(polys[i], _exp_sub(lcm, li), Fraction(1) / ci)
-             - _mul_term(polys[j], _exp_sub(lcm, lj), Fraction(1) / cj))
-        sugar = max(sugars[i] + sum(_exp_sub(lcm, li)),
-                    sugars[j] + sum(_exp_sub(lcm, lj)))
-        if s.is_zero():
+        si, sj = _exp_sub(lcm, li), _exp_sub(lcm, lj)
+        work, scale = _s_polynomial(divs[i], divs[j], si, sj)
+        if not work:
             continue
-        if track:
-            scof = [_mul_term(a, _exp_sub(lcm, li), Fraction(1) / ci)
-                    - _mul_term(b, _exp_sub(lcm, lj), Fraction(1) / cj)
-                    for a, b in zip(cofs[i], cofs[j])]
-        rem, quot = _reduce_full(s, polys, leads, order, want_quotients=True)
-        if rem.is_zero():
+        rem, scale, quot = _reduce_full(work, scale, divs, order, want_quotients=track)
+        if not rem:
             continue
-        if track:
-            for q, cof_k in zip(quot, cofs):
-                if q.is_zero():
-                    continue
+        lexp = next(iter(rem))  # the remainder comes out in descending order
+        if not track:
+            add_element(rem, scale, lexp, None, sugar)
+            continue
+        one = Fraction(1)
+        scof = [_mul_term(a, si, one) - _mul_term(b, sj, one)
+                for a, b in zip(cofs[i], cofs[j])]
+        for q, cof_k in zip(quot, cofs):
+            if q:
+                q = Polynomial._from_clean(q, variables)
                 scof = [a - q * b for a, b in zip(scof, cof_k)]
-            add_element(rem, scof, sugar)
-        else:
-            add_element(rem, None, sugar)
+        add_element(rem, scale, lexp, scof, sugar)
 
-    basis_idx = sorted(range(len(polys)), key=lambda k: order.key(leads[k][0]))
+    # minimal basis in ascending lead order; reducing an element by the others
+    # keeps its lead (no other lead divides it) and its lead coefficient 1
     minimal_idx: list[int] = []
-    for k in basis_idx:
-        if all(not _exp_divides(leads[j][0], leads[k][0]) for j in minimal_idx):
+    for k in sorted(range(len(divs)), key=lambda k: order.key(divs[k].lead)):
+        if all(not _exp_divides(divs[j].lead, divs[k].lead) for j in minimal_idx):
             minimal_idx.append(k)
 
-    reduced: list[Polynomial] = []
-    reduced_cofs: list[list[Polynomial]] = []
-    for pos, k in enumerate(minimal_idx):
-        others = [polys[j] for j in minimal_idx if j != k]
-        other_leads = [leads[j] for j in minimal_idx if j != k]
-        rem, quot = _reduce_full(polys[k], others, other_leads, order,
-                                 want_quotients=True)
+    basis: list[Polynomial] = []
+    basis_cofs: list[list[Polynomial]] = []
+    for k in minimal_idx:
+        others = [j for j in minimal_idx if j != k]
+        work, scale = divs[k].integer_form()
+        rem, scale, quot = _reduce_full(work, scale, [divs[j] for j in others], order,
+                                        want_quotients=track)
+        basis.append(_from_integer_form(rem, scale, variables))
         if track:
-            cof = list(cofs[k])
-            other_cofs = [cofs[j] for j in minimal_idx if j != k]
-            for q, cof_o in zip(quot, other_cofs):
-                if q.is_zero():
-                    continue
-                cof = [a - q * b for a, b in zip(cof, cof_o)]
-        lexp, lcoeff = _lead(rem, order)
-        if lcoeff != 1:
-            rem = rem.scale(Fraction(1) / lcoeff)
-            if track:
-                cof = [c.scale(Fraction(1) / lcoeff) for c in cof]
-        reduced.append(rem)
-        reduced_cofs.append(cof if track else None)
+            cof = cofs[k]
+            for q, j in zip(quot, others):
+                if q:
+                    q = Polynomial._from_clean(q, variables)
+                    cof = [a - q * b for a, b in zip(cof, cofs[j])]
+            basis_cofs.append(cof)
 
-    order_idx = sorted(range(len(reduced)), key=lambda k: order.key(_lead(reduced[k], order)[0]))
-    basis = [reduced[k] for k in order_idx]
-    out = GroebnerBasis(variables, order, gens, basis,
-                        [reduced_cofs[k] for k in order_idx] if track else None)
+    out = GroebnerBasis(variables, order, gens, basis, basis_cofs if track else None)
     if track:
         out.check_cofactors()
     return out
@@ -302,16 +393,18 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, witness: bool = False):
         if witness:
             return p, [Polynomial.zero(gb.variables) for _ in gb.generators]
         return p
-    rem, quot = _reduce_full(p, gb.basis, gb.leads(), gb.order, want_quotients=True)
+    if witness and gb.cofactors is None:
+        raise ValueError("witness requested but basis lacks cofactors")
+    work, scale = _integer_form(p)
+    rem, scale, quot = _reduce_full(work, scale, gb._divisors, gb.order, want_quotients=witness)
+    rem = _from_integer_form(rem, scale, gb.variables)
     if not witness:
         return rem
-    if gb.cofactors is None:
-        raise ValueError("witness requested but basis lacks cofactors")
     coeffs = [Polynomial.zero(gb.variables) for _ in gb.generators]
     for q, cof in zip(quot, gb.cofactors):
-        if q.is_zero():
-            continue
-        coeffs = [a + q * b for a, b in zip(coeffs, cof)]
+        if q:
+            q = Polynomial._from_clean(q, gb.variables)
+            coeffs = [a + q * b for a, b in zip(coeffs, cof)]
     return rem, coeffs
 
 

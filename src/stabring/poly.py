@@ -78,6 +78,18 @@ class Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
 
+    @staticmethod
+    def _from_clean(terms: dict[Exponents, Fraction], variables: tuple[str, ...]) -> "Polynomial":
+        """Wrap terms that already satisfy the invariants, without re-checking them.
+
+        For internal results only: `terms` maps valid exponent tuples to
+        nonzero `Fraction`s over the distinct `variables`, and is not copied.
+        """
+        p = object.__new__(Polynomial)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "_terms", terms)
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

@@ -71,6 +71,21 @@ class TestExitCodes:
         write_json(path, payload)
         assert main(["check", str(path)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("ring", [
+        {"kind": "monomial_subalgebra", "variable": "z", "generators": ["a", 3]},
+        {"kind": "polynomial_ring", "variables": ["x", "x"]},
+        5,
+    ], ids=["non_integer_generator", "duplicate_variable", "ring_not_object"])
+    def test_malformed_ring(self, tmp_path, capsys, ring):
+        payload = json.load(open(XY))
+        payload["ring"] = ring
+        path = tmp_path / "plant.json"
+        write_json(path, payload)
+        assert main(["check", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
 
 class TestSynthVerify:
     def test_round_trip(self, tmp_path, capsys):

@@ -5,10 +5,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stabring.groebner import (GREVLEX, IdealHandle, LEX, buchberger,
                                elimination_order, _lead, _exp_lcm, _exp_sub,
-                               _mul_term)
+                               _mul_term, _Divisor, _from_integer_form,
+                               _integer_form, _reduce_full)
 from stabring.linsolve import solve_exact
 from stabring.poly import Polynomial, parse_poly
 
@@ -288,3 +291,78 @@ class TestEliminate:
         handle = IdealHandle(XY, [xy("x - y")])
         out = handle.eliminate(["x"])
         assert out.gens == []
+
+
+# ---------------------------------------------------------------------------
+# the heap-ordered integer reduction against the max-scan Fraction loop
+# ---------------------------------------------------------------------------
+
+
+def _max_scan_reduce_full(p, basis, leads, order, want_quotients=False):
+    """Reference reduction: rescan all pending terms for the greatest each step."""
+    work = dict(p.items())
+    remainder = {}
+    quotients = [dict() for _ in basis] if want_quotients else None
+    while work:
+        exps = max(work, key=order.key)
+        coeff = work.pop(exps)
+        for idx, (lexp, lcoeff) in enumerate(leads):
+            if all(a <= b for a, b in zip(lexp, exps)):
+                factor = coeff / lcoeff
+                shift = tuple(a - b for a, b in zip(exps, lexp))
+                if want_quotients:
+                    quotients[idx][shift] = quotients[idx].get(shift, Fraction(0)) + factor
+                for e2, c2 in basis[idx].items():
+                    if e2 == lexp:
+                        continue
+                    e = tuple(a + b for a, b in zip(e2, shift))
+                    s = work.get(e, Fraction(0)) - factor * c2
+                    if s:
+                        work[e] = s
+                    else:
+                        work.pop(e, None)
+                break
+        else:
+            remainder[exps] = coeff
+    rem = Polynomial(remainder, p.variables)
+    if want_quotients:
+        return rem, [Polynomial(q, p.variables) for q in quotients]
+    return rem
+
+
+_XYW = ("x", "y", "w")
+_ORDERS = [LEX, GREVLEX, elimination_order(1), elimination_order(2)]
+
+
+@st.composite
+def _random_poly(draw, max_terms=5, max_exp=3):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * len(_XYW)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=5),
+        min_size=1, max_size=max_terms))
+    return Polynomial(terms, _XYW)
+
+
+class TestHeapReductionOracle:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(p=_random_poly(max_terms=8, max_exp=4),
+           basis=st.lists(_random_poly(), min_size=1, max_size=4),
+           order=st.sampled_from(_ORDERS))
+    def test_remainder_and_quotients_match(self, p, basis, order):
+        basis = [g for g in basis if not g.is_zero()]
+        assume(basis)
+        leads = [_lead(g, order) for g in basis]
+        want_rem, want_quot = _max_scan_reduce_full(p, basis, leads, order,
+                                                    want_quotients=True)
+        work, scale = _integer_form(p)
+        rem, scale, quot = _reduce_full(work, scale, [_Divisor.of(g, order) for g in basis],
+                                        order, want_quotients=True)
+        assert _from_integer_form(rem, scale, _XYW) == want_rem
+        # the divisors are the monic g / lc, so their quotients are lc times larger
+        for q, (_, lc), want in zip(quot, leads, want_quot):
+            assert Polynomial(q, _XYW).scale(Fraction(1) / lc) == want
+        work, scale = _integer_form(p)
+        rem_only, scale, none = _reduce_full(
+            work, scale, [_Divisor.of(g, order) for g in basis], order)
+        assert none is None
+        assert _from_integer_form(rem_only, scale, _XYW) == want_rem
