@@ -130,7 +130,7 @@ def load_plant(path: str) -> PlantFraction:
     m = data.get("inputs")
     n = data.get("outputs")
     entries = data.get("entries")
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (m, n)):
         raise InputError("'inputs' and 'outputs' must be positive integers")
     if (not isinstance(entries, list) or len(entries) != n
             or any(not isinstance(r, list) or len(r) != m for r in entries)):
@@ -350,17 +350,27 @@ def _load_input_file(path: str, n: int, m: int) -> tuple[list, list]:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read input trace {path}: {exc}")
+    if not isinstance(data, dict):
+        raise InputError(f"input trace {path} must be a JSON object")
+
     def channels(key, count):
         raw = data.get(key, [])
+        if not isinstance(raw, list) or any(not isinstance(ch, list) for ch in raw):
+            raise InputError(f"{key!r} must be a list of channels, each a list of samples")
         if len(raw) > count:
             raise InputError(f"too many {key} channels")
-        out = [[Fraction(str(v)) for v in ch] for ch in raw]
+        try:
+            out = [[Fraction(str(v)) for v in ch] for ch in raw]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{key!r} holds a sample that is not a rational number: {exc}")
         out += [[] for _ in range(count - len(out))]
         return out
     return channels("u1", n), channels("u2", m)
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 1:
+        raise InputError(f"--steps must be a positive integer, got {args.steps}")
     pf = load_plant(args.plant)
     C = load_controller(args.controller, pf)
     if args.input == "file":

@@ -1,11 +1,18 @@
 """Exact discrete-time simulation of the feedback loop.
 
-Transfer functions over a univariate delay ring are realized as difference
-equations in their rational coefficients; the loop's instantaneous algebraic
-constraint is solved exactly at each step, so every signal is a sequence of
-Fractions.  Time-domain traces are cross-checked against the algebraic
-closed-loop map by comparing impulse responses entry by entry, bit for bit.
-Multivariate rings have no canonical time axis and are rejected.
+Each output channel of the plant and of the controller is one difference
+equation over the common denominator of its row, d_i(z) y_i = sum_j n_ij(z) u_j,
+in the rational coefficients of a univariate delay ring.  Its history is
+the loop signals themselves.  Realizing each entry on its own instead gives
+every entry an IIR state whose samples cancel only in the row sum, so their
+exact rationals keep growing while the loop signals, which are finite
+impulse responses for a stabilizing controller, have long since reached 0.
+The loop's instantaneous algebraic constraint is solved exactly at each
+step, so every signal is a sequence of Fractions.  Time-domain traces are
+cross-checked against the algebraic closed-loop map by comparing impulse
+responses entry by entry, bit for bit.  Multivariate rings, and loops whose
+entries together use more than one variable, have no canonical time axis and
+are rejected.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 
 from .matrixring import Mat
 from .ring import PolyFraction
-from .synth import IllPosedError, closed_loop
+from .synth import IllPosedError, _scalar_fraction, closed_loop
 
 
 class SimError(Exception):
@@ -73,34 +80,57 @@ def impulse_response(tf: PolyFraction | DiffEq, steps: int) -> list[Fraction]:
     return out
 
 
-class _EntryState:
-    """One SISO difference equation with its input/output history."""
+def _taps(coeffs: list[Fraction], d0: Fraction) -> list[tuple[int, Fraction]]:
+    """The nonzero coefficients past the constant term, as (delay, c / d0)."""
+    return [(k, c / d0) for k, c in enumerate(coeffs) if k and c]
 
-    __slots__ = ("eq", "inputs", "outputs")
 
-    def __init__(self, eq: DiffEq):
-        self.eq = eq
-        self.inputs: list[Fraction] = []
+class _Row:
+    """One output channel as one difference equation, d(z) y = sum_j n_j(z) u_j.
+
+    d is the common denominator of the row's entries and n_j = num_j d/den_j,
+    both scaled so that d(0) = 1.  The history is the loop signals themselves:
+    the shared input channels u_j and this row's own output y.
+    """
+
+    __slots__ = ("feed", "num_taps", "den_taps", "inputs", "outputs")
+
+    def __init__(self, row: Mat, eqs: list[DiffEq], variables: tuple[str, ...],
+                 inputs: list[list[Fraction]]):
+        N, d = _scalar_fraction(row, variables)
+        den = d.univar_coeffs()
+        self.feed = [eq.feedthrough for eq in eqs]   # = n_j(0) / d(0)
+        self.num_taps = [_taps(n.univar_coeffs(), den[0]) for n in N.entries]
+        self.den_taps = _taps(den, den[0])
+        self.inputs = inputs
         self.outputs: list[Fraction] = []
 
     def memory(self) -> Fraction:
         """Contribution of past samples to the next output."""
         t = len(self.outputs)
-        num, den = self.eq.num_coeffs, self.eq.den_coeffs
         acc = Fraction(0)
-        for k in range(1, len(num)):
-            if t - k >= 0:
-                acc += num[k] * self.inputs[t - k]
-        for k in range(1, len(den)):
-            if t - k >= 0:
-                acc -= den[k] * self.outputs[t - k]
-        return acc / den[0]
+        for u, taps in zip(self.inputs, self.num_taps):
+            for k, c in taps:
+                if k > t:
+                    break
+                v = u[t - k]
+                if v:
+                    acc += c * v
+        for k, c in self.den_taps:
+            if k > t:
+                break
+            v = self.outputs[t - k]
+            if v:
+                acc -= c * v
+        return acc
 
-    def advance(self, u: Fraction) -> Fraction:
-        y = self.eq.feedthrough * u + self.memory()
-        self.inputs.append(u)
+    def advance(self, u: list[Fraction], memory: Fraction):
+        """Append the output for the inputs `u` of this step, whose memory() is given."""
+        y = memory
+        for f, v in zip(self.feed, u):
+            if f and v:
+                y += f * v
         self.outputs.append(y)
-        return y
 
 
 @dataclass
@@ -135,18 +165,22 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
     n, m = P.rows, P.cols
     if C.rows != m or C.cols != n:
         raise SimError("controller shape does not match the plant")
-    plant = [[_EntryState(DiffEq.from_fraction(P[i, j])) for j in range(m)]
-             for i in range(n)]
-    ctrl = [[_EntryState(DiffEq.from_fraction(C[i, j])) for j in range(n)]
-            for i in range(m)]
+    eqs_p = [[DiffEq.from_fraction(P[i, j]) for j in range(m)] for i in range(n)]
+    eqs_c = [[DiffEq.from_fraction(C[i, j]) for j in range(n)] for i in range(m)]
+    used = sorted({v for e in P.entries + C.entries
+                   for v in e.num.used_variables() + e.den.used_variables()})
+    if len(used) > 1:
+        raise SimulationUnsupportedError(
+            f"the loop's entries use more than one variable ({', '.join(used)}); "
+            "only univariate delay rings can be simulated")
     u1 = _pad(u1, n, steps)
     u2 = _pad(u2, m, steps)
 
     # instantaneous constraint: [E_n  F_P; -F_C  E_m] [e1; e2] = rhs, whose
     # inverse is the closed loop of the feedthrough matrices
     k = n + m
-    feed_p = Mat.build(n, m, lambda i, j: PolyFraction(plant[i][j].eq.feedthrough))
-    feed_c = Mat.build(m, n, lambda i, j: PolyFraction(ctrl[i][j].eq.feedthrough))
+    feed_p = Mat.build(n, m, lambda i, j: PolyFraction(eqs_p[i][j].feedthrough))
+    feed_c = Mat.build(m, n, lambda i, j: PolyFraction(eqs_c[i][j].feedthrough))
     try:
         H0 = closed_loop(feed_p, feed_c)
     except IllPosedError:
@@ -156,27 +190,23 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
 
     e1 = [[] for _ in range(n)]
     e2 = [[] for _ in range(m)]
-    y1 = [[] for _ in range(m)]
-    y2 = [[] for _ in range(n)]
+    variables = tuple(used)
+    plant = [_Row(P.take_rows([i]), eqs_p[i], variables, e2) for i in range(n)]
+    ctrl = [_Row(C.take_rows([i]), eqs_c[i], variables, e1) for i in range(m)]
+    y1 = [row.outputs for row in ctrl]
+    y2 = [row.outputs for row in plant]
     for t in range(steps):
-        mem_p = [sum((plant[i][j].memory() for j in range(m)), Fraction(0))
-                 for i in range(n)]
-        mem_c = [sum((ctrl[i][j].memory() for j in range(n)), Fraction(0))
-                 for i in range(m)]
+        mem_p = [row.memory() for row in plant]
+        mem_c = [row.memory() for row in ctrl]
         rhs = [u1[i][t] - mem_p[i] for i in range(n)]
         rhs += [u2[i][t] + mem_c[i] for i in range(m)]
-        sol = [sum(inv[r][c] * rhs[c] for c in range(k)) for r in range(k)]
+        sol = [sum((a * b for a, b in zip(row, rhs) if a and b), Fraction(0))
+               for row in inv]
         e1_t, e2_t = sol[:n], sol[n:]
-        for i in range(n):
-            total = Fraction(0)
-            for j in range(m):
-                total += plant[i][j].advance(e2_t[j])
-            y2[i].append(total)
-        for i in range(m):
-            total = Fraction(0)
-            for j in range(n):
-                total += ctrl[i][j].advance(e1_t[j])
-            y1[i].append(total)
+        for row, mem in zip(plant, mem_p):
+            row.advance(e2_t, mem)
+        for row, mem in zip(ctrl, mem_c):
+            row.advance(e1_t, mem)
         for i in range(n):
             e1[i].append(e1_t[i])
         for i in range(m):

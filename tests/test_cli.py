@@ -161,3 +161,54 @@ class TestSimulateCommand:
         ctl = tmp_path / "controller.json"
         write_json(ctl, {"entries": [["0"]]})
         assert main(["simulate", XY, str(ctl)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        {"u1": [5]},
+        {"u1": [["a"]]},
+    ], ids=["top_level_list", "channel_not_list", "non_numeric_sample"])
+    def test_malformed_input_file(self, tmp_path, capsys, payload):
+        ctl = tmp_path / "controller.json"
+        assert main(["synth", SISO, "-o", str(ctl)]) == EXIT_OK
+        inputs = tmp_path / "inputs.json"
+        write_json(inputs, payload)
+        capsys.readouterr()
+        assert main(["simulate", SISO, str(ctl), "--input", "file",
+                     "--input-file", str(inputs)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_negative_steps(self, tmp_path, capsys):
+        ctl = tmp_path / "controller.json"
+        assert main(["synth", SISO, "-o", str(ctl)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["simulate", SISO, str(ctl), "--steps", "-5"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_mixed_delay_variables_rejected(self, tmp_path, capsys):
+        plant = tmp_path / "plant.json"
+        write_json(plant, {"ring": {"kind": "polynomial_ring", "variables": ["x", "y"],
+                                    "z_mode": "zero_ideal"},
+                           "inputs": 1, "outputs": 2, "entries": [["x"], ["y"]]})
+        ctl = tmp_path / "controller.json"
+        write_json(ctl, {"entries": [["1", "0"]]})
+        assert main(["simulate", str(plant), str(ctl)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+class TestPlantCounts:
+    @pytest.mark.parametrize("key", ["inputs", "outputs"])
+    def test_boolean_count_rejected(self, tmp_path, capsys, key):
+        payload = json.load(open(SISO))
+        payload[key] = True
+        path = tmp_path / "plant.json"
+        write_json(path, payload)
+        assert main(["check", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1

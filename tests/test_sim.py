@@ -3,14 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabring.matrixring import Mat
-from stabring.poly import parse_poly
+from stabring.poly import Polynomial, parse_poly
 from stabring.ring import PolyFraction
-from stabring.sim import (AlgebraicLoopSingularError, NotCausalTFError,
-                          SimulationUnsupportedError, compare_to_H,
-                          impulse_response, simulate_loop, trace_to_csv)
-from stabring.synth import closed_loop
+from stabring.sim import (AlgebraicLoopSingularError, DiffEq, NotCausalTFError,
+                          SignalTrace, SimError, SimulationUnsupportedError,
+                          _pad, compare_to_H, impulse_response, simulate_loop,
+                          trace_to_csv)
+from stabring.synth import IllPosedError, closed_loop
 
 Z = ("z",)
 
@@ -88,6 +91,16 @@ class TestSimulateLoop:
         with pytest.raises(SimulationUnsupportedError):
             simulate_loop(xy_plant.P, C, [[Fraction(1)]], [[]], 3)
 
+    def test_mixed_delay_variables_rejected(self):
+        # each entry is univariate, but x and y cannot share one time axis
+        xy = ("x", "y")
+        P = Mat.from_rows([[PolyFraction(parse_poly("x", xy))],
+                           [PolyFraction(parse_poly("y", xy))]])
+        C = Mat.from_rows([[PolyFraction(parse_poly("1", xy)),
+                            PolyFraction(parse_poly("0", xy))]])
+        with pytest.raises(SimulationUnsupportedError):
+            simulate_loop(P, C, [[Fraction(1)], []], [[]], 4)
+
 
 class TestCompareToH:
     def test_delay_plant(self, delay_plant, delay_controller):
@@ -134,3 +147,173 @@ class TestCsv:
         assert lines[0] == "step,u1_1,u2_1,e1_1,e2_1,y1_1,y2_1"
         assert lines[1].startswith("0,1/2,")
         assert len(lines) == 4
+
+
+# ---------------------------------------------------------------------------
+# reference: one difference equation per SISO entry, summed per row
+# ---------------------------------------------------------------------------
+
+
+class _EntryState:
+    """One SISO difference equation with its input/output history."""
+
+    def __init__(self, eq: DiffEq):
+        self.eq = eq
+        self.inputs: list[Fraction] = []
+        self.outputs: list[Fraction] = []
+
+    def memory(self) -> Fraction:
+        t = len(self.outputs)
+        num, den = self.eq.num_coeffs, self.eq.den_coeffs
+        acc = Fraction(0)
+        for k in range(1, len(num)):
+            if t - k >= 0:
+                acc += num[k] * self.inputs[t - k]
+        for k in range(1, len(den)):
+            if t - k >= 0:
+                acc -= den[k] * self.outputs[t - k]
+        return acc / den[0]
+
+    def advance(self, u: Fraction) -> Fraction:
+        y = self.eq.feedthrough * u + self.memory()
+        self.inputs.append(u)
+        self.outputs.append(y)
+        return y
+
+
+def _reference_simulate_loop(P, C, u1, u2, steps):
+    n, m = P.rows, P.cols
+    plant = [[_EntryState(DiffEq.from_fraction(P[i, j])) for j in range(m)]
+             for i in range(n)]
+    ctrl = [[_EntryState(DiffEq.from_fraction(C[i, j])) for j in range(n)]
+            for i in range(m)]
+    u1 = _pad(u1, n, steps)
+    u2 = _pad(u2, m, steps)
+    k = n + m
+    feed_p = Mat.build(n, m, lambda i, j: PolyFraction(plant[i][j].eq.feedthrough))
+    feed_c = Mat.build(m, n, lambda i, j: PolyFraction(ctrl[i][j].eq.feedthrough))
+    try:
+        H0 = closed_loop(feed_p, feed_c)
+    except IllPosedError:
+        raise AlgebraicLoopSingularError("det(E + P(0)*C(0)) = 0")
+    inv = [[H0[r, c].as_polynomial().constant_coeff() for c in range(k)]
+           for r in range(k)]
+    e1 = [[] for _ in range(n)]
+    e2 = [[] for _ in range(m)]
+    y1 = [[] for _ in range(m)]
+    y2 = [[] for _ in range(n)]
+    for t in range(steps):
+        mem_p = [sum((plant[i][j].memory() for j in range(m)), Fraction(0))
+                 for i in range(n)]
+        mem_c = [sum((ctrl[i][j].memory() for j in range(n)), Fraction(0))
+                 for i in range(m)]
+        rhs = [u1[i][t] - mem_p[i] for i in range(n)]
+        rhs += [u2[i][t] + mem_c[i] for i in range(m)]
+        sol = [sum(inv[r][c] * rhs[c] for c in range(k)) for r in range(k)]
+        e1_t, e2_t = sol[:n], sol[n:]
+        for i in range(n):
+            y2[i].append(sum((plant[i][j].advance(e2_t[j]) for j in range(m)),
+                             Fraction(0)))
+        for i in range(m):
+            y1[i].append(sum((ctrl[i][j].advance(e1_t[j]) for j in range(n)),
+                             Fraction(0)))
+        for i in range(n):
+            e1[i].append(e1_t[i])
+        for i in range(m):
+            e2[i].append(e2_t[i])
+        for i in range(n):
+            if e1[i][t] != u1[i][t] - y2[i][t]:
+                raise SimError("loop equation e1 = u1 - y2 violated")
+        for i in range(m):
+            if e2[i][t] != u2[i][t] + y1[i][t]:
+                raise SimError("loop equation e2 = u2 + y1 violated")
+    return SignalTrace(u1, u2, e1, e2, y1, y2)
+
+
+_SMALL = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 2, 3)]
+                         + [Fraction(1, 2), Fraction(-3, 4)])
+_COEFF = st.one_of(_SMALL, st.just(Fraction(0)))
+
+
+def _upoly(coeffs, variables):
+    """sum_k coeffs[k] z^k over `variables`, whose first variable is z."""
+    pad = (0,) * (len(variables) - 1)
+    return Polynomial({(k,) + pad: c for k, c in enumerate(coeffs)}, variables)
+
+
+@st.composite
+def _causal_poly(draw, variables, max_degree=3):
+    """A polynomial with a nonzero constant term."""
+    return _upoly([draw(_SMALL)] + draw(st.lists(_COEFF, max_size=max_degree)), variables)
+
+
+@st.composite
+def _row(draw, cols, variables):
+    """One row of causal fractions whose denominators are shared, pairwise
+    coprime or dividing each other, with numerator and denominator optionally
+    multiplied by a common factor.  Over the ambient variables (z, w) a
+    PolyFraction is stored as given, so such fractions stay unreduced."""
+    kind = draw(st.sampled_from(["shared", "coprime", "dividing"]))
+    base = draw(_causal_poly(variables))
+    if kind == "shared":
+        dens = [base] * cols
+    elif kind == "dividing":
+        dens = [base]
+        for _ in range(cols - 1):
+            dens.append(dens[-1] * draw(_causal_poly(variables, max_degree=2)))
+        dens = draw(st.permutations(dens))
+    else:
+        roots = draw(st.lists(_SMALL, min_size=cols, max_size=cols, unique=True))
+        dens = [_upoly([Fraction(1), -r], variables) for r in roots]
+    out = []
+    for den in dens:
+        num = _upoly(draw(st.lists(_COEFF, min_size=1, max_size=4)), variables)
+        if draw(st.booleans()):
+            common = draw(_causal_poly(variables, max_degree=2))
+            num, den = num * common, den * common
+        out.append(PolyFraction(num, den))
+    return out
+
+
+@st.composite
+def _loop(draw):
+    n, m = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
+    variables = draw(st.sampled_from([("z",), ("z", "w")]))
+    P = Mat.from_rows([draw(_row(m, variables)) for _ in range(n)])
+    C = Mat.from_rows([draw(_row(n, variables)) for _ in range(m)])
+    z = _upoly([Fraction(0), Fraction(1)], variables)
+    case = draw(st.sampled_from(["causal"] * 3 + ["not_causal", "singular"]))
+    entries = [e * PolyFraction(z) for e in C.entries] if case == "singular" else list(C.entries)
+    if case == "not_causal":
+        # a denominator without constant term has no causal realization
+        entries[0] = PolyFraction(entries[0].num + 1, entries[0].den * z)
+    if case == "singular":
+        p0 = DiffEq.from_fraction(P[0, 0]).feedthrough
+        if not p0:
+            p0 = Fraction(1)
+            P = Mat(n, m, [P[0, 0] + PolyFraction(Polynomial.one(variables))]
+                    + list(P.entries[1:]))
+        # only C[0, 0] has a feedthrough, so det(E + P(0) C(0)) = 1 + p0 c0 = 0
+        entries[0] = entries[0] + PolyFraction(Polynomial.const(-1 / p0, variables))
+    C = Mat(C.rows, C.cols, entries)
+    trace = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                     min_size=1, max_size=6)
+    u1 = [draw(trace) for _ in range(n)]
+    u2 = [draw(trace) for _ in range(m)]
+    return P, C, u1, u2, draw(st.integers(1, 20))
+
+
+def _outcome(simulate, P, C, u1, u2, steps):
+    try:
+        return simulate(P, C, u1, u2, steps)
+    except (NotCausalTFError, AlgebraicLoopSingularError) as exc:
+        return type(exc)
+
+
+class TestRowRealizationOracle:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(loop=_loop())
+    def test_matches_per_entry_simulation(self, loop):
+        P, C, u1, u2, steps = loop
+        want = _outcome(_reference_simulate_loop, P, C, u1, u2, steps)
+        assert _outcome(simulate_loop, P, C, u1, u2, steps) == want
