@@ -41,6 +41,11 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+# Largest exponent generator of a monomial subalgebra a plant file may name:
+# the semigroup table has g_1 * g_k + 2 entries.
+MAX_GENERATOR = 1000
+
+
 class InputError(Exception):
     pass
 
@@ -64,6 +69,8 @@ def ring_from_config(cfg: dict) -> RingModel:
             raise InputError("monomial_subalgebra needs 'variable' and 'generators'")
         if not all(isinstance(g, int) and not isinstance(g, bool) for g in gens):
             raise InputError("'generators' must be integers")
+        if any(g > MAX_GENERATOR for g in gens):
+            raise InputError(f"'generators' must be at most {MAX_GENERATOR}")
         try:
             return RingModel.monomial_subalgebra(var, tuple(gens), z_mode)
         except RingError as exc:

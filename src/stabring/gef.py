@@ -193,10 +193,17 @@ def _cofactor_columns(pf: PlantFraction, index_set: IndexSet) -> tuple[Polynomia
     return delta, pf.T * M.adjugate()
 
 
-def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial) -> Mat:
-    """The K with lam*T = K * (rows_I T); raises MembershipFailedError otherwise."""
+def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
+                   cofactor_columns: tuple[Polynomial, Mat] | None = None) -> Mat:
+    """The K with lam*T = K * (rows_I T); raises MembershipFailedError otherwise.
+
+    `cofactor_columns` is `_cofactor_columns(pf, index_set)` when the caller
+    already has it; it is computed here otherwise.
+    """
     index_set.validate(pf.m, pf.n)
-    delta, C = _cofactor_columns(pf, index_set)
+    if cofactor_columns is None:
+        cofactor_columns = _cofactor_columns(pf, index_set)
+    delta, C = cofactor_columns
     if delta.is_zero():
         raise MembershipFailedError(f"rows {index_set} of T are singular")
     entries = []
@@ -271,6 +278,6 @@ def gef(pf: PlantFraction) -> GefResult:
             if all(lam != seen for seen in generators):
                 generators.append(lam)
         for lam in generators:
-            witness_matrix(pf, index_set, lam)  # raises on failure
+            witness_matrix(pf, index_set, lam, (delta, C))  # raises on failure
         entries.append(GefEntry(index_set, delta, generators, handle, singular=False))
     return GefResult(pf, pres, entries)

@@ -31,7 +31,8 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .poly import Exponents, Polynomial, _grevlex_key
+from .poly import (Exponents, Polynomial, _from_integer_form, _grevlex_descending_key,
+                   _grevlex_key, _integer_form)
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -61,7 +62,7 @@ class MonomialOrder:
         if self.kind == "lex":
             return tuple(-e for e in exps)
         if self.kind == "grevlex":
-            return (-sum(exps),) + exps[::-1]
+            return _grevlex_descending_key(exps)
         front, back = exps[:self.front], exps[self.front:]
         return (-sum(front),) + front[::-1] + (-sum(back),) + back[::-1]
 
@@ -115,20 +116,10 @@ def _exp_sub(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(sub, a, b))
 
 
-# Inside the engine a polynomial is in integer form: a dict of integer
-# coefficients `terms` and a positive integer `scale`, standing for
-# sum terms[e] / scale * x^e.  Fractions appear only at the boundary.
-
-
-def _integer_form(p: Polynomial) -> tuple[dict[Exponents, int], int]:
-    scale = math.lcm(*(c.denominator for _, c in p.items()))
-    return {e: c.numerator * (scale // c.denominator) for e, c in p.items()}, scale
-
-
-def _from_integer_form(terms: dict[Exponents, int], scale: int,
-                       variables: tuple[str, ...]) -> Polynomial:
-    return Polynomial._from_clean({e: Fraction(a, scale) for e, a in terms.items()},
-                                  variables)
+# Inside the engine a polynomial is in integer form (`poly._integer_form`): a
+# dict of integer coefficients `terms` and a positive integer `scale`,
+# standing for sum terms[e] / scale * x^e.  Fractions appear only at the
+# boundary.
 
 
 class _Divisor:

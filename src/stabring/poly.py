@@ -5,6 +5,14 @@ A polynomial is stored as a dictionary mapping exponent tuples to nonzero
 names.  The zero polynomial is the empty dictionary.  All arithmetic is
 exact; no floating point is used anywhere.
 
+`Fraction`s are the boundary form.  Inside products and exact division a
+polynomial is in integer form (`_integer_form`): integer coefficients over
+one positive common denominator, so the inner loops multiply and add plain
+integers and one `Fraction` is formed per output term.  `__init__` validates
+everything built from outside (the parser, `const`, `var`, tests); results of
+the arithmetic already satisfy its invariants and are wrapped without
+re-checking by `Polynomial._from_clean`.
+
 The module also provides the text grammar for polynomial expressions:
 
     expr     := ['-'] term (('+'|'-') term)*
@@ -15,17 +23,23 @@ The module also provides the text grammar for polynomial expressions:
 
 Whitespace is insignificant.  A leading '-' (also directly after '(') is
 accepted so that every string produced by `format_canonical` parses back.
+Parentheses may nest at most `MAX_NESTING` deep.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add
 from typing import Iterable, Iterator
 
 Exponents = tuple[int, ...]
 
 # Exact rational scalar used throughout; arbitrary precision, always reduced.
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 
 class PolyError(Exception):
@@ -125,7 +139,7 @@ class Polynomial:
         return all(all(e == 0 for e in exps) for exps in self._terms)
 
     def constant_coeff(self) -> Fraction:
-        return self._terms.get((0,) * len(self.variables), Fraction(0))
+        return self._terms.get((0,) * len(self.variables), _ZERO)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -142,7 +156,7 @@ class Polynomial:
         return tuple(v for v in self.variables if v in used)
 
     def coeff(self, exps: Exponents) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return self._terms.get(tuple(exps), _ZERO)
 
     def _signature(self):
         return frozenset(
@@ -176,6 +190,8 @@ class Polynomial:
         variables = tuple(variables)
         if variables == self.variables:
             return self
+        if len(set(variables)) != len(variables):
+            raise PolyError(f"duplicate variable in {variables!r}")
         pos = {v: i for i, v in enumerate(variables)}
         missing = [v for v in self.used_variables() if v not in pos]
         if missing:
@@ -188,7 +204,7 @@ class Polynomial:
                 if e:
                     new[old_idx[i]] = e
             terms[tuple(new)] = coeff
-        return Polynomial(terms, variables)
+        return Polynomial._from_clean(terms, variables)
 
     @staticmethod
     def merge_variables(a: "Polynomial", b: "Polynomial") -> tuple[str, ...]:
@@ -210,62 +226,56 @@ class Polynomial:
         other = _coerce(other, self.variables)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._aligned(other)
-        terms = dict(a._terms)
-        for exps, coeff in b._terms.items():
-            s = terms.get(exps, Fraction(0)) + coeff
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
-        return Polynomial(terms, a.variables)
+        return _add_terms(*self._aligned(other), subtract=False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({e: -c for e, c in self._terms.items()}, self.variables)
+        return Polynomial._from_clean({e: -c for e, c in self._terms.items()}, self.variables)
 
     def __sub__(self, other):
         other = _coerce(other, self.variables)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _add_terms(*self._aligned(other), subtract=True)
 
     def __rsub__(self, other):
         other = _coerce(other, self.variables)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._aligned(other)
         if len(a._terms) < len(b._terms):
             a, b = b, a
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in a._terms.items():
-            for e2, c2 in b._terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return Polynomial(terms, a.variables)
+        ta, da = _integer_form(a)
+        tb, db = _integer_form(b)
+        acc: dict[Exponents, int] = {}
+        get = acc.get
+        for e1, c1 in ta.items():
+            for e2, c2 in tb.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+        den = da * db
+        return Polynomial._from_clean(
+            {e: Fraction(v, den) for e, v in acc.items() if v}, a.variables)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         return NotImplemented
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero(self.variables)
-        return Polynomial({e: k * c for e, k in self._terms.items()}, self.variables)
+        return Polynomial._from_clean({e: k * c for e, k in self._terms.items()},
+                                      self.variables)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -370,6 +380,40 @@ def _coerce(value, variables) -> "Polynomial":
     return NotImplemented
 
 
+def _add_terms(a: Polynomial, b: Polynomial, subtract: bool) -> Polynomial:
+    """a + b, or a - b with `subtract`, for polynomials over the same variables."""
+    terms = dict(a._terms)
+    for exps, coeff in b._terms.items():
+        old = terms.get(exps)
+        if old is None:
+            terms[exps] = -coeff if subtract else coeff
+            continue
+        s = old - coeff if subtract else old + coeff
+        if s:
+            terms[exps] = s
+        else:
+            del terms[exps]
+    return Polynomial._from_clean(terms, a.variables)
+
+
+def _integer_form(p: Polynomial) -> tuple[dict[Exponents, int], int]:
+    """(terms, scale) with integer terms and p = sum terms[e] / scale * x^e.
+
+    `scale` is the positive lcm of the coefficient denominators.
+    """
+    scale = math.lcm(*(c.denominator for c in p._terms.values()))
+    if scale == 1:
+        return {e: c.numerator for e, c in p._terms.items()}, 1
+    return {e: c.numerator * (scale // c.denominator) for e, c in p._terms.items()}, scale
+
+
+def _from_integer_form(terms: dict[Exponents, int], scale: int,
+                       variables: tuple[str, ...]) -> Polynomial:
+    """The polynomial sum terms[e] / scale * x^e; every term must be nonzero."""
+    return Polynomial._from_clean({e: Fraction(a, scale) for e, a in terms.items()},
+                                  variables)
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -394,11 +438,19 @@ def _grevlex_key(exps: Exponents):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _grevlex_descending_key(exps: Exponents) -> tuple[int, ...]:
+    """Flat tuple that sorts ascending exactly when monomials sort grevlex-descending."""
+    return (-sum(exps),) + exps[::-1]
+
+
 def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return h with p = h*q, or raise NotDivisibleError.
 
-    Single-divisor multivariate division: a singleton divisor set is a
-    Groebner basis, so a zero remainder is equivalent to divisibility.
+    Single-divisor multivariate division in grevlex order: a singleton
+    divisor set is a Groebner basis, so a zero remainder is equivalent to
+    divisibility.  The pending polynomial is in integer form over one scale,
+    with its monomials in a heap; the first lead that the divisor's lead does
+    not divide can never cancel later, so the division stops there.
     """
     if q.is_zero():
         raise PolyError("division by the zero polynomial")
@@ -406,28 +458,51 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
         return Polynomial.zero(p.variables)
     a, b = p._aligned(q)
     if b.is_constant():
-        return a.scale(Fraction(1) / b.constant_coeff())
-    lead_q = max(b._terms, key=_grevlex_key)
-    cq = b._terms[lead_q]
-    work = dict(a._terms)
+        return a.scale(1 / b.constant_coeff())
+    key = _grevlex_descending_key
+    # b = (cq * x^lead_q + sum tail) / dq, with cq > 0
+    terms_q, dq = _integer_form(b)
+    lead_q = min(terms_q, key=key)
+    cq = terms_q.pop(lead_q)
+    if cq < 0:
+        cq, dq = -cq, -dq
+        terms_q = {e: -c for e, c in terms_q.items()}
+    tail = list(terms_q.items())
+    work, scale = _integer_form(a)  # a = work / scale
+    heap = [(key(e), e) for e in work]
+    heapify(heap)
     quot: dict[Exponents, Fraction] = {}
-    while work:
-        lead = max(work, key=_grevlex_key)
+    while heap:
+        lead = heappop(heap)[1]
+        w = work.pop(lead, None)
+        if w is None:
+            continue  # cancelled after it was pushed
         diff = tuple(x - y for x, y in zip(lead, lead_q))
         if any(e < 0 for e in diff):
-            # this term can never be cancelled later, so the remainder is nonzero
             raise NotDivisibleError(
                 f"{format_canonical(p)} is not divisible by {format_canonical(q)}")
-        c = work[lead] / cq
-        quot[diff] = quot.get(diff, Fraction(0)) + c
-        for e2, c2 in b._terms.items():
-            e = tuple(x + y for x, y in zip(diff, e2))
-            s = work.get(e, Fraction(0)) - c * c2
+        # leads only decrease, so each quotient monomial is set once
+        quot[diff] = Fraction(w * dq, scale * cq)
+        # work/scale - w/(scale*cq) * tail == (work*m - (w/g)*tail) / (scale*m)
+        g = math.gcd(w, cq)
+        factor, m = w // g, cq // g
+        if m != 1:
+            scale *= m
+            for e in work:
+                work[e] *= m
+        for e2, c2 in tail:
+            e = tuple(map(add, diff, e2))
+            old = work.get(e)
+            if old is None:
+                work[e] = -factor * c2
+                heappush(heap, (key(e), e))
+                continue
+            s = old - factor * c2
             if s:
                 work[e] = s
             else:
-                work.pop(e, None)
-    return Polynomial(quot, a.variables)
+                del work[e]
+    return Polynomial._from_clean(quot, a.variables)
 
 
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -542,10 +617,16 @@ def _fmt_rational(c: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Deepest parenthesis nesting the parser accepts; each level takes four
+# stack frames, so deeper input would otherwise end in a RecursionError.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.variables = variables
 
     def error(self, message: str, cls=ParseError):
@@ -617,9 +698,13 @@ class _Parser:
     def base(self) -> Polynomial:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if ch.isdigit():
             num = self.integer()

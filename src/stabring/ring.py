@@ -187,13 +187,20 @@ class Presentation:
     For a monomial subalgebra Q[z^e1..z^ek] this is Q[u1..uk] modulo the
     toric relation ideal (the kernel of u_i -> z^e_i); a full polynomial
     ring is its own presentation with no relations.
+
+    The ring caches its presentation, so the presentation keeps only the
+    ring's kind, delay variable and variables, not the ring itself: a
+    reference cycle would keep both, with the lift basis, alive until the
+    cyclic collector runs.
     """
 
     def __init__(self, ring: RingModel, variables: tuple[str, ...],
                  relations: list[Polynomial],
                  lift_gb: groebner.GroebnerBasis | None,
                  power_map: dict[str, int]):
-        self.ring = ring
+        self._kind = ring.kind
+        self._delay_var = ring.delay_var if ring.kind == "monomial" else None
+        self._ring_variables = ring.variables
         self.variables = variables
         self.relations = relations
         self._lift_gb = lift_gb
@@ -201,23 +208,23 @@ class Presentation:
 
     def lift(self, a: Polynomial) -> Polynomial:
         """Canonical preimage of a stable element in the presentation ring."""
-        if self.ring.kind == "polynomial":
+        if self._kind == "polynomial":
             return a.with_variables(self.variables)
         ext = self._lift_gb.variables  # (delay, u1, .., uk)
         nf = groebner.normal_form(a.with_variables(ext), self._lift_gb)
-        if self.ring.delay_var in nf.used_variables():
+        if self._delay_var in nf.used_variables():
             raise MembershipError(f"{a} is not in the monomial subalgebra")
         return nf.with_variables(self.variables)
 
     def push(self, q: Polynomial) -> Polynomial:
         """Substitute each presentation variable by its delay-power image."""
-        if self.ring.kind == "polynomial":
+        if self._kind == "polynomial":
             return q.with_variables(self.variables)
-        z = self.ring.delay_var
+        z = self._delay_var
         mapping = {
             u: Polynomial({(e,): Fraction(1)}, (z,)) for u, e in self.power_map.items()
         }
-        return q.substitute(mapping).with_variables(self.ring.variables)
+        return q.substitute(mapping).with_variables(self._ring_variables)
 
     def ideal(self, gens: Iterable[Polynomial]) -> groebner.IdealHandle:
         return groebner.IdealHandle(self.variables, gens, self.relations)

@@ -1,9 +1,14 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabring.cli import (EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, InputError,
                           main, parse_fraction_text)
@@ -208,6 +213,130 @@ class TestPlantCounts:
         payload[key] = True
         path = tmp_path / "plant.json"
         write_json(path, payload)
+        assert main(["check", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the plant file: every input must give exit 0, 1 or 2, no traceback
+# ---------------------------------------------------------------------------
+
+_NAMES = ["z", "q", "x", "y", "w"]
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.text(max_size=4))
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2))
+_Z_MODES = st.sampled_from(["zero_constant_term", "zero_ideal", "other"])
+
+
+@st.composite
+def _poly_text(draw, names):
+    """A sum of terms in `names` with exponents <= 6."""
+    terms = [draw(st.sampled_from(["1", "-1", "2", "1/3", "0"]))]
+    for _ in range(draw(st.integers(0, 3))):
+        coeff = draw(st.sampled_from(["", "2*", "3*", "1/2*", "0*",
+                                      f"(1 - 2*{names[0]})*"]))
+        terms.append(f"{coeff}{draw(st.sampled_from(names))}^{draw(st.integers(0, 6))}")
+    text = terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from([" + ", " - "])) + term
+    return text
+
+
+def _entry(names):
+    return st.one_of(
+        _poly_text(names),
+        st.builds(lambda n, d: f"({n})/({d})", _poly_text(names), _poly_text(names)))
+
+
+# malformed pieces; random text has no '^', so no exponent can be huge
+_JUNK_ENTRIES = st.one_of(_JSON_VALUES,
+                          st.text(alphabet="zqxyw0123456789+-*/() .", max_size=12))
+_NESTED_ENTRIES = st.sampled_from([3000, 300, 101, 100]).map(
+    lambda k: "(" * k + "1" + ")" * k)
+_JUNK_GENERATORS = st.one_of(
+    st.sampled_from([[2, 3, 10 ** 30], [10 ** 30, 10 ** 30 + 1], [1001]]),
+    st.lists(_JSON_SCALARS, max_size=4))
+_JUNK_RINGS = st.one_of(_JSON_VALUES, st.fixed_dictionaries({}, optional={
+    "kind": st.one_of(st.sampled_from(["monomial_subalgebra", "polynomial_ring"]),
+                      _JSON_SCALARS),
+    "variable": _JSON_VALUES, "variables": _JSON_VALUES, "generators": _JUNK_GENERATORS,
+    "z_mode": st.one_of(_Z_MODES, _JSON_VALUES)}))
+# one fault per plant at most, None for a well-formed plant; hypothesis draws
+# the first items of a list most often
+_FAULTS = ["nesting", "generators", "entry", "ring", "ring_field", "counts", "shape",
+           "missing_key", "foreign_name", "top_level"] + [None] * 4
+
+
+@st.composite
+def _plants(draw):
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "generators" or draw(st.booleans()):
+        var = draw(st.sampled_from(_NAMES))
+        ring = {"kind": "monomial_subalgebra", "variable": var,
+                "generators": draw(st.sampled_from([[2, 3], [1], [3, 4, 5], [2, 5]]))}
+        names = [var]
+    else:
+        names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3,
+                              unique=True))
+        ring = {"kind": "polynomial_ring", "variables": names}
+    if draw(st.booleans()):
+        ring["z_mode"] = draw(_Z_MODES)
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    plant = {"ring": ring, "inputs": m, "outputs": n,
+             "entries": [[draw(_entry(names)) for _ in range(m)] for _ in range(n)]}
+    if fault == "ring":
+        plant["ring"] = draw(_JUNK_RINGS)
+    elif fault == "ring_field":
+        ring[draw(st.sampled_from(sorted(ring)))] = draw(_JSON_VALUES)
+    elif fault == "generators":
+        ring["generators"] = draw(_JUNK_GENERATORS)
+    elif fault == "counts":
+        plant[draw(st.sampled_from(["inputs", "outputs"]))] = draw(_JSON_SCALARS)
+    elif fault == "shape":
+        plant["entries"] = draw(st.lists(st.lists(_entry(names), max_size=3), max_size=3))
+    elif fault == "missing_key":
+        del plant[draw(st.sampled_from(sorted(plant)))]
+    elif fault in ("entry", "nesting"):
+        junk = _JUNK_ENTRIES if fault == "entry" else _NESTED_ENTRIES
+        plant["entries"][draw(st.integers(0, n - 1))][0] = draw(junk)
+    elif fault == "foreign_name":
+        plant["entries"][0][draw(st.integers(0, m - 1))] = draw(_poly_text(_NAMES))
+    elif fault == "top_level":
+        plant = draw(_JSON_VALUES)
+    return plant
+
+
+class TestPlantFileFuzz:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_plants(), st.sampled_from(["gef", "check", "synth"]))
+    def test_exit_code_contract(self, plant, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "plant.json")
+            write_json(path, plant)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, path])
+        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+class TestHostilePlants:
+    """Inputs the fuzz test above finds crashing, with a traceback and exit 1,
+    unless they are refused as input errors."""
+
+    @pytest.mark.parametrize("ring,entry", [
+        ({"kind": "monomial_subalgebra", "variable": "z", "generators": [2, 3]},
+         "(" * 3000 + "1" + ")" * 3000),
+        ({"kind": "monomial_subalgebra", "variable": "z", "generators": [2, 3, 10 ** 30]},
+         "1"),
+    ], ids=["deep_parentheses", "huge_generator"])
+    def test_rejected_as_input_error(self, tmp_path, capsys, ring, entry):
+        path = tmp_path / "plant.json"
+        write_json(path, {"ring": ring, "inputs": 1, "outputs": 1, "entries": [[entry]]})
         assert main(["check", str(path)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabring.poly import (NotDivisibleError, ParseError, Polynomial,
+from stabring.poly import (NotDivisibleError, ParseError, Polynomial, PolyError,
                            UnknownVariableError, arith, divide_exact,
                            format_canonical, gcd_univariate, parse_poly)
 
@@ -210,3 +212,200 @@ class TestProperties:
             assert (a * b) * c == a * (b * c)
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
+
+
+# ---------------------------------------------------------------------------
+# the previous Fraction kernel, kept as the reference for the integer-form one
+# ---------------------------------------------------------------------------
+
+
+def _ref_add(p, q):
+    a, b = p._aligned(q)
+    terms = dict(a._terms)
+    for exps, coeff in b._terms.items():
+        s = terms.get(exps, Fraction(0)) + coeff
+        if s:
+            terms[exps] = s
+        else:
+            terms.pop(exps, None)
+    return Polynomial(terms, a.variables)
+
+
+def _ref_mul(p, q):
+    a, b = p._aligned(q)
+    if len(a._terms) < len(b._terms):
+        a, b = b, a
+    terms = {}
+    for e1, c1 in a._terms.items():
+        for e2, c2 in b._terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = terms.get(e, Fraction(0)) + c1 * c2
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+    return Polynomial(terms, a.variables)
+
+
+def _ref_grevlex_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _ref_divide_exact(p, q):
+    """Max-scan `Fraction` division: rescans every pending term on each step."""
+    if q.is_zero():
+        raise PolyError("division by the zero polynomial")
+    if p.is_zero():
+        return Polynomial.zero(p.variables)
+    a, b = p._aligned(q)
+    if b.is_constant():
+        return a.scale(Fraction(1) / b.constant_coeff())
+    lead_q = max(b._terms, key=_ref_grevlex_key)
+    cq = b._terms[lead_q]
+    work = dict(a._terms)
+    quot = {}
+    while work:
+        lead = max(work, key=_ref_grevlex_key)
+        diff = tuple(x - y for x, y in zip(lead, lead_q))
+        if any(e < 0 for e in diff):
+            raise NotDivisibleError("remainder left")
+        c = work[lead] / cq
+        quot[diff] = quot.get(diff, Fraction(0)) + c
+        for e2, c2 in b._terms.items():
+            e = tuple(x + y for x, y in zip(diff, e2))
+            s = work.get(e, Fraction(0)) - c * c2
+            if s:
+                work[e] = s
+            else:
+                work.pop(e, None)
+    return Polynomial(quot, a.variables)
+
+
+_NAMES = ("x", "y", "z")
+# small and large denominators; 2^61 - 1 and 10^12 + 39 are primes
+_DENOMINATORS = (1, 1, 2, 3, 7, 12, 2 ** 61 - 1, 10 ** 12 + 39)
+
+
+@st.composite
+def _coefficients(draw):
+    num = draw(st.one_of(st.integers(-9, 9), st.integers(-10 ** 20, 10 ** 20)))
+    return Fraction(num, draw(st.sampled_from(_DENOMINATORS)))
+
+
+@st.composite
+def _polys(draw, variables, max_terms=5, max_exp=3):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(draw(st.integers(0, max_exp)) for _ in variables)
+        terms[exps] = draw(_coefficients())
+    return Polynomial(terms, variables)
+
+
+@st.composite
+def _poly_pairs(draw):
+    """Two polynomials over 1-3 variables, sometimes over different variable
+    tuples, and sometimes with terms of the second cancelling the first's."""
+    nvars = draw(st.integers(1, 3))
+    variables = _NAMES[:nvars]
+    p = draw(_polys(variables))
+    other = variables
+    if nvars > 1 and draw(st.booleans()):
+        other = tuple(reversed(variables))
+    q = draw(_polys(other))
+    if draw(st.booleans()):
+        # q gets the negation of some of p's terms, so p + q cancels there
+        negated = {e: -c for e, c in p.items() if draw(st.booleans())}
+        q = _ref_add(q, Polynomial(negated, variables))
+    return p, q
+
+
+def _same(result, reference):
+    assert result._terms == reference._terms
+    assert result.variables == reference.variables
+
+
+def _assert_clean(p, nvars=None):
+    """The invariants `Polynomial.__init__` establishes."""
+    assert isinstance(p.variables, tuple)
+    assert len(set(p.variables)) == len(p.variables)
+    if nvars is not None:
+        assert len(p.variables) == nvars
+    for exps, coeff in p._terms.items():
+        assert type(exps) is tuple and len(exps) == len(p.variables)
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+class TestKernelOracle:
+    """The integer-form kernel against the previous `Fraction` loops."""
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(_poly_pairs())
+    def test_add_sub_mul(self, pair):
+        p, q = pair
+        _same(p + q, _ref_add(p, q))
+        _same(p - q, _ref_add(p, -q))
+        _same(p * q, _ref_mul(p, q))
+        _same(q * p, _ref_mul(q, p))
+        _same(p + (-p), Polynomial.zero(p.variables))
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(_poly_pairs(), st.booleans())
+    def test_divide_exact(self, pair, exact):
+        h, q = pair
+        if q.is_zero():
+            return
+        p = _ref_mul(h, q) if exact else h
+        try:
+            expected = _ref_divide_exact(p, q)
+        except NotDivisibleError:
+            assert not exact
+            with pytest.raises(NotDivisibleError):
+                divide_exact(p, q)
+            return
+        _same(divide_exact(p, q), expected)
+        if exact:
+            assert divide_exact(p, q) == h
+
+
+class TestInternalInvariants:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_poly_pairs(), _coefficients(), st.integers(-5, 5))
+    def test_results_satisfy_init_invariants(self, pair, c, k):
+        p, q = pair
+        for r in (p + q, p - q, -p, p * q, p.scale(c), p * k, k * p, p + k, k - p,
+                  p ** 2):
+            _assert_clean(r)
+        merged = Polynomial.merge_variables(p, q)
+        _assert_clean(p.with_variables(merged), len(merged))
+        _assert_clean(p.with_variables(p.variables + ("w",)), len(p.variables) + 1)
+        if not q.is_zero():
+            _assert_clean(divide_exact(p * q, q))
+
+    def test_with_variables_duplicate_names(self):
+        p = parse_poly("x", ("x",))
+        with pytest.raises(PolyError):
+            p.with_variables(("x", "x"))
+
+    def test_with_variables_drops_used(self):
+        p = parse_poly("x + y", XY)
+        with pytest.raises(PolyError):
+            p.with_variables(("x",))
+
+    def test_divide_exact_negative_lead(self):
+        q = parse_poly("1/3 - 2/5*x*y", XY)
+        h = parse_poly("7 + x - 3/4*y^2", XY)
+        assert divide_exact(h * q, q) == h
+        with pytest.raises(NotDivisibleError):
+            divide_exact(h * q + parse_poly("x^3", XY), q)
+
+
+class TestParseNesting:
+    def test_nesting_bound(self):
+        assert zp("(" * 100 + "z" + ")" * 100) == zp("z")
+        with pytest.raises(ParseError):
+            zp("(" * 101 + "z" + ")" * 101)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            zp("(" * 5000 + "z" + ")" * 5000)
