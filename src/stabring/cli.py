@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .gef import GefError, GefResult, NotCausalError, PlantFraction, gef, scalar_denominator
 from .matrixring import Mat
-from .poly import ParseError, Polynomial, format_canonical, parse_poly
+from .poly import ParseError, Polynomial, format_canonical, parse_fraction
 from .ring import (PolyFraction, RingModel, RingError, ZERO_CONSTANT_TERM,
                    ZERO_IDEAL, z_nonsingular)
 from .sim import SimError, SimulationUnsupportedError, simulate_loop, trace_to_csv
@@ -101,26 +101,9 @@ def ring_to_config(ring: RingModel) -> dict:
 def parse_fraction_text(text: str, variables: tuple[str, ...]) -> tuple[Polynomial, Polynomial]:
     """Split "num/den" at a top-level '/', falling back to a plain polynomial."""
     try:
-        return parse_poly(text, variables), Polynomial.one(variables)
+        return parse_fraction(text, variables)
     except ParseError:
-        pass
-    depth = 0
-    candidates = []
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            candidates.append(pos)
-    for pos in candidates:
-        try:
-            num = parse_poly(text[:pos], variables)
-            den = parse_poly(text[pos + 1:], variables)
-            return num, den
-        except ParseError:
-            continue
-    raise InputError(f"cannot parse transfer function {text!r}")
+        raise InputError(f"cannot parse transfer function {text!r}")
 
 
 def load_plant(path: str) -> PlantFraction:

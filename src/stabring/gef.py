@@ -6,9 +6,18 @@ ideal, stacked into T = [N; d*E_m].  For every selection I of m rows of T the
 generalized elementary factor is the ideal of all lambda in A such that
 lambda*T = K * (rows_I of T) for some K over A.  With delta_I = det(rows_I T)
 nonzero and C = T * adj(rows_I T) this is the finite intersection of colon
-ideals (delta_I A : c_rs) over the entries of C, computed in the ring's
-quotient presentation; each reported generator is post-verified by
-reconstructing its witness matrix K.
+ideals (delta_I A : c_rs) over the entries of C.  The route depends on the
+ring:
+
+  * over Q[x1..xn] the colons and their intersection are Groebner
+    computations (elimination with an auxiliary variable);
+  * over a monomial ring Q[z^S] the intersection has a closed form, found by
+    one gcd and one exact linear system on the coefficients below the
+    conductor (`_gap_factor`).
+
+Either way the factor is handed on as an ideal of the ring's quotient
+presentation, whose reduced basis gives the reported generators, and each
+reported generator is post-verified by reconstructing its witness matrix K.
 """
 
 from __future__ import annotations
@@ -16,11 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import IdealHandle
+from .linsolve import nullspace
 from .matrixring import IndexSet, Mat, enumerate_index_sets
 from .poly import (NotDivisibleError, Polynomial, common_denominator,
-                   divide_exact)
+                   divide_exact, gcd_univariate)
 from .ring import (NotCausalError, Presentation, PolyFraction, RingModel,
-                   causal, in_Z, membership, presentation, unit_multiplier)
+                   causal, gap_rows, in_Z, membership, presentation,
+                   unit_multiplier)
 
 
 class GefError(Exception):
@@ -243,6 +254,29 @@ def local_freeness_witness(pf: PlantFraction, index_set: IndexSet,
     return LocalFreenessWitness(f=lam, nu=1, K=K, V=V)
 
 
+def _gap_factor(ring: RingModel, delta: Polynomial,
+                targets: list[Polynomial]) -> list[Polynomial]:
+    """Generators of the intersection of the colons (delta A : c) over the targets.
+
+    A = Q[z^S] is a monomial ring with conductor F+1 and least generator s1.
+    With g the monic gcd of delta and every target and h = delta/g, the
+    intersection is h * (V + z^(F+1) Q[z]), where V is the space of q of
+    degree at most F for which h*q and every (c/g)*q vanish at all gaps.  Its
+    generators are h*v for a basis v of V and h*z^(F+1+j) for j < s1.
+    """
+    g = delta
+    for c in targets:
+        g = gcd_univariate(g, c)
+    h = divide_exact(delta, g)
+    factors = [h] + [divide_exact(c, g) for c in targets]
+    n, z = ring.conductor, ring.delay_var
+    gens = [h * Polynomial.from_univar_coeffs(v, z, ring.variables)
+            for v in nullspace(gap_rows(factors, ring, n), n)]
+    zvar = Polynomial.var(z, ring.variables)
+    gens += [h * zvar ** (n + j) for j in range(ring.generators[0])]
+    return gens
+
+
 def gef(pf: PlantFraction) -> GefResult:
     """All generalized elementary factors of the plant, verified."""
     pres = presentation(pf.ring)
@@ -256,20 +290,22 @@ def gef(pf: PlantFraction) -> GefResult:
                                     pres.ideal([Polynomial.zero(pres.variables)]),
                                     singular=True))
             continue
-        delta_hat = pres.lift(delta)
-        base = pres.ideal([delta_hat])
         targets: list[Polynomial] = []
         for c in C.entries:
             if c.is_zero() or c == delta:
                 continue  # the colon ideal is the whole ring for these
             if all(c != seen for seen in targets):
                 targets.append(c)
-        handle = None
-        for c in targets:
-            colon = base.colon(pres.lift(c))
-            handle = colon if handle is None else handle.intersect(colon)
-        if handle is None:
+        if not targets:
             handle = pres.ideal([Polynomial.one(pres.variables)])
+        elif pf.ring.kind == "monomial":
+            handle = pres.ideal([pres.lift(g) for g in _gap_factor(pf.ring, delta, targets)])
+        else:
+            base = pres.ideal([pres.lift(delta)])
+            handle = None
+            for c in targets:
+                colon = base.colon(pres.lift(c))
+                handle = colon if handle is None else handle.intersect(colon)
         generators = []
         for g in handle.reduced_basis():
             lam = pres.push(g)

@@ -1,9 +1,9 @@
 """Buchberger Groebner-basis engine over Q[x1..xk] with cofactor tracking.
 
 Supports ideal membership with witnesses, unit-ideal tests with Bezout
-certificates, colon ideals, intersections, and elimination.  Every ideal
-handle carries a list of relation generators that are implicitly adjoined to
-all computations, which makes the engine operate modulo a quotient-ring
+certificates, colon ideals and intersections.  Every ideal handle carries a
+list of relation generators that are implicitly adjoined to all
+computations, which makes the engine operate modulo a quotient-ring
 presentation while staying inside an ordinary polynomial ring.
 
 Reduction: `_reduce_full` keeps the pending polynomial as integer
@@ -491,20 +491,6 @@ class IdealHandle:
             raise ValueError("intersection requires the same ambient variables")
         gens = _intersect_gens(self.all_gens(), other.all_gens(), self.variables)
         return IdealHandle(self.variables, gens, self.relations)
-
-    def eliminate(self, drop_vars: Iterable[str]) -> "IdealHandle":
-        """The ideal's contraction to the subring without drop_vars."""
-        drop = [v for v in self.variables if v in set(drop_vars)]
-        keep = [v for v in self.variables if v not in set(drop_vars)]
-        ordered = tuple(drop) + tuple(keep)
-        gens = [g.with_variables(ordered) for g in self.all_gens()]
-        gb = buchberger(gens, ordered, elimination_order(len(drop)))
-        survivors = [g.with_variables(tuple(keep)) for g in gb.basis
-                     if all(v in keep for v in g.used_variables())]
-        relations = [r for r in self.relations
-                     if all(v in keep for v in r.used_variables())]
-        relations = [r.with_variables(tuple(keep)) for r in relations]
-        return IdealHandle(tuple(keep), survivors, relations)
 
     def reduced_basis(self, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
         return list(self.groebner(order).basis)

@@ -162,25 +162,8 @@ class Mat:
         return self._det_cofactor()
 
     def _det_cofactor(self):
-        n = self.rows
-
-        def rec(row_idx: tuple[int, ...], col_idx: tuple[int, ...]):
-            if len(row_idx) == 1:
-                return self[row_idx[0], col_idx[0]]
-            i = row_idx[0]
-            rest = row_idx[1:]
-            acc = None
-            for pos, j in enumerate(col_idx):
-                a = self[i, j]
-                sub_cols = col_idx[:pos] + col_idx[pos + 1:]
-                term = a * rec(rest, sub_cols)
-                if pos % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-            return acc
-
-        idx = tuple(range(n))
-        return rec(idx, idx)
+        idx = tuple(range(self.rows))
+        return _cofactor_expansion(self, idx, idx)
 
     def _det_bareiss(self) -> Polynomial:
         # fraction-free elimination; every division is exact over a domain
@@ -220,6 +203,27 @@ class Mat:
                 minor = self.submatrix(rows, cols).det()
                 out.append(minor if (i + j) % 2 == 0 else -minor)
         return Mat(n, n, out)
+
+
+def _cofactor_expansion(mat: Mat, row_idx: tuple[int, ...], col_idx: tuple[int, ...]):
+    """det of the submatrix on row_idx x col_idx, expanded along its first row.
+
+    A module function rather than a closure over the matrix: a recursive
+    closure refers to itself through its cell and would leave the matrix to
+    the cyclic collector.
+    """
+    if len(row_idx) == 1:
+        return mat[row_idx[0], col_idx[0]]
+    i = row_idx[0]
+    rest = row_idx[1:]
+    acc = None
+    for pos, j in enumerate(col_idx):
+        sub_cols = col_idx[:pos] + col_idx[pos + 1:]
+        term = mat[i, j] * _cofactor_expansion(mat, rest, sub_cols)
+        if pos % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -628,6 +628,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.variables = variables
+        # positions of the '/' of rationals read outside all parentheses
+        self.rational_bars: list[int] = []
 
     def error(self, message: str, cls=ParseError):
         raise cls(message, self.pos)
@@ -710,8 +712,11 @@ class _Parser:
             num = self.integer()
             save = self.pos
             if self.take("/"):
+                bar = self.pos - 1
                 nxt = self.peek()
                 if nxt.isdigit():
+                    if self.depth == 0:
+                        self.rational_bars.append(bar)
                     den = self.integer()
                     if den == 0:
                         self.error("zero denominator in rational")
@@ -736,3 +741,39 @@ def parse_poly(text: str, variables: Iterable[str]) -> Polynomial:
     if parser.pos != len(parser.text):
         parser.error("unexpected trailing input")
     return value
+
+
+def parse_fraction(text: str, variables: Iterable[str]) -> tuple[Polynomial, Polynomial]:
+    """Parse "num" or "num/den" into (num, den); den is 1 for a polynomial.
+
+    A text that parses whole is a polynomial, even when it holds a '/' as in
+    the rational 1/2.  Otherwise the fraction bar is the first '/' outside
+    all parentheses at which both sides parse.  The text is parsed once, up
+    to the first '/' the grammar cannot read, and that '/' is a candidate
+    bar.  The only other '/' after which a numerator can end are those of
+    rationals read outside parentheses (the first '/' of "1/2/3"); they are
+    earlier candidates, and when one of them is the bar its numerator is
+    parsed again.
+    """
+    variables = tuple(variables)
+    parser = _Parser(text, variables)
+    try:
+        num = parser.expr()
+        parser.skip_ws()
+    except ParseError:
+        num = None
+    else:
+        if parser.pos == len(text):
+            return num, Polynomial.one(variables)
+    candidates = [(pos, None) for pos in parser.rational_bars]
+    if num is not None and text[parser.pos] == "/":
+        candidates.append((parser.pos, num))
+    for pos, num in candidates:
+        try:
+            den = parse_poly(text[pos + 1:], variables)
+        except ParseError:
+            continue
+        if num is None:
+            num = parse_poly(text[:pos], variables)
+        return num, den
+    raise ParseError("no polynomial or quotient of polynomials", 0)

@@ -416,6 +416,28 @@ def fraction_in_ring(x: PolyFraction, ring: RingModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def gap_rows(factors: Iterable[Polynomial], ring: RingModel,
+             n: int) -> list[list[Fraction]]:
+    """The gap conditions on an unknown x = x_0 + x_1 z + ... + x_(n-1) z^(n-1).
+
+    For each factor w (in factor order) and each semigroup gap g (ascending),
+    the row of the linear form (w*x)_g = sum_j w_j x_(g-j); w*x lies in A
+    exactly when every row vanishes at x.  The ring must be monomial.
+    """
+    gaps = ring.gaps()
+    rows: list[list[Fraction]] = []
+    for w in factors:
+        coeffs = w.with_variables(ring.variables).univar_coeffs()
+        for g in gaps:
+            row = [Fraction(0)] * n
+            for j, wj in enumerate(coeffs[:g + 1]):
+                k = g - j
+                if k < n and wj:
+                    row[k] = wj
+            rows.append(row)
+    return rows
+
+
 def unit_multiplier(targets: list[Polynomial], ring: RingModel,
                     degree_bound: int | None = None) -> Polynomial | None:
     """A multiplier s with nonzero constant term sending every target into A.
@@ -428,24 +450,12 @@ def unit_multiplier(targets: list[Polynomial], ring: RingModel,
     """
     if ring.kind != "monomial":
         return Polynomial.one(ring.variables)
-    gaps = ring.gaps()
     if degree_bound is None:
         degree_bound = ring.conductor + max((t.total_degree() for t in targets), default=0)
-    coeff_lists = [t.with_variables(ring.variables).univar_coeffs() for t in targets]
-    nunk = degree_bound + 1
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for w in coeff_lists:
-        for g in gaps:
-            # sum_j w_j * s_{g-j} = 0, with s_0 = 1 moved to the right side
-            row = [Fraction(0)] * nunk
-            for j, wj in enumerate(w):
-                k = g - j
-                if 0 <= k < nunk and wj:
-                    row[k] = wj
-            rows.append(row[1:])
-            rhs.append(-row[0])
+    # (w*s)_g = 0 with s_0 = 1 moved to the right side
+    full = gap_rows(targets, ring, degree_bound + 1)
+    rows = [row[1:] for row in full]
+    rhs = [-row[0] for row in full]
     if not rows:
         return Polynomial.one(ring.variables)
     sol = solve_exact(rows, rhs)

@@ -7,12 +7,12 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabring.cli import (EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, InputError,
                           main, parse_fraction_text)
-from stabring.poly import parse_poly
+from stabring.poly import ParseError, Polynomial, parse_poly
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 DELAY = os.path.join(FIXTURES, "delay_plant.json")
@@ -43,6 +43,49 @@ class TestFractionText:
     def test_unparsable(self):
         with pytest.raises(InputError):
             parse_fraction_text("1 +* z", ("z",))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from(["1", "2", "3", "z", "x", "/", "(", ")", "+", "-",
+                                     "*", " "]), max_size=12).map("".join))
+    @example("1/2/3")
+    @example("1/2/3+z")
+    @example("z/2/3")
+    @example(" 1 / 2 /z")
+    @example("(1/2)/3/z")
+    @example("1/2*z/(1-z)")
+    def test_same_as_two_pass_parse(self, text):
+        """Entries split as the earlier parser, which parsed each one twice."""
+        try:
+            expected = _parse_fraction_text_two_pass(text, ("z",))
+        except InputError:
+            with pytest.raises(InputError):
+                parse_fraction_text(text, ("z",))
+            return
+        assert parse_fraction_text(text, ("z",)) == expected
+
+
+def _parse_fraction_text_two_pass(text, variables):
+    """The earlier `parse_fraction_text`: the whole text as a polynomial, else
+    the first top-level '/' where both sides parse."""
+    try:
+        return parse_poly(text, variables), Polynomial.one(variables)
+    except ParseError:
+        pass
+    depth = 0
+    candidates = []
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "/" and depth == 0:
+            candidates.append(pos)
+    for pos in candidates:
+        try:
+            return parse_poly(text[:pos], variables), parse_poly(text[pos + 1:], variables)
+        except ParseError:
+            continue
+    raise InputError(f"cannot parse transfer function {text!r}")
 
 
 class TestExitCodes:
@@ -322,6 +365,45 @@ class TestPlantFileFuzz:
                 code = main([command, path])
         assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT)
         assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def _univariate_text(coeffs):
+    return " + ".join(f"({c})*z^{k}" for k, c in enumerate(coeffs) if c) or "0"
+
+
+@st.composite
+def _pid_plants(draw):
+    """A causal plant over the PID Q[z], up to 2 x 2: each denominator has a
+    nonzero constant term."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    small = st.sampled_from([1, -1, 2, -3, 0])
+
+    def entry():
+        num = draw(st.lists(small, min_size=2, max_size=3))
+        den = [draw(st.sampled_from([1, -1, 2, 3]))] + draw(st.lists(small, min_size=1,
+                                                                      max_size=2))
+        return f"({_univariate_text(num)})/({_univariate_text(den)})"
+
+    return {"ring": {"kind": "monomial_subalgebra", "variable": "z", "generators": [1]},
+            "inputs": m, "outputs": n,
+            "entries": [[entry() for _ in range(m)] for _ in range(n)]}
+
+
+class TestPidPlants:
+    """Over the PID Q[z] every causal plant has a coprime factorization, so
+    every one is stabilizable and synthesis must find a verified controller."""
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(_pid_plants())
+    def test_check_synth_verify(self, plant):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "plant.json")
+            ctl = os.path.join(tmp, "controller.json")
+            write_json(path, plant)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["check", path]) == EXIT_OK
+                assert main(["synth", path, "-o", ctl]) == EXIT_OK
+                assert main(["verify", path, ctl]) == EXIT_OK
 
 
 class TestHostilePlants:

@@ -271,28 +271,6 @@ class TestColonIntersect:
         assert all(handle.contains(g) for g in inter.gens)
 
 
-class TestEliminate:
-    def test_projection_of_graph(self):
-        zuv = ("z", "u", "v")
-        handle = IdealHandle(zuv, [parse_poly("u - z^2", zuv),
-                                   parse_poly("v - z^3", zuv)])
-        out = handle.eliminate(["z"])
-        expected = parse_poly("u^3 - v^2", UV)
-        assert out.contains(expected)
-        assert all(g == expected or g == -expected for g in out.gens)
-
-    def test_unused_variable(self):
-        handle = IdealHandle(XY, [xy("x")])
-        out = handle.eliminate(["y"])
-        assert [g.with_variables(("x",)) for g in out.gens] == \
-            [parse_poly("x", ("x",))]
-
-    def test_everything_projected_away(self):
-        handle = IdealHandle(XY, [xy("x - y")])
-        out = handle.eliminate(["x"])
-        assert out.gens == []
-
-
 # ---------------------------------------------------------------------------
 # the heap-ordered integer reduction against the max-scan Fraction loop
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact matrices: determinants, adjugates, selections, minors, expansions."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -58,6 +59,17 @@ class TestDetAdjugate:
     def test_non_square_rejected(self):
         with pytest.raises(MatrixError):
             Mat.from_rows([[sym("a"), sym("b")]]).det()
+
+    @pytest.mark.parametrize("method", ["_det_cofactor", "_det_bareiss"])
+    def test_leaves_no_cyclic_garbage(self, method):
+        m = _random_poly_matrix(random.Random(23), 3, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            getattr(m, method)()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSelection:
