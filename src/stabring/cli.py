@@ -20,6 +20,7 @@ request, since it would break that guarantee).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -375,7 +376,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    A parser refers to itself through its actions and argument groups, so a
+    parser built per `main` call would be left to the cyclic collector.
+    Parsing does not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="stabring",
         description="Exact stabilizability tests and controller synthesis over "

@@ -11,7 +11,8 @@ one positive common denominator, so the inner loops multiply and add plain
 integers and one `Fraction` is formed per output term.  `__init__` validates
 everything built from outside (the parser, `const`, `var`, tests); results of
 the arithmetic already satisfy its invariants and are wrapped without
-re-checking by `Polynomial._from_clean`.
+re-checking by `Polynomial._from_clean`.  The univariate gcd is a primitive
+remainder sequence over the integers, made monic only at the end.
 
 The module also provides the text grammar for polynomial expressions:
 
@@ -298,7 +299,7 @@ class Polynomial:
     def one_like(self) -> "Polynomial":
         return Polynomial.one(self.variables)
 
-    # -- substitution ------------------------------------------------------
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point: dict[str, Fraction]) -> Fraction:
         missing = [v for v in self.used_variables() if v not in point]
@@ -312,33 +313,6 @@ class Polynomial:
                     val *= Fraction(point[v]) ** e
             total += val
         return total
-
-    def substitute(self, mapping: dict[str, "Polynomial"]) -> "Polynomial":
-        """Replace each mapped variable by a polynomial; others stay themselves."""
-        target_vars: list[str] = []
-        for v in self.variables:
-            if v in mapping:
-                for w in mapping[v].variables:
-                    if w not in target_vars:
-                        target_vars.append(w)
-            elif v not in target_vars:
-                target_vars.append(v)
-        result = Polynomial.zero(tuple(target_vars))
-        cache: dict[tuple[str, int], Polynomial] = {}
-        for exps, coeff in self._terms.items():
-            term = Polynomial.const(coeff, tuple(target_vars))
-            for v, e in zip(self.variables, exps):
-                if not e:
-                    continue
-                key = (v, e)
-                if key not in cache:
-                    base = mapping.get(v)
-                    if base is None:
-                        base = Polynomial.var(v, (v,))
-                    cache[key] = base ** e
-                term = term * cache[key]
-            result = result + term
-        return result
 
     # -- univariate views ----------------------------------------------------
 
@@ -505,8 +479,52 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial._from_clean(quot, a.variables)
 
 
+def _primitive(coeffs: list[int]) -> list[int]:
+    """The dense integer coefficients divided by their content; [] stays []."""
+    g = math.gcd(*coeffs)
+    return coeffs if g <= 1 else [c // g for c in coeffs]
+
+
+def _primitive_coeffs(p: Polynomial) -> list[int]:
+    """Dense ascending integer coefficients of the primitive part of a univariate p."""
+    if p.is_zero():
+        return []
+    coeffs = p.univar_coeffs()
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
+
+
+def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
+    """An integer multiple of the remainder of u by v, dense ascending.
+
+    Each step cancels the lead of u with the least integer multiples of u and
+    of the shifted v, so the result is an integer multiple of the Euclidean
+    remainder; the caller takes its primitive part.
+    """
+    u = list(u)
+    dv, lv = len(v) - 1, v[-1]
+    while len(u) > dv:
+        lu = u[-1]
+        g = math.gcd(lu, lv)
+        factor, m = lu // g, lv // g
+        shift = len(u) - 1 - dv
+        if m != 1:
+            u = [c * m for c in u]
+        for i, cv in enumerate(v):
+            u[shift + i] -= factor * cv
+        while u and u[-1] == 0:
+            u.pop()
+    return u
+
+
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor of two univariate polynomials."""
+    """Monic greatest common divisor of two univariate polynomials.
+
+    A primitive remainder sequence over the integers: each input is cleared
+    to its integer primitive part once, each pseudo-remainder is divided by
+    its content, and only the last nonzero remainder is made monic.  The
+    monic gcd is unique, so this is the polynomial a rational Euclid gives.
+    """
     used = set(p.used_variables()) | set(q.used_variables())
     if len(used) > 1:
         raise NotUnivariateError(f"gcd_univariate over multiple variables {sorted(used)!r}")
@@ -514,37 +532,15 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
         raise PolyError("gcd of two zero polynomials")
     var = next(iter(used)) if used else (p.variables[0] if p.variables else
                                          (q.variables[0] if q.variables else "x"))
-    a = p.univar_coeffs()
-    b = q.univar_coeffs()
-
-    def strip(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def rem(u, v):
-        u = list(u)
-        dv = len(v) - 1
-        lv = v[-1]
-        while len(u) - 1 >= dv and u:
-            factor = u[-1] / lv
-            shift = len(u) - 1 - dv
-            for i, cv in enumerate(v):
-                u[shift + i] -= factor * cv
-            strip(u)
-            if not u:
-                break
-        return u
-
-    a, b = strip(list(a)), strip(list(b))
+    a, b = _primitive_coeffs(p), _primitive_coeffs(q)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        a, b = b, rem(a, b)
-    lead = a[-1]
-    monic = [c / lead for c in a]
+        a, b = b, _primitive(_pseudo_remainder(a, b))
     ambient = p.variables if var in p.variables else q.variables
     if var not in ambient:
         ambient = (var,)
-    return Polynomial.from_univar_coeffs(monic, var, ambient)
+    return Polynomial.from_univar_coeffs([Fraction(c, a[-1]) for c in a], var, ambient)
 
 
 def lcm_univariate(p: Polynomial, q: Polynomial) -> Polynomial:

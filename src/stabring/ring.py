@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from . import groebner
@@ -217,14 +218,16 @@ class Presentation:
         return nf.with_variables(self.variables)
 
     def push(self, q: Polynomial) -> Polynomial:
-        """Substitute each presentation variable by its delay-power image."""
+        """The image in the ring: each term c*u1^a1..uk^ak goes to c*z^(e1*a1+..+ek*ak)."""
+        q = q.with_variables(self.variables)
         if self._kind == "polynomial":
-            return q.with_variables(self.variables)
-        z = self._delay_var
-        mapping = {
-            u: Polynomial({(e,): Fraction(1)}, (z,)) for u, e in self.power_map.items()
-        }
-        return q.substitute(mapping).with_variables(self._ring_variables)
+            return q
+        weights = [self.power_map[u] for u in self.variables]
+        terms: dict[tuple[int], Fraction] = {}
+        for exps, c in q.items():
+            e = (sum(map(mul, weights, exps)),)
+            terms[e] = terms.get(e, 0) + c
+        return Polynomial(terms, self._ring_variables)  # drops cancelled terms
 
     def ideal(self, gens: Iterable[Polynomial]) -> groebner.IdealHandle:
         return groebner.IdealHandle(self.variables, gens, self.relations)

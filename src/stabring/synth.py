@@ -1,14 +1,20 @@
 """Stabilizability decision, controller synthesis, and closed-loop checks.
 
-The decision collects every generalized-elementary-factor generator, lifts
-them into the ring presentation, and asks whether together they generate the
-unit ideal; the Bezout certificate of that test is grouped per index set into
-a partition of unity sum(lambda_I) = 1 with lambda_I in the factor for I.
+The decision asks whether the generalized-elementary-factor generators
+together generate the unit ideal.  Over Q[z^S] that is one univariate gcd
+(see `stabilizable`); over Q[x1..xn] it is a reduced Groebner basis without
+cofactors.  The same test picks the smallest subset of factors that still
+generates A; only that set's lifts into the ring presentation go through one
+cofactor-tracked Buchberger, whose verified Bezout certificate is grouped per
+index set into a partition of unity sum(lambda_I) = 1 with lambda_I in the
+factor for I.
 
 Synthesis follows the constructive sufficiency argument: a right-coprime
-factorization of the plant over each localization A_{lambda_I}, an exponent
-omega clearing every localized denominator, coefficients a_I with
-sum(a_I * lambda_I^omega) = 1, and the candidate controller
+factorization of the plant over each localization A_{lambda_I}, whose Bezout
+coefficients are the row selector of I (the witness has rows_I(K) =
+lambda_I E), an exponent omega clearing every localized denominator,
+coefficients a_I with sum(a_I * lambda_I^omega) = 1, and the candidate
+controller
 
     C = (sum a_I lam_I^w D_I Xtil_I)^-1 (sum a_I lam_I^w D_I Ytil_I).
 
@@ -39,7 +45,7 @@ from .gef import (GefResult, LocalFreenessWitness, PlantFraction, gef,
                   local_freeness_witness)
 from .matrixring import IndexSet, Mat, selection
 from .poly import (NotDivisibleError, Polynomial, common_denominator,
-                   divide_exact)
+                   divide_exact, gcd_univariate)
 from .ring import (LocalElem, PolyFraction, RingModel, causal,
                    fraction_in_ring, in_Z, matrix_strictly_causal,
                    membership, z_nonsingular)
@@ -106,8 +112,30 @@ class StabilizabilityResult:
     evidence_basis: list[Polynomial]  # pushed reduced basis when not stabilizable
 
 
+def _running_gcd(polys: list[Polynomial]) -> Polynomial:
+    """A gcd of nonzero univariate polynomials, stopping at the first constant."""
+    g = polys[0]
+    for p in polys[1:]:
+        if g.is_constant():
+            break
+        g = gcd_univariate(g, p)
+    return g
+
+
 def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
-    """Decide stabilizability and produce a partition-of-unity certificate."""
+    """Decide stabilizability and produce a partition-of-unity certificate.
+
+    Whether a set of GEF generators generates A is decided without
+    cofactors.  Over A = Q[z^S] it is one univariate gcd: Q[z] is integral
+    over A, so by lying-over an ideal J of A is proper exactly when J*Q[z]
+    is, that is, when its generators have a nonconstant gcd.  The running gcd
+    g_I of each index set's generators is computed once; the full set and
+    each subset of index sets are tested by the gcd of their g_I.  Over
+    Q[x1..xn] the test is an untracked reduced basis equal to [1].  The
+    Bezout certificate comes from one cofactor-tracked `is_unit` on the set
+    chosen: the smallest subset of index sets that generates A within the
+    search budget, else all of them.
+    """
     gr = gef(pf)
     pres = gr.pres
     tagged: list[tuple[IndexSet, Polynomial]] = []  # (I, lifted generator)
@@ -116,19 +144,33 @@ def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
             tagged.append((entry.index_set, pres.lift(lam)))
     if not tagged:
         return StabilizabilityResult(False, None, gr, [])
-
-    full = pres.ideal([lift for _, lift in tagged])
-    ok, cert = full.is_unit()
-    if not ok:
-        evidence = [pres.push(g) for g in full.reduced_basis()]
-        evidence = [g for g in evidence if not g.is_zero()]
-        return StabilizabilityResult(False, None, gr, evidence)
-
-    chosen_tagged, chosen_cert = tagged, cert
     index_sets = []
     for index_set, _ in tagged:
         if index_set not in index_sets:
             index_sets.append(index_set)
+
+    one = Polynomial.one(pres.variables)
+    full = pres.ideal([lift for _, lift in tagged])
+    if pf.ring.kind == "monomial":
+        gcds = {e.index_set: _running_gcd(e.generators) for e in gr.entries if e.generators}
+
+        def generates(combo) -> bool:
+            return _running_gcd([gcds[i] for i in combo]).is_constant()
+        ok = generates(index_sets)
+    else:
+        def generates(combo) -> bool:
+            sub = pres.ideal([lift for i, lift in tagged if i in combo])
+            return sub.reduced_basis() == [one]
+        ok = full.reduced_basis() == [one]
+    if not ok:
+        basis = full.reduced_basis()
+        if basis == [one]:
+            raise SynthesisInternalError("the unit test and the Groebner basis disagree")
+        evidence = [pres.push(g) for g in basis]
+        evidence = [g for g in evidence if not g.is_zero()]
+        return StabilizabilityResult(False, None, gr, evidence)
+
+    chosen_tagged, handle = tagged, full
     budget = _SUBSET_SEARCH_BUDGET
     found = False
     for size in range(1, len(index_sets)):
@@ -136,15 +178,16 @@ def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
             budget -= 1
             if budget < 0:
                 break
-            sub = [(i, lift) for i, lift in tagged if i in combo]
-            handle = pres.ideal([lift for _, lift in sub])
-            sub_ok, sub_cert = handle.is_unit()
-            if sub_ok:
-                chosen_tagged, chosen_cert = sub, sub_cert
+            if generates(combo):
+                chosen_tagged = [(i, lift) for i, lift in tagged if i in combo]
+                handle = pres.ideal([lift for _, lift in chosen_tagged])
                 found = True
                 break
         if found or budget < 0:
             break
+    ok, chosen_cert = handle.is_unit()
+    if not ok:
+        raise SynthesisInternalError("the unit test and the Bezout certificate disagree")
 
     acc: dict[IndexSet, Polynomial] = {}
     for pos, (index_set, lift) in enumerate(chosen_tagged):
@@ -201,14 +244,10 @@ def local_factorization(pf: PlantFraction, index_set: IndexSet,
     loc = w.K.map(lambda k: LocalElem(k, 1, lam, ring))
     N_loc = loc.take_rows(range(pf.n))
     D_loc = loc.take_rows(range(pf.n, pf.n + pf.m))
-    _, x_sel = selection(index_set, pf.m, pf.n)
-    x_loc = x_sel.map(lambda p: LocalElem(p.with_variables(ring.variables), 0, lam, ring))
-    big = loc.hstack(x_loc)
-    det = big.det()
-    if det.exp != 0 or not det.num.is_constant() or abs(det.num.constant_coeff()) != 1:
-        raise SynthesisInternalError(f"selection determinant {det} is not a unit sign")
-    inverse = big.adjugate().scale(det)  # det = +-1, so adj * det is the inverse
-    W = inverse.take_rows(range(pf.m))
+    # rows_I(K) = lam E_m, so the first m rows of [K/lam | x_sel]^-1 are the
+    # row selector of I
+    delta, x_sel = selection(index_set, pf.m, pf.n)
+    W = delta.map(lambda p: LocalElem(p.with_variables(ring.variables), 0, lam, ring))
     Ytil = W.submatrix(list(range(pf.m)), list(range(pf.n)))
     Xtil = W.submatrix(list(range(pf.m)), list(range(pf.n, pf.n + pf.m)))
     lf = LocalFactorization(index_set, lam, N_loc, D_loc, Ytil, Xtil, x_sel, w)

@@ -1,6 +1,8 @@
 """Command-line interface: file formats, exit codes, determinism."""
 
+import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabring.cli import (EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, InputError,
-                          main, parse_fraction_text)
+from stabring.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK,
+                          InputError, main, parse_fraction_text)
+from stabring.groebner import IdealHandle
 from stabring.poly import ParseError, Polynomial, parse_poly
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -133,6 +136,36 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate", DELAY], ["check"],
+                                      ["synth", DELAY, "--report", "yaml"]],
+                             ids=["no_command", "unknown_command", "missing_plant",
+                                  "bad_choice"])
+    def test_bad_command_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "usage:" in captured.err
+
+    def test_unit_test_disagreeing_with_is_unit_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(IdealHandle, "is_unit", lambda handle: (False, None))
+        assert main(["check", DELAY]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error:")
+
+    def test_no_parser_left_to_the_cyclic_collector(self, capsys):
+        main(["check", DELAY])
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for argv in (["check", DELAY], ["gef", XY, "--report", "text"]):
+                main(argv)
+            gc.collect()
+            parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert parsers == []
 
 
 class TestSynthVerify:

@@ -167,6 +167,91 @@ class TestGcd:
                     divide_exact(target, g)
 
 
+def _gcd_fraction_euclid(p, q):
+    """The earlier `gcd_univariate`: Euclid over `Fraction`s, monic at the end."""
+    used = set(p.used_variables()) | set(q.used_variables())
+    var = next(iter(used)) if used else (p.variables[0] if p.variables else
+                                         (q.variables[0] if q.variables else "x"))
+
+    def strip(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    def rem(u, v):
+        u = list(u)
+        while len(u) >= len(v) and u:
+            factor = u[-1] / v[-1]
+            shift = len(u) - len(v)
+            for i, cv in enumerate(v):
+                u[shift + i] -= factor * cv
+            strip(u)
+        return u
+
+    a, b = strip(p.univar_coeffs()), strip(q.univar_coeffs())
+    while b:
+        a, b = b, rem(a, b)
+    monic = [c / a[-1] for c in a]
+    ambient = p.variables if var in p.variables else q.variables
+    if var not in ambient:
+        ambient = (var,)
+    return Polynomial.from_univar_coeffs(monic, var, ambient)
+
+
+_coefficient = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-10 ** 30, 10 ** 30).map(lambda n: Fraction(n, 10 ** 12 + 39)))
+
+
+@st.composite
+def _univariate(draw, ambient, var):
+    coeffs = draw(st.lists(_coefficient, max_size=7))
+    return Polynomial.from_univar_coeffs(coeffs, var, ambient)
+
+
+class TestIntegerGcd:
+    """The primitive remainder sequence against the `Fraction` Euclid."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.sampled_from([(Z, "z"), (("q",), "q"), (("x", "q"), "q"), (XY, "x")])
+           .flatmap(lambda av: st.tuples(_univariate(*av), _univariate(*av),
+                                         _univariate(*av))))
+    def test_matches_fraction_euclid(self, polys):
+        common, p, q = polys
+        # a shared factor makes most pairs non-coprime
+        p, q = common * p, common * q
+        if p.is_zero() and q.is_zero():
+            return
+        g, expected = gcd_univariate(p, q), _gcd_fraction_euclid(p, q)
+        assert g == expected and g.variables == expected.variables
+        assert g == gcd_univariate(q, p)
+
+    @pytest.mark.parametrize("p,q,expected", [
+        ("0", "3/4*z^2 - 3/4", "z^2 - 1"),
+        ("7", "1 + z", "1"),
+        ("-2/3", "0", "1"),
+        ("1 + z", "1 - z", "1"),
+        ("(1+z)^3*(2-z)", "(1+z)^2*(5+z)", "1 + 2*z + z^2"),
+        ("123456789012345678901234567890*(1 + z)*(1 - 3*z)",
+         "(1 - 3*z)*(98765432109876543210/7 + z^4)", "-1/3 + z"),
+    ])
+    def test_cases(self, p, q, expected):
+        g = gcd_univariate(zp(p), zp(q))
+        assert g == zp(expected)
+        assert g == _gcd_fraction_euclid(zp(p), zp(q))
+
+    def test_ambient_of_the_used_variable(self):
+        ambient = ("x", "q")
+        p = parse_poly("(1 + q)*(2 - q)", ambient)
+        q = parse_poly("(1 + q)*q", ambient)
+        g = gcd_univariate(p, q)
+        assert g.variables == ambient and g == parse_poly("q + 1", ambient)
+        # a constant over another ambient takes the used variable's
+        g = gcd_univariate(Polynomial.const(3, ("s",)), q)
+        assert g.variables == ambient and g == Polynomial.one(ambient)
+
+
 class TestFormat:
     def test_ascending_degree(self):
         assert format_canonical(zp("2*z^3 + 1 + 3*z + 3*z^2")) == "1 + 3*z + 3*z^2 + 2*z^3"

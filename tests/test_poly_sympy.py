@@ -7,7 +7,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from stabring.poly import NotDivisibleError, Polynomial, divide_exact  # noqa: E402
+from stabring.poly import (NotDivisibleError, Polynomial, divide_exact,  # noqa: E402
+                          gcd_univariate)
 
 VARIABLES = ("x", "y", "z")
 
@@ -64,3 +65,26 @@ def test_product_and_quotient_match_sympy(h, q, r):
     else:
         with pytest.raises(NotDivisibleError):
             divide_exact(p, q)
+
+
+def _seeded_gcd_pairs():
+    """(p, q) with a shared random factor, over one variable."""
+    rng = random.Random(7)
+    pairs = []
+    while len(pairs) < 20:
+        variables = (rng.choice("zqx"),)
+        common = _random_poly(rng, variables, max_exp=2)
+        p = common * _random_poly(rng, variables, max_exp=4)
+        q = common * _random_poly(rng, variables, max_exp=4)
+        if rng.random() < 0.15:
+            q = Polynomial.zero(variables)
+        if not p.is_zero():
+            pairs.append((p, q))
+    return pairs
+
+
+@pytest.mark.parametrize("p,q", _seeded_gcd_pairs())
+def test_gcd_matches_sympy(p, q):
+    gens = sympy.symbols(p.variables)
+    expected = sympy.gcd(_to_sympy(p, gens), _to_sympy(q, gens)).monic()
+    assert gcd_univariate(p, q) == _from_sympy(expected, p.variables)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabring.poly import Polynomial, parse_poly
 from stabring.ring import (LocalElem, MembershipError, PolyFraction, RingModel,
@@ -126,6 +128,48 @@ class TestPresentation:
         for _ in range(100):
             a = _random_ring_element(rng, ring23)
             assert pres.push(pres.lift(a)) == a
+
+
+def _push_by_substitution(pres, ring, q):
+    """The earlier `Presentation.push`: each u_i replaced by the polynomial
+    z^(e_i), with one power and one product per variable of each term."""
+    result = Polynomial.zero(ring.variables)
+    for exps, coeff in q.items():
+        term = Polynomial.const(coeff, ring.variables)
+        for u, e in zip(q.variables, exps):
+            if e:
+                term = term * Polynomial({(pres.power_map[u],): 1}, ring.variables) ** e
+        result = result + term
+    return result
+
+
+@st.composite
+def _presentation_poly(draw):
+    ring = RingModel.monomial_subalgebra(
+        "z", draw(st.sampled_from([(2, 3), (3, 4, 5), (4, 5, 6, 7)])))
+    k = len(ring.generators)
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * k),
+        st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=7)),
+        max_size=6))
+    return ring, Polynomial(terms, presentation(ring).variables)
+
+
+class TestPushExponentMap:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_presentation_poly())
+    def test_matches_substitution(self, case):
+        ring, q = case
+        pres = presentation(ring)
+        pushed = pres.push(q)
+        assert pushed.variables == ring.variables
+        assert pushed == _push_by_substitution(pres, ring, q)
+
+    def test_cancelling_terms_drop(self, ring23):
+        pres = presentation(ring23)
+        u, v = pres.variables
+        # u^3 and v^2 both map to z^6
+        assert pres.push(parse_poly(f"{u}^3 - {v}^2 + 2", (u, v))) == zp("2")
 
 
 class TestCausalityIdeal:

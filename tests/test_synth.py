@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from stabring.gef import scalar_denominator
+from stabring.gef import PlantFraction, gef, scalar_denominator
 from stabring.matrixring import IndexSet, Mat
 from stabring.poly import Polynomial, parse_poly
 from stabring.ring import (LocalElem, PolyFraction, RingModel, ZERO_IDEAL,
-                           fraction_in_ring, membership, presentation,
+                           fraction_in_ring, in_Z, membership, presentation,
                            z_nonsingular)
-from stabring.synth import (IllPosedError, NotStabilizableError,
+from stabring.synth import (IllPosedError, NotStabilizableError, _running_gcd,
                             causality_check, closed_loop, local_factorization,
                             partition_powers, repair_nonsingular, stabilizable,
                             synthesize, transpose_duality_check,
@@ -75,6 +75,39 @@ class TestStabilizable:
         for lam in lams:
             total = total + lam
         assert total == zp("1")
+
+
+def _random_ring_poly(rng, ring, degree=6, terms=3):
+    exps = [e for e in range(degree + 1) if ring.semigroup_contains(e)]
+    p = Polynomial.zero(Z)
+    for _ in range(terms):
+        p = p + Polynomial({(rng.choice(exps),): rng.randint(-3, 3)}, Z)
+    return p
+
+
+class TestGcdUnitTest:
+    """The gcd unit test of `stabilizable` agrees with `IdealHandle.is_unit`."""
+
+    @pytest.mark.parametrize("gens", [(1,), (2, 3), (3, 5), (4, 5, 6, 7)])
+    def test_agrees_on_random_subsets(self, gens):
+        ring = RingModel.monomial_subalgebra("z", gens)
+        pres = presentation(ring)
+        rng = random.Random(sum(gens))
+        outcomes = []
+        for _ in range(8):
+            d = Polynomial.one(Z) + _random_ring_poly(rng, ring).scale(Fraction(1, 2))
+            if in_Z(d, ring):
+                continue
+            N = Mat.from_rows([[_random_ring_poly(rng, ring)], [_random_ring_poly(rng, ring)]])
+            result = gef(PlantFraction.from_parts(ring, N, d))
+            lams = [lam for e in result.entries for lam in e.generators]
+            for _ in range(8):
+                subset = rng.sample(lams, rng.randint(1, len(lams)))
+                by_gcd = _running_gcd(subset).is_constant()
+                ok, cert = pres.ideal([pres.lift(lam) for lam in subset]).is_unit()
+                assert by_gcd == ok, [str(lam) for lam in subset]
+                outcomes.append(ok)
+        assert set(outcomes) == {True, False}
 
 
 class TestLocalFactorization:
