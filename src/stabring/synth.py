@@ -2,12 +2,13 @@
 
 The decision asks whether the generalized-elementary-factor generators
 together generate the unit ideal.  Over Q[z^S] that is one univariate gcd
-(see `stabilizable`); over Q[x1..xn] it is a reduced Groebner basis without
-cofactors.  The same test picks the smallest subset of factors that still
-generates A; only that set's lifts into the ring presentation go through one
-cofactor-tracked Buchberger, whose verified Bezout certificate is grouped per
-index set into a partition of unity sum(lambda_I) = 1 with lambda_I in the
-factor for I.
+(see `stabilizable`); over Q[x1..xn] it is a reduced Groebner basis, without
+cofactors for the subsets tried.  The same test picks the smallest subset of
+factors that still generates A; only that set's lifts into the ring
+presentation go through one cofactor-tracked Buchberger (over Q[x1..xn] the
+full set's, when no smaller subset is chosen), whose verified Bezout
+certificate is grouped per index set into a partition of unity
+sum(lambda_I) = 1 with lambda_I in the factor for I.
 
 Synthesis follows the constructive sufficiency argument: a right-coprime
 factorization of the plant over each localization A_{lambda_I}, whose Bezout
@@ -131,10 +132,12 @@ def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
     is, that is, when its generators have a nonconstant gcd.  The running gcd
     g_I of each index set's generators is computed once; the full set and
     each subset of index sets are tested by the gcd of their g_I.  Over
-    Q[x1..xn] the test is an untracked reduced basis equal to [1].  The
-    Bezout certificate comes from one cofactor-tracked `is_unit` on the set
-    chosen: the smallest subset of index sets that generates A within the
-    search budget, else all of them.
+    Q[x1..xn] the full set is decided by its cofactor-tracked `is_unit`, and
+    each subset by an untracked reduced basis equal to [1].  The Bezout
+    certificate comes from one cofactor-tracked `is_unit` on the set chosen:
+    the smallest subset of index sets that generates A within the search
+    budget, else all of them, whose certificate over Q[x1..xn] is the one
+    already computed.
     """
     gr = gef(pf)
     pres = gr.pres
@@ -150,44 +153,48 @@ def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
             index_sets.append(index_set)
 
     one = Polynomial.one(pres.variables)
-    full = pres.ideal([lift for _, lift in tagged])
+
+    def ideal(combo):
+        return pres.ideal([lift for i, lift in tagged if i in combo])
+
+    full = ideal(index_sets)
+    full_cert = None
     if pf.ring.kind == "monomial":
         gcds = {e.index_set: _running_gcd(e.generators) for e in gr.entries if e.generators}
 
         def generates(combo) -> bool:
             return _running_gcd([gcds[i] for i in combo]).is_constant()
         ok = generates(index_sets)
+        if not ok and full.reduced_basis() == [one]:
+            raise SynthesisInternalError("the gcd test and the Groebner basis disagree")
     else:
         def generates(combo) -> bool:
-            sub = pres.ideal([lift for i, lift in tagged if i in combo])
-            return sub.reduced_basis() == [one]
-        ok = full.reduced_basis() == [one]
+            return ideal(combo).reduced_basis() == [one]
+        ok, full_cert = full.is_unit()
     if not ok:
-        basis = full.reduced_basis()
-        if basis == [one]:
-            raise SynthesisInternalError("the unit test and the Groebner basis disagree")
-        evidence = [pres.push(g) for g in basis]
+        evidence = [pres.push(g) for g in full.reduced_basis()]
         evidence = [g for g in evidence if not g.is_zero()]
         return StabilizabilityResult(False, None, gr, evidence)
 
-    chosen_tagged, handle = tagged, full
+    chosen = index_sets
     budget = _SUBSET_SEARCH_BUDGET
-    found = False
     for size in range(1, len(index_sets)):
         for combo in combinations(index_sets, size):
             budget -= 1
             if budget < 0:
                 break
             if generates(combo):
-                chosen_tagged = [(i, lift) for i, lift in tagged if i in combo]
-                handle = pres.ideal([lift for _, lift in chosen_tagged])
-                found = True
+                chosen = combo
                 break
-        if found or budget < 0:
+        if chosen is not index_sets or budget < 0:
             break
-    ok, chosen_cert = handle.is_unit()
-    if not ok:
-        raise SynthesisInternalError("the unit test and the Bezout certificate disagree")
+    chosen_tagged = [(i, lift) for i, lift in tagged if i in chosen]
+    if chosen is index_sets and full_cert is not None:
+        chosen_cert = full_cert
+    else:
+        ok, chosen_cert = ideal(chosen).is_unit()
+        if not ok:
+            raise SynthesisInternalError("the unit test and the Bezout certificate disagree")
 
     acc: dict[IndexSet, Polynomial] = {}
     for pos, (index_set, lift) in enumerate(chosen_tagged):

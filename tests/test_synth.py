@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from stabring import groebner, synth
 from stabring.gef import PlantFraction, gef, scalar_denominator
 from stabring.matrixring import IndexSet, Mat
 from stabring.poly import Polynomial, parse_poly
@@ -108,6 +109,42 @@ class TestGcdUnitTest:
                 assert by_gcd == ok, [str(lam) for lam in subset]
                 outcomes.append(ok)
         assert set(outcomes) == {True, False}
+
+
+class TestPolynomialRingUnitTest:
+    """Over Q[x,y] the full set's tracked run is reused when it is chosen."""
+
+    XY = ("x", "y")
+
+    def _decide(self, monkeypatch, rows, den):
+        N = Mat.from_rows([[parse_poly(r, self.XY)] for r in rows])
+        pf = PlantFraction.from_parts(RingModel.polynomial(self.XY), N,
+                                      parse_poly(den, self.XY))
+        gr = gef(pf)
+        monkeypatch.setattr(synth, "gef", lambda _: gr)
+        tracked = []  # track_cofactors of each Buchberger run after the GEFs
+        buchberger = groebner.buchberger
+
+        def counting(gens, variables, order, track_cofactors=False):
+            tracked.append(track_cofactors)
+            return buchberger(gens, variables, order, track_cofactors)
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        decision = stabilizable(pf)
+        assert decision.stabilizable and decision.certificate.verify()
+        return decision, tracked
+
+    def test_full_set_chosen_tracks_once(self, monkeypatch):
+        # x/(1 + xy): neither factor alone generates, so both are chosen
+        decision, tracked = self._decide(monkeypatch, ["x"], "1 + x*y")
+        assert len(decision.certificate.sharp) == 2
+        assert tracked == [True, False, False]
+
+    def test_subset_chosen_tracks_full_and_subset(self, monkeypatch):
+        # [x; y]/(1 + xy): the first and third factors generate
+        decision, tracked = self._decide(monkeypatch, ["x", "y"], "1 + x*y")
+        assert [i for i, _ in decision.certificate.sharp] == [IndexSet((1,)),
+                                                               IndexSet((3,))]
+        assert tracked.count(True) == 2 and tracked[0] and tracked[-1]
 
 
 class TestLocalFactorization:
