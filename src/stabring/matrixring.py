@@ -1,7 +1,7 @@
 """Dense exact matrices over ring scalars, selection matrices, and minors.
 
 Matrices are immutable, rectangular, row-major, and homogeneous in scalar
-kind (Polynomial, PolyFraction, or LocalElem -- anything with +, -, * and the
+kind (Polynomial or PolyFraction -- anything with +, -, * and the
 zero_like/one_like protocol).  Determinants over polynomial entries use
 fraction-free Gaussian elimination (Bareiss); small sizes and non-division
 scalars use cofactor expansion.  Both are exact.
@@ -247,10 +247,6 @@ class IndexSet:
         if len(self.members) != m or (self.members and self.members[-1] > m + n):
             raise MatrixError(f"index set {self.members!r} invalid for (m={m}, n={n})")
 
-    def complement(self, total: int) -> tuple[int, ...]:
-        chosen = set(self.members)
-        return tuple(i for i in range(1, total + 1) if i not in chosen)
-
     def zero_based(self) -> tuple[int, ...]:
         return tuple(i - 1 for i in self.members)
 
@@ -269,21 +265,14 @@ _ZERO = Polynomial.zero(())
 _ONE = Polynomial.one(())
 
 
-def selection(index_set: IndexSet, m: int, n: int) -> tuple[Mat, Mat]:
-    """Row-selection matrix and its complementary column embedding.
+def selection(index_set: IndexSet, m: int, n: int) -> Mat:
+    """The m x (m+n) row selector: a 1 in entry (k, i_k) for the k-th member i_k.
 
-    The first result is m x (m+n) with a 1 in entry (k, i_k) for the k-th
-    member i_k; the second is (m+n) x n with a 1 in entry (ibar_k, k) for the
-    k-th complementary index ibar_k, both over 0/1 polynomial constants.
+    Its entries are 0/1 polynomial constants.
     """
     index_set.validate(m, n)
-    total = m + n
-    delta = Mat.build(m, total,
-                      lambda k, j: _ONE if j == index_set.members[k] - 1 else _ZERO)
-    comp = index_set.complement(total)
-    x_sel = Mat.build(total, n,
-                      lambda i, k: _ONE if i == comp[k] - 1 else _ZERO)
-    return delta, x_sel
+    return Mat.build(m, m + n,
+                     lambda k, j: _ONE if j == index_set.members[k] - 1 else _ZERO)
 
 
 def minor_ideal(mat: Mat, size: int) -> list[Polynomial]:

@@ -292,7 +292,7 @@ class Polynomial:
             n >>= 1
         return result
 
-    # scalar protocol shared with the fraction/localized scalar kinds
+    # scalar protocol shared with the fraction scalar kind
     def zero_like(self) -> "Polynomial":
         return Polynomial.zero(self.variables)
 
@@ -391,21 +391,6 @@ def _from_integer_form(terms: dict[Exponents, int], scale: int,
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def arith(kind: str, p: Polynomial, q) -> Polynomial:
-    """Dispatch basic arithmetic by name: add, sub, mul, neg, pow."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    if kind == "neg":
-        return -p
-    if kind == "pow":
-        return p ** q
-    raise PolyError(f"unknown arithmetic kind {kind!r}")
 
 
 def _grevlex_key(exps: Exponents):

@@ -11,7 +11,7 @@ prime ideal Z in one of two modes:
 
 The module also provides the quotient-ring presentation of a monomial
 subalgebra (toric relation ideal plus lift/push maps), fractions over the
-ring, elements of localizations A_f, and the causality decision procedures.
+ring, and the causality decision procedures.
 """
 
 from __future__ import annotations
@@ -508,141 +508,3 @@ def strictly_causal(x: PolyFraction, ring: RingModel) -> bool:
 
 def matrix_strictly_causal(P: Mat, ring: RingModel) -> bool:
     return all(strictly_causal(entry, ring) for entry in P.entries)
-
-
-# ---------------------------------------------------------------------------
-# localization A_f
-# ---------------------------------------------------------------------------
-
-
-class LocalElem:
-    """Element num / f^exp of the localization A_f, kept with minimal exp."""
-
-    __slots__ = ("num", "exp", "f", "ring")
-
-    def __init__(self, num: Polynomial, exp: int, f: Polynomial, ring: RingModel):
-        if f.is_zero():
-            raise RingError("localization at zero")
-        if exp < 0:
-            raise RingError("negative localization exponent")
-        if not membership(num, ring):
-            raise MembershipError(f"numerator {num} is not in the ring")
-        if not membership(f, ring):
-            raise MembershipError(f"localization element {f} is not in the ring")
-        num = num.with_variables(ring.variables)
-        f = f.with_variables(ring.variables)
-        if num.is_zero():
-            exp = 0
-        else:
-            while exp > 0 and not f.is_constant():
-                try:
-                    q = divide_exact(num, f)
-                except NotDivisibleError:
-                    break
-                if not membership(q, ring):
-                    break
-                num = q
-                exp -= 1
-            if f.is_constant():
-                num = num.scale(Fraction(1) / f.constant_coeff() ** exp)
-                exp = 0
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "ring", ring)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("LocalElem is immutable")
-
-    def _check_compatible(self, other: "LocalElem"):
-        if self.f != other.f or self.ring != other.ring:
-            raise RingError("localization elements over different A_f")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        if isinstance(other, LocalElem):
-            self._check_compatible(other)
-            k = max(self.exp, other.exp)
-            num = (self.num * self.f ** (k - self.exp)
-                   + other.num * self.f ** (k - other.exp))
-            return LocalElem(num, k, self.f, self.ring)
-        return NotImplemented
-
-    def __neg__(self):
-        return LocalElem(-self.num, self.exp, self.f, self.ring)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, LocalElem):
-            self._check_compatible(other)
-            return LocalElem(self.num * other.num, self.exp + other.exp,
-                             self.f, self.ring)
-        if isinstance(other, (int, Fraction)):
-            return LocalElem(self.num.scale(Fraction(other)), self.exp,
-                             self.f, self.ring)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalElem):
-            return NotImplemented
-        self._check_compatible(other)
-        return self.exp == other.exp and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.num, self.exp, self.f))
-
-    def zero_like(self) -> "LocalElem":
-        return LocalElem(Polynomial.zero(self.ring.variables), 0, self.f, self.ring)
-
-    def one_like(self) -> "LocalElem":
-        return LocalElem(Polynomial.one(self.ring.variables), 0, self.f, self.ring)
-
-    def to_fraction(self) -> PolyFraction:
-        return PolyFraction(self.num, self.f ** self.exp)
-
-    def clear_denominator(self, omega: int) -> Polynomial:
-        """num * f^(omega - exp), the image under multiplication by f^omega."""
-        if omega < self.exp:
-            raise RingError(f"exponent {omega} does not clear f^{self.exp}")
-        return self.num * self.f ** (omega - self.exp)
-
-    def inv_of_f_power(self) -> "LocalElem":
-        """Inverse, defined when the value is a unit multiple of a power of f."""
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of zero in the localization")
-        n = self.num
-        j = 0
-        while not n.is_constant():
-            try:
-                n = divide_exact(n, self.f)
-            except NotDivisibleError:
-                raise RingError(f"{self.num} is not a constant multiple of a power of f")
-            j += 1
-        c = n.constant_coeff()
-        num = (self.f ** self.exp).scale(Fraction(1) / c)
-        return LocalElem(num, j, self.f, self.ring)
-
-    def __str__(self):
-        if self.exp == 0:
-            return str(self.num)
-        return f"({self.num})/({self.f})^{self.exp}"
-
-    def __repr__(self):
-        return f"LocalElem({self.num!r}, {self.exp}, f={self.f!r})"
-
-
-def loc_arith(kind: str, x: LocalElem, y: LocalElem | None = None) -> LocalElem:
-    """Dispatch localization arithmetic by name."""
-    if kind == "add":
-        return x + y
-    if kind == "mul":
-        return x * y
-    if kind == "inv-of-f-power":
-        return x.inv_of_f_power()
-    raise RingError(f"unknown localization arithmetic kind {kind!r}")

@@ -10,14 +10,16 @@ full set's, when no smaller subset is chosen), whose verified Bezout
 certificate is grouped per index set into a partition of unity
 sum(lambda_I) = 1 with lambda_I in the factor for I.
 
-Synthesis follows the constructive sufficiency argument: a right-coprime
-factorization of the plant over each localization A_{lambda_I}, whose Bezout
-coefficients are the row selector of I (the witness has rows_I(K) =
-lambda_I E), an exponent omega clearing every localized denominator,
-coefficients a_I with sum(a_I * lambda_I^omega) = 1, and the candidate
-controller
+Synthesis follows the constructive sufficiency argument with every matrix
+over A.  The witness K of lambda_I, lambda_I T = K rows_I(T), splits into K_N
+(first n rows) and K_D (last m rows): P = K_N K_D^-1 is a right-coprime
+factorization over the localization A_{lambda_I}, whose Bezout coefficients
+are the row selector [Y_I | X_I] of I, since Y_I K_N + X_I K_D =
+rows_I(K) = lambda_I E.  Every localized entry is k/lambda_I, so lambda_I
+itself clears the denominators (omega = 1 in the paper's lambda_I^omega),
+sum(lambda_I) = 1 needs no coefficients, and the candidate controller is
 
-    C = (sum a_I lam_I^w D_I Xtil_I)^-1 (sum a_I lam_I^w D_I Ytil_I).
+    C = (sum K_D^I X_I)^-1 (sum K_D^I Y_I).
 
 When the candidate denominator is Z-singular it is repaired by a 0/1 selector
 matrix obtained from a Z-nonsingular full-size minor search, after which the
@@ -38,18 +40,15 @@ where plants and controllers are parsed and where reports are rendered.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gef import (GefResult, LocalFreenessWitness, PlantFraction, gef,
-                  local_freeness_witness)
+from .gef import GefResult, PlantFraction, gef, witness_matrix
 from .matrixring import IndexSet, Mat, selection
 from .poly import (NotDivisibleError, Polynomial, common_denominator,
                    divide_exact, gcd_univariate)
-from .ring import (LocalElem, PolyFraction, RingModel, causal,
-                   fraction_in_ring, in_Z, matrix_strictly_causal,
-                   membership, z_nonsingular)
+from .ring import (PolyFraction, RingModel, causal, fraction_in_ring, in_Z,
+                   matrix_strictly_causal, membership, z_nonsingular)
 
 
 class SynthError(Exception):
@@ -89,20 +88,15 @@ class StabilizabilityCertificate:
 
     ring: RingModel
     sharp: list[tuple[IndexSet, Polynomial]]  # (I, lambda_I != 0), ascending I
-    omega: int
-    coeffs: list[Polynomial]                  # a_I aligned with sharp
 
     def lambdas(self) -> list[Polynomial]:
         return [lam for _, lam in self.sharp]
 
     def verify(self) -> bool:
-        total = Polynomial.zero(self.ring.variables)
-        for a, (_, lam) in zip(self.coeffs, self.sharp):
-            total = total + a * lam ** self.omega
-        if total != Polynomial.one(self.ring.variables):
+        variables = self.ring.variables
+        if sum(self.lambdas(), Polynomial.zero(variables)) != Polynomial.one(variables):
             return False
-        return all(membership(lam, self.ring) and membership(a, self.ring)
-                   for a, (_, lam) in zip(self.coeffs, self.sharp))
+        return all(membership(lam, self.ring) for lam in self.lambdas())
 
 
 @dataclass
@@ -204,17 +198,12 @@ def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
         prev = acc.get(index_set, Polynomial.zero(pres.variables))
         acc[index_set] = prev + h * lift
     lambdas = {i: pres.push(p) for i, p in acc.items()}
-    total = Polynomial.zero(pf.ring.variables)
-    for lam in lambdas.values():
-        total = total + lam
-    if total != Polynomial.one(pf.ring.variables):
+    variables = pf.ring.variables
+    if sum(lambdas.values(), Polynomial.zero(variables)) != Polynomial.one(variables):
         raise SynthesisInternalError("partition of unity does not sum to 1")
     sharp = sorted(((i, lam) for i, lam in lambdas.items() if not lam.is_zero()),
                    key=lambda pair: pair[0])
-    certificate = StabilizabilityCertificate(
-        ring=pf.ring, sharp=sharp, omega=1,
-        coeffs=[Polynomial.one(pf.ring.variables) for _ in sharp])
-    return StabilizabilityResult(True, certificate, gr, [])
+    return StabilizabilityResult(True, StabilizabilityCertificate(pf.ring, sharp), gr, [])
 
 
 # ---------------------------------------------------------------------------
@@ -224,108 +213,60 @@ def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
 
 @dataclass
 class LocalFactorization:
-    """Right-coprime factorization of the plant over A_{lambda_I}."""
+    """Right-coprime factorization P = K_N K_D^-1 over A_{lambda_I}, cleared by lambda_I.
+
+    K_N and K_D are the first n and last m rows of the witness K, so over
+    A_{lambda_I} the factors are K_N/lambda_I and K_D/lambda_I; Y and X, the
+    row selector of I split at column n, are their Bezout coefficients.
+    """
 
     index_set: IndexSet
     lam: Polynomial
-    N_loc: Mat   # n x m LocalElem
-    D_loc: Mat   # m x m LocalElem
-    Ytil: Mat    # m x n LocalElem
-    Xtil: Mat    # m x m LocalElem
-    x_sel: Mat   # (m+n) x n polynomial 0/1 embedding
-    witness: LocalFreenessWitness
+    K_N: Mat   # n x m over the ring
+    K_D: Mat   # m x m over the ring
+    Y: Mat     # m x n over the ring
+    X: Mat     # m x m over the ring
 
     def bezout_holds(self) -> bool:
-        m = self.Xtil.rows
-        lhs = self.Ytil * self.N_loc + self.Xtil * self.D_loc
-        zero = self.Xtil.entries[0].zero_like()
-        one = self.Xtil.entries[0].one_like()
-        return lhs == Mat.identity(m, one, zero)
+        """Y K_N + X K_D = lambda_I E_m, the local Bezout identity times lambda_I."""
+        lam_e = Mat.scalar_matrix(self.X.rows, self.lam, self.lam.zero_like())
+        return self.Y * self.K_N + self.X * self.K_D == lam_e
 
 
 def local_factorization(pf: PlantFraction, index_set: IndexSet,
                         lam: Polynomial) -> LocalFactorization:
-    """Factor P = N_I * D_I^-1 over A_{lam} with Ytil*N_I + Xtil*D_I = E."""
-    ring = pf.ring
-    w = local_freeness_witness(pf, index_set, lam)
-    loc = w.K.map(lambda k: LocalElem(k, 1, lam, ring))
-    N_loc = loc.take_rows(range(pf.n))
-    D_loc = loc.take_rows(range(pf.n, pf.n + pf.m))
-    # rows_I(K) = lam E_m, so the first m rows of [K/lam | x_sel]^-1 are the
-    # row selector of I
-    delta, x_sel = selection(index_set, pf.m, pf.n)
-    W = delta.map(lambda p: LocalElem(p.with_variables(ring.variables), 0, lam, ring))
-    Ytil = W.submatrix(list(range(pf.m)), list(range(pf.n)))
-    Xtil = W.submatrix(list(range(pf.m)), list(range(pf.n, pf.n + pf.m)))
-    lf = LocalFactorization(index_set, lam, N_loc, D_loc, Ytil, Xtil, x_sel, w)
+    """Factor P = K_N K_D^-1 with Y K_N + X K_D = lam E_m, all over the ring."""
+    if lam.is_zero():
+        raise SynthError("a local factorization needs a nonzero lambda")
+    m, n, variables = pf.m, pf.n, pf.ring.variables
+    K = witness_matrix(pf, index_set, lam)
+    K_N = K.take_rows(range(n))
+    K_D = K.take_rows(range(n, n + m))
+    # rows_I(K) = lam E_m, so the row selector of I is [Y | X]
+    sel = selection(index_set, m, n).map(lambda p: p.with_variables(variables))
+    Y = sel.submatrix(list(range(m)), list(range(n)))
+    X = sel.submatrix(list(range(m)), list(range(n, n + m)))
+    lf = LocalFactorization(index_set, lam, K_N, K_D, Y, X)
     if not lf.bezout_holds():
         raise SynthesisInternalError("local Bezout identity failed")
-    Nf = N_loc.map(LocalElem.to_fraction)
-    Df = D_loc.map(LocalElem.to_fraction)
-    if pf.P * Df != Nf:
+    if pf.N * K_D != K_N.scale(pf.d):
         raise SynthesisInternalError("local factorization does not reproduce the plant")
     return lf
 
 
-# ---------------------------------------------------------------------------
-# partition of unity powers
-# ---------------------------------------------------------------------------
+def partition_powers(lambdas: list[Polynomial]) -> list[Polynomial]:
+    """Coefficients a_I with sum(a_I * lambda_I) = 1: all ones, as sum(lambda_I) = 1.
 
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def partition_powers(lambdas: list[Polynomial], omega: int) -> list[Polynomial]:
-    """Coefficients a_I with sum(a_I * lambda_I^omega) = 1 given sum(lambda_I) = 1.
-
-    Expands (sum lambda_I)^(s*(omega-1)+1) and assigns each multinomial term
-    to the first index whose exponent reaches omega (one always exists by
-    pigeonhole), then divides that index's power by lambda_I^omega.
+    Synthesis clears every localized denominator with lambda_I itself, so the
+    partition of unity needs no power expansion and synthesis does not call
+    this; the name stays because perfbench/layers.py traces it.
     """
-    s = len(lambdas)
-    if s == 0:
+    if not lambdas:
         raise SynthError("empty partition")
-    variables = lambdas[0].variables
-    total = Polynomial.zero(variables)
-    for lam in lambdas:
-        total = total + lam
-    if total != Polynomial.one(variables):
+    one = Polynomial.one(lambdas[0].variables)
+    if sum(lambdas, one.zero_like()) != one:
         raise SynthError("lambdas do not sum to 1")
-    exponent = s * (omega - 1) + 1
-    powers: list[dict[int, Polynomial]] = [dict() for _ in range(s)]
-
-    def lam_power(i: int, e: int) -> Polynomial:
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = lambdas[i] ** e
-        return cache[e]
-
-    coeffs = [Polynomial.zero(variables) for _ in range(s)]
-    fact = math.factorial
-    for combo in _compositions(exponent, s):
-        target = next(i for i, k in enumerate(combo) if k >= omega)
-        multinom = fact(exponent)
-        for k in combo:
-            multinom //= fact(k)
-        term = Polynomial.const(multinom, variables)
-        for i, k in enumerate(combo):
-            e = k - omega if i == target else k
-            if e:
-                term = term * lam_power(i, e)
-        coeffs[target] = coeffs[target] + term
-
-    check = Polynomial.zero(variables)
-    for a, lam in zip(coeffs, lambdas):
-        check = check + a * lam ** omega
-    if check != Polynomial.one(variables):
-        raise SynthesisInternalError("partition-of-unity powers do not sum to 1")
-    return coeffs
+    return [one for _ in lambdas]
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +431,12 @@ class ControllerResult:
     repair_index_set: IndexSet | None
     repair_selector: Mat | None  # R' from the minor search
     certificate: StabilizabilityCertificate
-    omega: int
-    coeffs: list[Polynomial]
     locals: list[LocalFactorization]
     report: VerificationReport
 
-
-def _clear(mat: Mat, omega: int) -> Mat:
-    return mat.map(lambda e: e.clear_denominator(omega))
+    # the power of lambda_I that clears the local denominators, which
+    # perfbench/layers.py records; rows_I(K) = lambda_I E makes it 1
+    omega = 1
 
 
 def synthesize(pf: PlantFraction,
@@ -505,83 +444,52 @@ def synthesize(pf: PlantFraction,
     """Construct and verify a stabilizing controller for the plant."""
     ring = pf.ring
     m, n = pf.m, pf.n
+    zero = Polynomial.zero(ring.variables)
     if decision is None:
         decision = stabilizable(pf)
     if not decision.stabilizable:
         raise NotStabilizableError("the generalized elementary factors are not coprime")
     cert = decision.certificate
-
-    locals_: list[LocalFactorization] = [
-        local_factorization(pf, index_set, lam) for index_set, lam in cert.sharp]
-    dx = [lf.D_loc * lf.Xtil for lf in locals_]
-    dy = [lf.D_loc * lf.Ytil for lf in locals_]
-    nx = [lf.N_loc * lf.Xtil for lf in locals_]
-    ny = [lf.N_loc * lf.Ytil for lf in locals_]
-    omega = 1
-    for group in (dx, dy, nx, ny):
-        for mat in group:
-            for e in mat.entries:
-                omega = max(omega, e.exp)
-    lambdas = cert.lambdas()
-    coeffs = partition_powers(lambdas, omega)
-    cert.omega = omega
-    cert.coeffs = coeffs
     if not cert.verify():
         raise SynthesisInternalError("certificate failed verification")
+    locals_: list[LocalFactorization] = [
+        local_factorization(pf, index_set, lam) for index_set, lam in cert.sharp]
 
     def build_den_num() -> tuple[Mat, Mat]:
-        zero = Polynomial.zero(ring.variables)
         den = Mat.build(m, m, lambda i, j: zero)
         num = Mat.build(m, n, lambda i, j: zero)
-        for a, dxi, dyi in zip(coeffs, dx, dy):
-            den = den + _clear(dxi, omega).scale(a)
-            num = num + _clear(dyi, omega).scale(a)
-        return den, num
-
-    def check_identity(den: Mat, num: Mat):
-        # sum a lam^w D_I (Ytil N + Xtil D) = D, the key closed-loop identity
-        dE = Mat.scalar_matrix(m, pf.d, Polynomial.zero(ring.variables))
+        for lf in locals_:
+            den = den + lf.K_D * lf.X
+            num = num + lf.K_D * lf.Y
+        # Y N + X d = d (Y K_N + X K_D) K_D^-1 = d lam K_D^-1 for each I, so
+        # num N + den d = sum(d lam E) = d E, as sum(lam) = 1
+        dE = Mat.scalar_matrix(m, pf.d, zero)
         if num * pf.N + den * dE != dE:
             raise SynthesisInternalError("denominator/numerator identity failed")
+        return den, num
 
     Den, Num = build_den_num()
-    check_identity(Den, Num)
 
     repair_applied = False
     repair_index_set = None
     repair_selector = None
     if not z_nonsingular(Den, ring):
-        pos = next((k for k, (a, (_, lam)) in enumerate(zip(coeffs, cert.sharp))
-                    if not in_Z(a, ring) and not in_Z(lam, ring)), None)
+        pos = next((k for k, (_, lam) in enumerate(cert.sharp) if not in_Z(lam, ring)), None)
         if pos is None:
             raise RepairImpossibleError("no summand avoids the causality ideal")
         lf = locals_[pos]
-        lam = lf.lam
-        a0 = coeffs[pos]
-        D0 = _clear(lf.D_loc, omega)          # lam^w * D_I over the ring
-        N0 = _clear(lf.N_loc, omega)          # lam^w * N_I over the ring
-        adj_D0 = D0.adjugate()
-        det_D0 = D0.det()
-        N_tilde = N0 * adj_D0                 # n x m over the ring
-        D_tilde = Mat.scalar_matrix(n, det_D0, Polynomial.zero(ring.variables))
-        scalar = a0 * lam ** omega * det_D0
-        Bmat = (N_tilde.scale(scalar)).map(lambda e: -e)
+        adj_KD = lf.K_D.adjugate()
+        det_KD = lf.K_D.det()
+        N_tilde = lf.K_N * adj_KD             # n x m over the ring
+        D_tilde = Mat.scalar_matrix(n, det_KD, zero)
+        Bmat = -N_tilde.scale(lf.lam * det_KD)
         repair = repair_nonsingular(Den, Bmat, ring)
-        R0 = (adj_D0.scale(lam ** omega)) * repair.R   # m x n over the ring
-        to_local = lambda p: LocalElem(p, 0, lam, ring)
-        R0_loc = R0.map(to_local)
-        N_tilde_loc = N_tilde.map(to_local)
-        D_tilde_loc = D_tilde.map(to_local)
-        new_Xtil = lf.Xtil - R0_loc * N_tilde_loc
-        new_Ytil = lf.Ytil + R0_loc * D_tilde_loc
-        locals_[pos] = LocalFactorization(lf.index_set, lf.lam, lf.N_loc, lf.D_loc,
-                                          new_Ytil, new_Xtil, lf.x_sel, lf.witness)
+        R0 = adj_KD.scale(lf.lam) * repair.R  # m x n over the ring
+        locals_[pos] = LocalFactorization(lf.index_set, lf.lam, lf.K_N, lf.K_D,
+                                          lf.Y + R0 * D_tilde, lf.X - R0 * N_tilde)
         if not locals_[pos].bezout_holds():
             raise SynthesisInternalError("local Bezout identity broke during repair")
-        dx[pos] = locals_[pos].D_loc * new_Xtil
-        dy[pos] = locals_[pos].D_loc * new_Ytil
         Den, Num = build_den_num()
-        check_identity(Den, Num)
         if not z_nonsingular(Den, ring):
             raise RepairImpossibleError("denominator is Z-singular after repair")
         repair_applied = True
@@ -599,8 +507,7 @@ def synthesize(pf: PlantFraction,
                             repair_applied=repair_applied,
                             repair_index_set=repair_index_set,
                             repair_selector=repair_selector,
-                            certificate=cert, omega=omega, coeffs=coeffs,
-                            locals=locals_, report=report)
+                            certificate=cert, locals=locals_, report=report)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -133,6 +134,28 @@ class TestExitCodes:
         path = tmp_path / "plant.json"
         write_json(path, payload)
         assert main(["check", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad_file", ["plant", "controller", "input_file"])
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, bad_file):
+        # json.load raises a ValueError that is not a JSONDecodeError
+        bad, ctl = tmp_path / "bad.json", tmp_path / "controller.json"
+        write_json(ctl, {"entries": [["0"]]})
+        argv, text = {
+            "plant": (["check", bad], '{"inputs": %s}'),
+            "controller": (["verify", SISO, bad], '{"entries": [[%s]]}'),
+            "input_file": (["simulate", SISO, ctl, "--input", "file", "--input-file", bad],
+                           '{"u1": [[%s]]}'),
+        }[bad_file]
+        bad.write_text(text % ("1" * 5000))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main([str(a) for a in argv]) == EXIT_INPUT
+        finally:
+            sys.set_int_max_str_digits(limit)
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -1,4 +1,4 @@
-"""Ring model: semigroup membership, presentation, causality, localization."""
+"""Ring model: semigroup membership, presentation, causality, fractions."""
 
 import random
 from fractions import Fraction
@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabring.poly import Polynomial, parse_poly
-from stabring.ring import (LocalElem, MembershipError, PolyFraction, RingModel,
-                           RingError, ZERO_IDEAL, causal, in_Z, loc_arith,
-                           membership, presentation, strictly_causal,
-                           unit_multiplier, z_nonsingular)
+from stabring.ring import (MembershipError, PolyFraction, RingModel, RingError,
+                           ZERO_IDEAL, causal, in_Z, membership, presentation,
+                           strictly_causal, unit_multiplier, z_nonsingular)
 from stabring.matrixring import Mat
 
 Z = ("z",)
@@ -262,39 +261,3 @@ class TestFraction:
         with pytest.raises(ZeroDivisionError):
             PolyFraction(zp("1"), zp("0"))
 
-
-class TestLocalElem:
-    def test_add_same_power(self, ring23):
-        f = zp("1 - z^2")
-        a = LocalElem(zp("z^2"), 0, f, ring23)
-        b = LocalElem(zp("z^3"), 0, f, ring23)
-        assert loc_arith("add", a, b) == LocalElem(zp("z^2 + z^3"), 0, f, ring23)
-
-    def test_normalization(self, ring23):
-        f = zp("1 - z^2")
-        a = zp("1 + z^2")
-        elem = LocalElem(f * a, 1, f, ring23)
-        assert elem.exp == 0 and elem.num == a
-
-    def test_normalization_respects_ring(self, ring23):
-        # z^4 / z^3 cannot drop to z / 1 because z is not in the ring
-        elem = LocalElem(zp("z^4"), 1, zp("z^3"), ring23)
-        assert elem.exp == 1 and elem.num == zp("z^4")
-
-    def test_mul(self, ring23):
-        f = zp("1 - z^2")
-        a = LocalElem(zp("z^2"), 1, f, ring23)
-        b = LocalElem(zp("z^3"), 1, f, ring23)
-        assert loc_arith("mul", a, b) == LocalElem(zp("z^5"), 2, f, ring23)
-
-    def test_inverse_of_power(self, ring23):
-        f = zp("1 - z^2")
-        x = LocalElem(f * f, 0, f, ring23)   # value f^2
-        inv = loc_arith("inv-of-f-power", x)
-        assert (x * inv) == LocalElem(zp("1"), 0, f, ring23)
-        with pytest.raises(RingError):
-            loc_arith("inv-of-f-power", LocalElem(zp("1 + z^2"), 0, f, ring23))
-
-    def test_membership_enforced(self, ring23):
-        with pytest.raises(MembershipError):
-            LocalElem(zp("z"), 0, zp("z^2"), ring23)

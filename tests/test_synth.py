@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabring import groebner, synth
+from stabring.cli import synth_report
 from stabring.gef import PlantFraction, gef, scalar_denominator
 from stabring.matrixring import IndexSet, Mat
 from stabring.poly import Polynomial, parse_poly
-from stabring.ring import (LocalElem, PolyFraction, RingModel, ZERO_IDEAL,
-                           fraction_in_ring, in_Z, membership, presentation,
-                           z_nonsingular)
+from stabring.ring import (PolyFraction, RingModel, ZERO_IDEAL, fraction_in_ring,
+                           in_Z, membership, presentation, z_nonsingular)
+from stabring.sim import compare_to_H
 from stabring.synth import (IllPosedError, NotStabilizableError, _running_gcd,
                             causality_check, closed_loop, local_factorization,
                             partition_powers, repair_nonsingular, stabilizable,
@@ -148,72 +151,57 @@ class TestPolynomialRingUnitTest:
 
 
 class TestLocalFactorization:
+    # over A_lam the factors are K_N/lam and K_D/lam; the published values are
+    # the witness column (lam1, k2, k3) and the 0/1 Bezout coefficients
+
     def test_published_values_first_selection(self, delay_plant, paper):
         lf = local_factorization(delay_plant, IndexSet((1,)), paper.lam1)
-        ring = delay_plant.ring
-        lam = paper.lam1
-        assert lf.N_loc.entries == (LocalElem(lam, 1, lam, ring),
-                                    LocalElem(paper.k2, 1, lam, ring))
-        assert lf.D_loc.entries == (LocalElem(paper.k3, 1, lam, ring),)
-        one = LocalElem(zp("1"), 0, lam, ring)
-        zero = LocalElem(zp("0"), 0, lam, ring)
-        assert lf.Ytil.entries == (one, zero)
-        assert lf.Xtil.entries == (zero,)
+        assert lf.K_N.entries == (paper.lam1, paper.k2)
+        assert lf.K_D.entries == (paper.k3,)
+        assert lf.Y.entries == (zp("1"), zp("0"))
+        assert lf.X.entries == (zp("0"),)
         assert lf.bezout_holds()
 
     def test_published_values_second_selection(self, delay_plant, paper):
         lf = local_factorization(delay_plant, IndexSet((2,)), paper.lam2)
-        ring = delay_plant.ring
-        one = LocalElem(zp("1"), 0, paper.lam2, ring)
-        zero = LocalElem(zp("0"), 0, paper.lam2, ring)
-        assert lf.Ytil.entries == (zero, one)
-        assert lf.Xtil.entries == (zero,)
+        assert lf.Y.entries == (zp("0"), zp("1"))
+        assert lf.X.entries == (zp("0"),)
         assert lf.bezout_holds()
 
     def test_zero_plant(self, zero_plant):
         lf = local_factorization(zero_plant, zero_plant.denominator_rows(), zp("1"))
-        assert all(e.is_zero() for e in lf.N_loc.entries)
-        assert lf.D_loc.entries[0].num == zp("1")
-        assert all(e.is_zero() for e in lf.Ytil.entries)
-        assert lf.Xtil.entries[0].num == zp("1")
+        assert all(e.is_zero() for e in lf.K_N.entries)
+        assert lf.K_D.entries == (zp("1"),)
+        assert all(e.is_zero() for e in lf.Y.entries)
+        assert lf.X.entries == (zp("1"),)
 
     def test_siso_bezout_by_substitution(self, siso_plant):
         lam = zp("1 - z^2")
         lf = local_factorization(siso_plant, IndexSet((2,)), lam)
-        lhs = lf.Ytil * lf.N_loc + lf.Xtil * lf.D_loc
-        assert lhs.entries[0] == LocalElem(zp("1"), 0, lam, siso_plant.ring)
+        lhs = lf.Y * lf.K_N + lf.X * lf.K_D
+        assert lhs.entries == (lam,)
 
 
 class TestPartitionPowers:
     def test_single_unit(self):
-        coeffs = partition_powers([zp("1")], 3)
-        assert coeffs == [zp("1")]
+        assert partition_powers([zp("1")]) == [zp("1")]
 
     def test_omega_one_gives_units(self, delay_decision):
         lams = delay_decision.certificate.lambdas()
-        coeffs = partition_powers(lams, 1)
+        coeffs = partition_powers(lams)
         assert all(a == zp("1") for a in coeffs)
-
-    def test_two_lambdas_omega_two(self):
-        lam1 = zp("z^2")
-        lam2 = zp("1 - z^2")
-        a1, a2 = partition_powers([lam1, lam2], 2)
-        assert a1 == lam1 + zp("3") * lam2
-        assert a2 == zp("3") * lam1 + lam2
-        assert a1 * lam1 ** 2 + a2 * lam2 ** 2 == zp("1")
 
     def test_three_lambdas(self):
         lam = [zp("z^2"), zp("z^3"), zp("1 - z^2 - z^3")]
-        for omega in (1, 2, 3):
-            coeffs = partition_powers(lam, omega)
-            total = Polynomial.zero(Z)
-            for a, l in zip(coeffs, lam):
-                total = total + a * l ** omega
-            assert total == zp("1")
+        coeffs = partition_powers(lam)
+        total = Polynomial.zero(Z)
+        for a, l in zip(coeffs, lam):
+            total = total + a * l
+        assert total == zp("1")
 
     def test_rejects_non_partition(self):
         with pytest.raises(Exception):
-            partition_powers([zp("z^2")], 1)
+            partition_powers([zp("z^2")])
 
 
 class TestRepair:
@@ -251,11 +239,14 @@ class TestRepair:
 
 
 class TestSynthesize:
-    def test_delay_plant_repair_branch_fires(self, delay_controller):
+    def test_delay_plant_repair_branch_fires(self, delay_plant, delay_decision,
+                                             delay_controller):
         assert delay_controller.repair_applied
         assert delay_controller.repair_index_set == IndexSet((1,))
         assert delay_controller.report.ok
-        assert delay_controller.omega == 1
+        certificate = synth_report(delay_plant, delay_decision, delay_controller)["certificate"]
+        assert certificate["omega"] == 1
+        assert all(term["coefficient"] == "1" for term in certificate["terms"])
 
     def test_denominator_z_nonsingular(self, delay_plant, delay_controller):
         assert z_nonsingular(delay_controller.Den, delay_plant.ring)
@@ -457,6 +448,46 @@ def _random_causal_poly(rng):
     for _ in range(rng.randint(1, 3)):
         p = p + Polynomial({(rng.choice(exps),): Fraction(rng.randint(-3, 3))}, Z)
     return p
+
+
+@st.composite
+def _causal_plants(draw):
+    """Generators (a, b) and an n x m plant over Q[z^a,z^b], n, m <= 2.
+
+    Every numerator and denominator is a ring element with exponents at most
+    6; a denominator's constant term is nonzero, so every entry is causal.
+    """
+    gens = draw(st.sampled_from([(2, 3), (3, 5)]))
+    exps = [e for e in range(1, 7) if any((e - a * gens[0]) % gens[1] == 0
+                                          for a in range(e // gens[0] + 1))]
+
+    def ring_poly(constants):
+        terms = {(0,): Fraction(draw(st.sampled_from(constants)))}
+        for e in draw(st.lists(st.sampled_from(exps), max_size=2, unique=True)):
+            terms[(e,)] = Fraction(draw(st.integers(-3, 3)))
+        return Polynomial(terms, Z)
+
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rows = [[(ring_poly(range(-2, 3)), ring_poly([-2, -1, 1, 2])) for _ in range(m)]
+            for _ in range(n)]
+    return gens, rows
+
+
+class TestRandomPlantSynthesis:
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(_causal_plants())
+    # the published delay plant, whose synthesis takes the repair branch
+    @example(((2, 3), [[(zp("1 - z^3"), zp("1 - z^2"))], [(zp("1 - 8*z^3"), zp("1 - 4*z^2"))]]))
+    def test_h_matches_fraction_field_and_simulation(self, plant):
+        gens, rows = plant
+        pf = scalar_denominator(rows, RingModel.monomial_subalgebra("z", gens))
+        decision = stabilizable(pf)
+        if not decision.stabilizable:
+            return
+        result = synthesize(pf, decision)
+        H = result.H.map(PolyFraction.from_poly)
+        assert H == _fraction_closed_loop(pf.P, result.C)
+        assert compare_to_H(pf.P, result.C, 8, against=H)
 
 
 class TestCausality:
