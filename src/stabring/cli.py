@@ -46,6 +46,12 @@ EXIT_INTERNAL = 3
 # the semigroup table has g_1 * g_k + 2 entries.
 MAX_GENERATOR = 1000
 
+# Most digits, and largest decimal exponent, of one sample of an input trace:
+# Fraction("1e999999999") would compute a billion-digit power of ten, and
+# within these bounds every sample prints in the CSV trace.
+MAX_SAMPLE_DIGITS = 1000
+MAX_SAMPLE_EXPONENT = 1000
+
 
 class InputError(Exception):
     pass
@@ -338,6 +344,20 @@ def cmd_verify(args) -> int:
     return EXIT_NEGATIVE
 
 
+def _sample(value) -> Fraction:
+    """One input sample as a Fraction, its digits and exponent bounded first."""
+    text = str(value)
+    if sum(ch.isdigit() for ch in text) > MAX_SAMPLE_DIGITS:
+        raise ValueError(f"{text[:20]}... has more than {MAX_SAMPLE_DIGITS} digits")
+    try:
+        exponent = int(text.lower().partition("e")[2])
+    except ValueError:  # no exponent, or a malformed one that Fraction rejects
+        exponent = 0
+    if abs(exponent) > MAX_SAMPLE_EXPONENT:
+        raise ValueError(f"the exponent of {text!r} is past {MAX_SAMPLE_EXPONENT}")
+    return Fraction(text)
+
+
 def _load_input_file(path: str, n: int, m: int) -> tuple[list, list]:
     data = _read_json(path)
     if not isinstance(data, dict):
@@ -350,9 +370,10 @@ def _load_input_file(path: str, n: int, m: int) -> tuple[list, list]:
         if len(raw) > count:
             raise InputError(f"too many {key} channels")
         try:
-            out = [[Fraction(str(v)) for v in ch] for ch in raw]
+            out = [[_sample(v) for v in ch] for ch in raw]
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{key!r} holds a sample that is not a rational number: {exc}")
+            raise InputError(f"{key!r} holds a sample that is not a bounded rational number: "
+                             f"{exc}")
         out += [[] for _ in range(count - len(out))]
         return out
     return channels("u1", n), channels("u2", m)

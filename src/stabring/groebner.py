@@ -6,13 +6,15 @@ list of relation generators that are implicitly adjoined to all
 computations, which makes the engine operate modulo a quotient-ring
 presentation while staying inside an ordinary polynomial ring.
 
-Reduction: `_reduce_full` keeps the pending polynomial as integer
-coefficients over one common denominator and its monomials in a heap keyed
-on the order, so each step pops the greatest pending term instead of
-rescanning them all.  Basis elements are kept monic, each with its lead and
-an integer tail computed once (`_Divisor`).  Division quotients are formed
-only when cofactors are tracked (`track_cofactors`, witnesses, Bezout
-certificates); colon, intersection and elimination never ask for them.
+Reduction is the kernel of the polynomial module, `poly._reduce_full`, which
+`poly.divide_exact` runs with one divisor: it keeps the pending polynomial as
+integer coefficients over one common denominator and its monomials in a heap
+keyed on the order's `descending_key`, so each step pops the greatest
+pending term instead of rescanning them all.  Basis elements are kept monic,
+each with its lead and an integer tail computed once (`poly._Divisor`).
+Division quotients are formed only when cofactors are tracked
+(`track_cofactors`, witnesses, Bezout certificates); colon, intersection and
+elimination never ask for them.
 
 Determinism: the selection strategy is sugar with a fixed tie-break by
 (order key of the pair lcm, input index), reducers are chosen by basis
@@ -27,12 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .poly import (Exponents, Polynomial, _from_integer_form, _grevlex_descending_key,
-                   _grevlex_key, _integer_form)
+from .poly import (Exponents, Polynomial, _Divisor, _from_integer_form,
+                   _grevlex_descending_key, _grevlex_key, _integer_form, _reduce_full)
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -116,39 +117,6 @@ def _exp_sub(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(sub, a, b))
 
 
-# Inside the engine a polynomial is in integer form (`poly._integer_form`): a
-# dict of integer coefficients `terms` and a positive integer `scale`,
-# standing for sum terms[e] / scale * x^e.  Fractions appear only at the
-# boundary.
-
-
-class _Divisor:
-    """A monic polynomial prepared for division: lead monomial and integer tail.
-
-    The polynomial is x^lead + sum a / den * x^e over (e, a) in `tail`.
-    """
-
-    __slots__ = ("lead", "den", "tail")
-
-    def __init__(self, terms: dict[Exponents, int], lead: Exponents):
-        """The monic multiple of the nonzero integer form `terms`, whose lead is `lead`."""
-        g = math.gcd(*terms.values())
-        if terms[lead] < 0:
-            g = -g
-        self.lead = lead
-        self.den = terms[lead] // g
-        self.tail = [(e, a // g) for e, a in terms.items() if e != lead]
-
-    @staticmethod
-    def of(p: Polynomial, order: MonomialOrder) -> "_Divisor":
-        return _Divisor(_integer_form(p)[0], _lead(p, order)[0])
-
-    def integer_form(self) -> tuple[dict[Exponents, int], int]:
-        terms = {self.lead: self.den}
-        terms.update(self.tail)
-        return terms, self.den
-
-
 def _s_polynomial(di: _Divisor, dj: _Divisor, si: Exponents, sj: Exponents):
     """x^si * gi - x^sj * gj in integer form; the leads cancel, so only tails enter."""
     scale = math.lcm(di.den, dj.den)
@@ -162,64 +130,6 @@ def _s_polynomial(di: _Divisor, dj: _Divisor, si: Exponents, sj: Exponents):
         else:
             terms.pop(e, None)
     return terms, scale
-
-
-def _reduce_full(work: dict[Exponents, int], scale: int, divisors: list[_Divisor],
-                 order: MonomialOrder, want_quotients: bool = False):
-    """Full normal form of work / scale modulo the divisors.
-
-    Returns (remainder, scale, quotients): the remainder in integer form over
-    the returned scale, in descending monomial order, and with want_quotients
-    one dict of `Fraction` coefficients per divisor (else None).  `work` is
-    consumed.
-
-    Each step takes the greatest pending term and reduces it by the first
-    divisor whose lead divides it, else moves it to the remainder.  Pending
-    monomials wait in a heap on `order.descending_key`; a monomial that
-    cancelled after it was pushed leaves a stale entry, skipped on pop.
-    """
-    key = order.descending_key
-    heap = [(key(e), e) for e in work]
-    heapify(heap)
-    remainder: dict[Exponents, int] = {}
-    quotients = [dict() for _ in divisors] if want_quotients else None
-    while heap:
-        exps = heappop(heap)[1]
-        w = work.pop(exps, None)
-        if w is None:
-            continue
-        for idx, d in enumerate(divisors):
-            if all(map(le, d.lead, exps)):
-                shift = tuple(map(sub, exps, d.lead))
-                if quotients is not None:
-                    # exps only decreases, so no shift repeats for one idx
-                    quotients[idx][shift] = Fraction(w, scale)
-                # work/scale - (w/scale)*(a/den) == (work*m - (w/g)*a) / (scale*m)
-                g = math.gcd(w, d.den)
-                factor, m = w // g, d.den // g
-                if m != 1:
-                    scale *= m
-                    for e in work:
-                        work[e] *= m
-                    for e in remainder:
-                        remainder[e] *= m
-                for e2, a in d.tail:
-                    e = tuple(map(add, e2, shift))
-                    old = work.get(e)
-                    if old is None:
-                        # terms added are below exps, so e was never popped
-                        work[e] = -factor * a
-                        heappush(heap, (key(e), e))
-                        continue
-                    s = old - factor * a
-                    if s:
-                        work[e] = s
-                    else:
-                        del work[e]
-                break
-        else:
-            remainder[exps] = w
-    return remainder, scale, quotients
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +149,7 @@ class GroebnerBasis:
     _divisors: list[_Divisor] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._divisors = [_Divisor.of(g, self.order) for g in self.basis]
+        self._divisors = [_Divisor.of(g, self.order.descending_key) for g in self.basis]
 
     def check_cofactors(self):
         """Assert basis[i] = sum_j cofactors[i][j] * generators[j] exactly."""
@@ -332,7 +242,8 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         work, scale = _s_polynomial(divs[i], divs[j], si, sj)
         if not work:
             continue
-        rem, scale, quot = _reduce_full(work, scale, divs, order, want_quotients=track)
+        rem, scale, quot = _reduce_full(work, scale, divs, order.descending_key,
+                                        want_quotients=track)
         if not rem:
             continue
         lexp = next(iter(rem))  # the remainder comes out in descending order
@@ -360,7 +271,8 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
     for k in minimal_idx:
         others = [j for j in minimal_idx if j != k]
         work, scale = divs[k].integer_form()
-        rem, scale, quot = _reduce_full(work, scale, [divs[j] for j in others], order,
+        rem, scale, quot = _reduce_full(work, scale, [divs[j] for j in others],
+                                        order.descending_key,
                                         want_quotients=track)
         basis.append(_from_integer_form(rem, scale, variables))
         if track:
@@ -387,7 +299,8 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, witness: bool = False):
     if witness and gb.cofactors is None:
         raise ValueError("witness requested but basis lacks cofactors")
     work, scale = _integer_form(p)
-    rem, scale, quot = _reduce_full(work, scale, gb._divisors, gb.order, want_quotients=witness)
+    rem, scale, quot = _reduce_full(work, scale, gb._divisors, gb.order.descending_key,
+                                    want_quotients=witness)
     rem = _from_integer_form(rem, scale, gb.variables)
     if not witness:
         return rem
@@ -429,11 +342,6 @@ class IdealHandle:
         self.gens = [g.with_variables(self.variables) for g in gens]
         self.relations = [r.with_variables(self.variables) for r in relations]
         self._cache: dict[tuple, GroebnerBasis] = {}
-
-    @staticmethod
-    def over(presentation, gens: Iterable[Polynomial]) -> "IdealHandle":
-        """Handle in a ring presentation (duck-typed: .variables, .relations)."""
-        return IdealHandle(presentation.variables, gens, presentation.relations)
 
     def all_gens(self) -> list[Polynomial]:
         return self.gens + self.relations

@@ -64,9 +64,6 @@ class Mat:
     def row(self, i: int) -> list:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def col(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
     def to_rows(self) -> list[list]:
         return [self.row(i) for i in range(self.rows)]
 

@@ -14,17 +14,25 @@ the arithmetic already satisfy its invariants and are wrapped without
 re-checking by `Polynomial._from_clean`.  The univariate gcd is a primitive
 remainder sequence over the integers, made monic only at the end.
 
+`_reduce_full` is the one reduction kernel: the full normal form of an
+integer-form polynomial modulo monic divisors (`_Divisor`) in any monomial
+order, given by its flat descending key, with the quotients on request.
+`divide_exact` runs it with one grevlex divisor, and the Groebner engine
+with the basis.
+
 The module also provides the text grammar for polynomial expressions:
 
-    expr     := ['-'] term (('+'|'-') term)*
+    expr     := term (('+'|'-') term)*
     term     := factor ('*' factor)*
-    factor   := base ('^' nonneg-int)?
+    factor   := '-'* base ('^' nonneg-int)?
     base     := rational | var | '(' expr ')'
     rational := int ('/' posint)?
 
-Whitespace is insignificant.  A leading '-' (also directly after '(') is
-accepted so that every string produced by `format_canonical` parses back.
-Parentheses may nest at most `MAX_NESTING` deep.
+Whitespace is insignificant.  A '-' sign binds looser than '^', so "-z^2" is
+-(z^2); every string produced by `format_canonical` parses back, and so does
+"1 + -3*z^2".  Parentheses may nest at most `MAX_NESTING` deep, and an
+integer longer than Python converts (`sys.get_int_max_str_digits`) is a
+`ParseError`.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add
+from operator import add, le, sub
 from typing import Iterable, Iterator
 
 Exponents = tuple[int, ...]
@@ -402,14 +410,99 @@ def _grevlex_descending_key(exps: Exponents) -> tuple[int, ...]:
     return (-sum(exps),) + exps[::-1]
 
 
+class _Divisor:
+    """A monic polynomial prepared for division: lead monomial and integer tail.
+
+    The polynomial is x^lead + sum a / den * x^e over (e, a) in `tail`.
+    """
+
+    __slots__ = ("lead", "den", "tail")
+
+    def __init__(self, terms: dict[Exponents, int], lead: Exponents):
+        """The monic multiple of the nonzero integer form `terms`, whose lead is `lead`."""
+        g = math.gcd(*terms.values())
+        if terms[lead] < 0:
+            g = -g
+        self.lead = lead
+        self.den = terms[lead] // g
+        self.tail = [(e, a // g) for e, a in terms.items() if e != lead]
+
+    @staticmethod
+    def of(p: Polynomial, key) -> "_Divisor":
+        """The monic multiple of the nonzero p, its lead taken in the order of `key`."""
+        terms = _integer_form(p)[0]
+        return _Divisor(terms, min(terms, key=key))
+
+    def integer_form(self) -> tuple[dict[Exponents, int], int]:
+        terms = {self.lead: self.den}
+        terms.update(self.tail)
+        return terms, self.den
+
+
+def _reduce_full(work: dict[Exponents, int], scale: int, divisors: list[_Divisor],
+                 key, want_quotients: bool = False):
+    """Full normal form of work / scale modulo the divisors.
+
+    `work` and `scale` are an integer form (`_integer_form`), and `key` is the
+    flat descending key of the monomial order (`_grevlex_descending_key`,
+    `groebner.MonomialOrder.descending_key`).  Returns (remainder, scale,
+    quotients): the remainder in integer form over the returned scale, in
+    descending monomial order, and with want_quotients one dict of `Fraction`
+    coefficients per divisor (else None).  `work` is consumed.
+
+    Each step takes the greatest pending term and reduces it by the first
+    divisor whose lead divides it, else moves it to the remainder.  Pending
+    monomials wait in a heap on the descending `key`; a monomial that
+    cancelled after it was pushed leaves a stale entry, skipped on pop.
+    """
+    heap = [(key(e), e) for e in work]
+    heapify(heap)
+    remainder: dict[Exponents, int] = {}
+    quotients = [dict() for _ in divisors] if want_quotients else None
+    while heap:
+        exps = heappop(heap)[1]
+        w = work.pop(exps, None)
+        if w is None:
+            continue
+        for idx, d in enumerate(divisors):
+            if all(map(le, d.lead, exps)):
+                shift = tuple(map(sub, exps, d.lead))
+                if quotients is not None:
+                    # exps only decreases, so no shift repeats for one idx
+                    quotients[idx][shift] = Fraction(w, scale)
+                # work/scale - (w/scale)*(a/den) == (work*m - (w/g)*a) / (scale*m)
+                g = math.gcd(w, d.den)
+                factor, m = w // g, d.den // g
+                if m != 1:
+                    scale *= m
+                    for e in work:
+                        work[e] *= m
+                    for e in remainder:
+                        remainder[e] *= m
+                for e2, a in d.tail:
+                    e = tuple(map(add, e2, shift))
+                    old = work.get(e)
+                    if old is None:
+                        # terms added are below exps, so e was never popped
+                        work[e] = -factor * a
+                        heappush(heap, (key(e), e))
+                        continue
+                    s = old - factor * a
+                    if s:
+                        work[e] = s
+                    else:
+                        del work[e]
+                break
+        else:
+            remainder[exps] = w
+    return remainder, scale, quotients
+
+
 def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return h with p = h*q, or raise NotDivisibleError.
 
-    Single-divisor multivariate division in grevlex order: a singleton
-    divisor set is a Groebner basis, so a zero remainder is equivalent to
-    divisibility.  The pending polynomial is in integer form over one scale,
-    with its monomials in a heap; the first lead that the divisor's lead does
-    not divide can never cancel later, so the division stops there.
+    Single-divisor reduction in grevlex order: a singleton divisor set is a
+    Groebner basis, so a zero remainder is equivalent to divisibility.
     """
     if q.is_zero():
         raise PolyError("division by the zero polynomial")
@@ -418,49 +511,21 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     a, b = p._aligned(q)
     if b.is_constant():
         return a.scale(1 / b.constant_coeff())
-    key = _grevlex_descending_key
-    # b = (cq * x^lead_q + sum tail) / dq, with cq > 0
-    terms_q, dq = _integer_form(b)
-    lead_q = min(terms_q, key=key)
-    cq = terms_q.pop(lead_q)
-    if cq < 0:
-        cq, dq = -cq, -dq
-        terms_q = {e: -c for e, c in terms_q.items()}
-    tail = list(terms_q.items())
-    work, scale = _integer_form(a)  # a = work / scale
-    heap = [(key(e), e) for e in work]
-    heapify(heap)
-    quot: dict[Exponents, Fraction] = {}
-    while heap:
-        lead = heappop(heap)[1]
-        w = work.pop(lead, None)
-        if w is None:
-            continue  # cancelled after it was pushed
-        diff = tuple(x - y for x, y in zip(lead, lead_q))
-        if any(e < 0 for e in diff):
-            raise NotDivisibleError(
-                f"{format_canonical(p)} is not divisible by {format_canonical(q)}")
-        # leads only decrease, so each quotient monomial is set once
-        quot[diff] = Fraction(w * dq, scale * cq)
-        # work/scale - w/(scale*cq) * tail == (work*m - (w/g)*tail) / (scale*m)
-        g = math.gcd(w, cq)
-        factor, m = w // g, cq // g
-        if m != 1:
-            scale *= m
-            for e in work:
-                work[e] *= m
-        for e2, c2 in tail:
-            e = tuple(map(add, diff, e2))
-            old = work.get(e)
-            if old is None:
-                work[e] = -factor * c2
-                heappush(heap, (key(e), e))
-                continue
-            s = old - factor * c2
-            if s:
-                work[e] = s
-            else:
-                del work[e]
+    divisor = _Divisor.of(b, _grevlex_descending_key)
+    # the kernel divides by the monic b / lc(b), so it is handed a / lc(b):
+    # the integer form of a times den / num, with the sign moved into den
+    lc = b.coeff(divisor.lead)
+    num, den = lc.numerator, lc.denominator
+    if num < 0:
+        num, den = -num, -den
+    work, scale = _integer_form(a)
+    if den != 1:
+        work = {e: c * den for e, c in work.items()}
+    rem, _, (quot,) = _reduce_full(work, scale * num, [divisor], _grevlex_descending_key,
+                                   want_quotients=True)
+    if rem:
+        raise NotDivisibleError(
+            f"{format_canonical(p)} is not divisible by {format_canonical(q)}")
     return Polynomial._from_clean(quot, a.variables)
 
 
@@ -640,7 +705,11 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            digits, self.pos = self.pos - start, start
+            self.error(f"integer of {digits} digits is too long")
 
     def name(self) -> str:
         self.skip_ws()
@@ -654,10 +723,7 @@ class _Parser:
         return self.text[start:self.pos]
 
     def expr(self) -> Polynomial:
-        negate = self.take("-")
         value = self.term()
-        if negate:
-            value = -value
         while True:
             if self.take("+"):
                 value = value + self.term()
@@ -673,10 +739,13 @@ class _Parser:
         return value
 
     def factor(self) -> Polynomial:
+        negate = False
+        while self.take("-"):  # a loop, so a long run of signs takes no stack
+            negate = not negate
         value = self.base()
         if self.take("^"):
             value = value ** self.integer()
-        return value
+        return -value if negate else value
 
     def base(self) -> Polynomial:
         ch = self.peek()

@@ -24,8 +24,7 @@ from typing import Iterable
 from . import groebner
 from .linsolve import solve_exact
 from .matrixring import Mat
-from .poly import (NotDivisibleError, Polynomial, divide_exact, gcd_univariate,
-                   parse_poly)
+from .poly import NotDivisibleError, Polynomial, divide_exact, gcd_univariate
 
 ZERO_CONSTANT_TERM = "zero_constant_term"
 ZERO_IDEAL = "zero_ideal"
@@ -131,9 +130,6 @@ class RingModel:
         if self.kind != "monomial":
             return []
         return [e for e in range(self.conductor) if not self._reachable[e]]
-
-    def parse(self, text: str) -> Polynomial:
-        return parse_poly(text, self.variables)
 
 
 def _semigroup_table(gens: tuple[int, ...]) -> tuple[tuple[bool, ...], int]:

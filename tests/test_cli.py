@@ -270,7 +270,10 @@ class TestSimulateCommand:
         [1, 2],
         {"u1": [5]},
         {"u1": [["a"]]},
-    ], ids=["top_level_list", "channel_not_list", "non_numeric_sample"])
+        {"u1": [["1e5000"]]},
+        {"u1": [["1", "1e999999999"]]},
+    ], ids=["top_level_list", "channel_not_list", "non_numeric_sample", "huge_exponent",
+            "power_of_ten_past_any_memory"])
     def test_malformed_input_file(self, tmp_path, capsys, payload):
         ctl = tmp_path / "controller.json"
         assert main(["synth", SISO, "-o", str(ctl)]) == EXIT_OK
@@ -351,8 +354,11 @@ def _entry(names):
         st.builds(lambda n, d: f"({n})/({d})", _poly_text(names), _poly_text(names)))
 
 
+# numerals past Python's 4300-digit limit for int conversion
+_LONG_NUMERALS = st.sampled_from(["1" * 5000, "9" * 4301 + "*z^2", "1/" + "7" * 5000,
+                                  "-" + "3" * 4400])
 # malformed pieces; random text has no '^', so no exponent can be huge
-_JUNK_ENTRIES = st.one_of(_JSON_VALUES,
+_JUNK_ENTRIES = st.one_of(_JSON_VALUES, _LONG_NUMERALS,
                           st.text(alphabet="zqxyw0123456789+-*/() .", max_size=12))
 _NESTED_ENTRIES = st.sampled_from([3000, 300, 101, 100]).map(
     lambda k: "(" * k + "1" + ")" * k)
@@ -366,8 +372,8 @@ _JUNK_RINGS = st.one_of(_JSON_VALUES, st.fixed_dictionaries({}, optional={
     "z_mode": st.one_of(_Z_MODES, _JSON_VALUES)}))
 # one fault per plant at most, None for a well-formed plant; hypothesis draws
 # the first items of a list most often
-_FAULTS = ["nesting", "generators", "entry", "ring", "ring_field", "counts", "shape",
-           "missing_key", "foreign_name", "top_level"] + [None] * 4
+_FAULTS = ["numeral", "nesting", "generators", "entry", "ring", "ring_field", "counts",
+           "shape", "missing_key", "foreign_name", "top_level"] + [None] * 4
 
 
 @st.composite
@@ -399,8 +405,9 @@ def _plants(draw):
         plant["entries"] = draw(st.lists(st.lists(_entry(names), max_size=3), max_size=3))
     elif fault == "missing_key":
         del plant[draw(st.sampled_from(sorted(plant)))]
-    elif fault in ("entry", "nesting"):
-        junk = _JUNK_ENTRIES if fault == "entry" else _NESTED_ENTRIES
+    elif fault in ("entry", "nesting", "numeral"):
+        junk = {"entry": _JUNK_ENTRIES, "nesting": _NESTED_ENTRIES,
+                "numeral": _LONG_NUMERALS}[fault]
         plant["entries"][draw(st.integers(0, n - 1))][0] = draw(junk)
     elif fault == "foreign_name":
         plant["entries"][0][draw(st.integers(0, m - 1))] = draw(_poly_text(_NAMES))
@@ -409,18 +416,113 @@ def _plants(draw):
     return plant
 
 
+def _assert_exit_code_contract(argv_head, path, payload, argv_tail=()):
+    """Write `payload` as JSON to `path` in a fresh directory, run the command
+    under the default digit limit and check that it exits 0, 1 or 2 with no
+    traceback."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            target = os.path.join(tmp, path)
+            write_json(target, payload)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv_head, target, *argv_tail])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 class TestPlantFileFuzz:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(_plants(), st.sampled_from(["gef", "check", "synth"]))
     def test_exit_code_contract(self, plant, command):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "plant.json")
-            write_json(path, plant)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, path])
-        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT)
-        assert "Traceback" not in out.getvalue() + err.getvalue()
+        _assert_exit_code_contract([command], "plant.json", plant)
+
+
+# fuzzing the controller file of `verify` and `simulate` against the 1 x 1
+# plant SISO and the 2 x 1 plant DELAY (controllers 1 x 1 and 1 x 2)
+_CONTROLLER_FAULTS = ["numeral", "entry", "shape", "top_level", "nesting"] + [None] * 3
+
+
+@st.composite
+def _controllers(draw, m, n):
+    fault = draw(st.sampled_from(_CONTROLLER_FAULTS))
+    entries = [[draw(_entry(["z"])) for _ in range(n)] for _ in range(m)]
+    controller = {"entries": entries}
+    if fault in ("entry", "nesting", "numeral"):
+        junk = {"entry": _JUNK_ENTRIES, "nesting": _NESTED_ENTRIES,
+                "numeral": _LONG_NUMERALS}[fault]
+        entries[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = draw(junk)
+    elif fault == "shape":
+        controller["entries"] = draw(st.one_of(
+            _JSON_VALUES, st.lists(st.lists(_entry(["z"]), max_size=3), max_size=3)))
+    elif fault == "top_level":
+        controller = draw(_JSON_VALUES)
+    if draw(st.booleans()):
+        controller = {"controller": controller}  # as a synth report holds it
+    return controller
+
+
+_PLANTS_WITH_CONTROLLERS = st.sampled_from([(SISO, 1, 1), (DELAY, 1, 2)]).flatmap(
+    lambda p: st.tuples(st.just(p[0]), _controllers(p[1], p[2])))
+
+# samples of an input trace: rationals in the forms Fraction reads, and
+# decimal exponents and digit counts on both sides of the bounds.  A power of
+# ten past 4300 digits does not print, and one of a billion digits is not
+# computed in any time.
+_SAMPLES = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9).map(str),
+                     st.floats(-1e6, 1e6), st.integers(-999, 999).map(lambda k: f"1.5e{k}"))
+_HOSTILE_SAMPLES = st.one_of(
+    st.sampled_from([5000, -4400, 999999999, -999999999, 1001, 1000, -1000]).map(
+        lambda k: f"1e{k}"),
+    st.sampled_from(["3" * 1001, "0." + "1" * 1000, "3" * 1000, "-2E+0_5000", "1_0e1_0"]),
+    _LONG_NUMERALS, _JSON_VALUES)
+_INPUT_FAULTS = ["sample", "channels", "top_level"] + [None] * 2
+
+
+@st.composite
+def _input_files(draw):
+    """An input trace for the 1 x 1 plant SISO, with one fault at most."""
+    fault = draw(st.sampled_from(_INPUT_FAULTS))
+    data = {key: [draw(st.lists(_SAMPLES, max_size=4))] for key in ("u1", "u2")}
+    if fault == "sample":
+        channel = data[draw(st.sampled_from(["u1", "u2"]))][0]
+        channel.insert(draw(st.integers(0, len(channel))), draw(_HOSTILE_SAMPLES))
+    elif fault == "channels":
+        data[draw(st.sampled_from(["u1", "u2"]))] = draw(st.one_of(
+            _JSON_VALUES, st.lists(st.lists(_SAMPLES, max_size=2), max_size=3)))
+    elif fault == "top_level":
+        data = draw(_JSON_VALUES)
+    return data
+
+
+@pytest.fixture(scope="module")
+def siso_controller(tmp_path_factory):
+    path = tmp_path_factory.mktemp("controller") / "controller.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", SISO, "-o", str(path)]) == EXIT_OK
+    return str(path)
+
+
+class TestControllerFileFuzz:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_PLANTS_WITH_CONTROLLERS, st.sampled_from(["verify", "simulate"]))
+    def test_exit_code_contract(self, plant_and_controller, command):
+        plant, controller = plant_and_controller
+        tail = ["--steps", "8"] if command == "simulate" else []
+        _assert_exit_code_contract([command, plant], "controller.json", controller, tail)
+
+
+class TestInputFileFuzz:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_input_files())
+    def test_exit_code_contract(self, siso_controller, payload):
+        _assert_exit_code_contract(
+            ["simulate", SISO, siso_controller, "--steps", "8", "--input", "file",
+             "--input-file"], "inputs.json", payload)
 
 
 def _univariate_text(coeffs):
@@ -471,11 +573,18 @@ class TestHostilePlants:
          "(" * 3000 + "1" + ")" * 3000),
         ({"kind": "monomial_subalgebra", "variable": "z", "generators": [2, 3, 10 ** 30]},
          "1"),
-    ], ids=["deep_parentheses", "huge_generator"])
+        ({"kind": "monomial_subalgebra", "variable": "z", "generators": [2, 3]},
+         "1" * 5000 + "*z^2"),
+    ], ids=["deep_parentheses", "huge_generator", "numeral_past_the_digit_limit"])
     def test_rejected_as_input_error(self, tmp_path, capsys, ring, entry):
         path = tmp_path / "plant.json"
         write_json(path, {"ring": ring, "inputs": 1, "outputs": 1, "entries": [[entry]]})
-        assert main(["check", str(path)]) == EXIT_INPUT
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["check", str(path)]) == EXIT_INPUT
+        finally:
+            sys.set_int_max_str_digits(limit)
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from stabring.groebner import (GREVLEX, IdealHandle, LEX, buchberger,
                                elimination_order, _lead, _exp_lcm, _exp_sub,
-                               _mul_term, _Divisor, _from_integer_form,
-                               _integer_form, _reduce_full)
+                               _mul_term)
 from stabring.linsolve import solve_exact
-from stabring.poly import Polynomial, parse_poly
+from stabring.poly import (Polynomial, _Divisor, _from_integer_form, _integer_form,
+                           _reduce_full, parse_poly)
 
 XY = ("x", "y")
 UV = ("u", "v")
@@ -332,14 +332,15 @@ class TestHeapReductionOracle:
         want_rem, want_quot = _max_scan_reduce_full(p, basis, leads, order,
                                                     want_quotients=True)
         work, scale = _integer_form(p)
-        rem, scale, quot = _reduce_full(work, scale, [_Divisor.of(g, order) for g in basis],
-                                        order, want_quotients=True)
+        key = order.descending_key
+        rem, scale, quot = _reduce_full(work, scale, [_Divisor.of(g, key) for g in basis],
+                                        key, want_quotients=True)
         assert _from_integer_form(rem, scale, _XYW) == want_rem
         # the divisors are the monic g / lc, so their quotients are lc times larger
         for q, (_, lc), want in zip(quot, leads, want_quot):
             assert Polynomial(q, _XYW).scale(Fraction(1) / lc) == want
         work, scale = _integer_form(p)
         rem_only, scale, none = _reduce_full(
-            work, scale, [_Divisor.of(g, order) for g in basis], order)
+            work, scale, [_Divisor.of(g, key) for g in basis], key)
         assert none is None
         assert _from_integer_form(rem_only, scale, _XYW) == want_rem

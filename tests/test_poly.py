@@ -56,10 +56,25 @@ class TestParse:
 
     def test_leading_minus(self):
         assert zp("-z + 1") == zp("1 - z")
+        # a sign binds looser than '^'
+        assert zp("-z^2") == -zp("z^2")
+        assert zp("-2^2") == zp("-4")
 
     def test_zero_denominator_rational(self):
         with pytest.raises(ParseError):
             zp("1/0")
+
+    def test_minus_after_an_operator(self):
+        assert zp("1 + -3*z^2") == zp("1 - 3*z^2")
+        assert zp("1 - -z") == zp("1 + z")
+        assert zp("2*-z") == zp("-2*z")
+        assert zp("(-z)^2") == zp("z^2")
+
+    def test_repeated_minus(self):
+        assert zp("--z") == zp("z")
+        assert zp("1 - - -z") == zp("1 - z")
+        # a long run of signs is read by a loop, not by recursion
+        assert zp("-" * 100001 + "z") == zp("-z")
 
 
 class TestArith:
