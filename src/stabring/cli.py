@@ -26,12 +26,12 @@ import sys
 import time
 from fractions import Fraction
 
-from .gef import GefError, GefResult, NotCausalError, PlantFraction, gef, scalar_denominator
+from .gef import GefError, GefResult, PlantFraction, gef, scalar_denominator
 from .matrixring import Mat
-from .poly import ParseError, Polynomial, format_canonical, parse_fraction
+from .poly import DigitLimitError, ParseError, Polynomial, format_canonical, parse_fraction
 from .ring import (PolyFraction, RingModel, RingError, ZERO_CONSTANT_TERM,
                    ZERO_IDEAL, z_nonsingular)
-from .sim import SimError, SimulationUnsupportedError, simulate_loop, trace_to_csv
+from .sim import SimError, simulate_loop, trace_to_csv
 from .synth import (ControllerResult, NotStabilizableError, SynthError,
                     SynthesisInternalError, StabilizabilityResult,
                     stabilizable, synthesize, verify_stabilizing)
@@ -78,10 +78,7 @@ def ring_from_config(cfg: dict) -> RingModel:
             raise InputError("'generators' must be integers")
         if any(g > MAX_GENERATOR for g in gens):
             raise InputError(f"'generators' must be at most {MAX_GENERATOR}")
-        try:
-            return RingModel.monomial_subalgebra(var, tuple(gens), z_mode)
-        except RingError as exc:
-            raise InputError(str(exc))
+        return RingModel.monomial_subalgebra(var, tuple(gens), z_mode)
     if kind == "polynomial_ring":
         variables = cfg.get("variables")
         if not isinstance(variables, list) or not variables:
@@ -90,10 +87,7 @@ def ring_from_config(cfg: dict) -> RingModel:
             raise InputError("'variables' must be strings")
         if len(set(variables)) != len(variables):
             raise InputError(f"duplicate ring variable in {variables!r}")
-        try:
-            return RingModel.polynomial(tuple(variables), z_mode)
-        except RingError as exc:
-            raise InputError(str(exc))
+        return RingModel.polynomial(tuple(variables), z_mode)
     raise InputError(f"unknown ring kind {kind!r}")
 
 
@@ -144,10 +138,7 @@ def load_plant(path: str) -> PlantFraction:
     pairs = []
     for row in entries:
         pairs.append([parse_fraction_text(str(item), ring.variables) for item in row])
-    try:
-        return scalar_denominator(pairs, ring)
-    except (NotCausalError, GefError) as exc:
-        raise InputError(str(exc))
+    return scalar_denominator(pairs, ring)
 
 
 def load_controller(path: str, pf: PlantFraction) -> Mat:
@@ -175,15 +166,8 @@ def load_controller(path: str, pf: PlantFraction) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_str(x: PolyFraction) -> str:
-    if x.is_polynomial():
-        return format_canonical(x.as_polynomial())
-    return f"({format_canonical(x.num)})/({format_canonical(x.den)})"
-
-
 def _matrix_strings(mat: Mat) -> list[list[str]]:
-    return [[_fraction_str(e) if isinstance(e, PolyFraction) else format_canonical(e)
-             for e in mat.row(i)] for i in range(mat.rows)]
+    return [[str(e) for e in mat.row(i)] for i in range(mat.rows)]
 
 
 def plant_block(pf: PlantFraction) -> dict:
@@ -449,19 +433,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ParseError, NotCausalError, SimulationUnsupportedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NotStabilizableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     except (SynthesisInternalError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (SynthError, SimError, GefError, RingError) as exc:
+    except (InputError, ParseError, DigitLimitError, SynthError, SimError, GefError,
+            RingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -78,25 +78,15 @@ class PlantFraction:
 def scalar_denominator(entries, ring: RingModel) -> PlantFraction:
     """Scalar-denominator form of a plant given as numerator/denominator pairs.
 
-    `entries` is an n x m nested sequence whose items are (num, den)
-    polynomial pairs or PolyFraction values; pairs are taken as written, so
-    denominators supplied by the plant file are used directly when they
-    already live in the ring.  In the univariate case d is their least common
-    multiple, adjusted by a unit-constant multiplier search until d lies in
-    A \\ Z and every numerator entry lies in A; in the multivariate case d is
-    the product of the distinct denominators.
+    `entries` is an n x m nested sequence of (num, den) polynomial pairs,
+    taken as written, so denominators supplied by the plant file are used
+    directly when they already live in the ring.  In the univariate case d is
+    their least common multiple, adjusted by a unit-constant multiplier
+    search until d lies in A \\ Z and every numerator entry lies in A; in the
+    multivariate case d is the product of the distinct denominators.
     """
-    pairs: list[list[tuple[Polynomial, Polynomial]]] = []
-    for row in (entries.to_rows() if isinstance(entries, Mat) else entries):
-        out_row = []
-        for item in row:
-            if isinstance(item, PolyFraction):
-                out_row.append((item.num, item.den))
-            else:
-                num, den = item
-                out_row.append((num.with_variables(ring.variables),
-                                den.with_variables(ring.variables)))
-        pairs.append(out_row)
+    pairs = [[(num.with_variables(ring.variables), den.with_variables(ring.variables))
+              for num, den in row] for row in entries]
     n = len(pairs)
     m = len(pairs[0]) if n else 0
     if n < 1 or m < 1 or any(len(r) != m for r in pairs):

@@ -67,9 +67,6 @@ class MonomialOrder:
         front, back = exps[:self.front], exps[self.front:]
         return (-sum(front),) + front[::-1] + (-sum(back),) + back[::-1]
 
-    def cache_key(self):
-        return (self.kind, self.front)
-
     def __repr__(self):
         if self.kind == "block":
             return f"MonomialOrder('block', front={self.front})"
@@ -292,10 +289,6 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
 def normal_form(p: Polynomial, gb: GroebnerBasis, witness: bool = False):
     """Normal form of p modulo gb; optionally with cofactors over gb.generators."""
     p = p.with_variables(gb.variables)
-    if not gb.basis:
-        if witness:
-            return p, [Polynomial.zero(gb.variables) for _ in gb.generators]
-        return p
     if witness and gb.cofactors is None:
         raise ValueError("witness requested but basis lacks cofactors")
     work, scale = _integer_form(p)
@@ -341,19 +334,18 @@ class IdealHandle:
         self.variables = tuple(variables)
         self.gens = [g.with_variables(self.variables) for g in gens]
         self.relations = [r.with_variables(self.variables) for r in relations]
-        self._cache: dict[tuple, GroebnerBasis] = {}
+        self._basis: GroebnerBasis | None = None
 
     def all_gens(self) -> list[Polynomial]:
         return self.gens + self.relations
 
-    def groebner(self, order: MonomialOrder = GREVLEX,
-                 track_cofactors: bool = False) -> GroebnerBasis:
-        key = order.cache_key()
-        hit = self._cache.get(key)
-        if hit is not None and (hit.cofactors is not None or not track_cofactors):
-            return hit
-        gb = buchberger(self.all_gens(), self.variables, order, track_cofactors)
-        self._cache[key] = gb
+    def groebner(self, track_cofactors: bool = False) -> GroebnerBasis:
+        """The grevlex reduced basis of all generators, kept for later calls;
+        an untracked basis is recomputed once when cofactors are asked for."""
+        gb = self._basis
+        if gb is None or (track_cofactors and gb.cofactors is None):
+            gb = self._basis = buchberger(self.all_gens(), self.variables, GREVLEX,
+                                          track_cofactors)
         return gb
 
     def contains(self, p: Polynomial, witness: bool = False):
@@ -400,8 +392,8 @@ class IdealHandle:
         gens = _intersect_gens(self.all_gens(), other.all_gens(), self.variables)
         return IdealHandle(self.variables, gens, self.relations)
 
-    def reduced_basis(self, order: MonomialOrder = GREVLEX) -> list[Polynomial]:
-        return list(self.groebner(order).basis)
+    def reduced_basis(self) -> list[Polynomial]:
+        return list(self.groebner().basis)
 
     def __repr__(self):
         return (f"IdealHandle(vars={self.variables!r}, gens={len(self.gens)}, "

@@ -48,10 +48,6 @@ class Mat:
         return Mat(rows, cols, [fn(i, j) for i in range(rows) for j in range(cols)])
 
     @staticmethod
-    def identity(n: int, one, zero) -> "Mat":
-        return Mat.build(n, n, lambda i, j: one if i == j else zero)
-
-    @staticmethod
     def scalar_matrix(n: int, value, zero) -> "Mat":
         return Mat.build(n, n, lambda i, j: value if i == j else zero)
 

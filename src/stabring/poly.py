@@ -30,9 +30,11 @@ The module also provides the text grammar for polynomial expressions:
 
 Whitespace is insignificant.  A '-' sign binds looser than '^', so "-z^2" is
 -(z^2); every string produced by `format_canonical` parses back, and so does
-"1 + -3*z^2".  Parentheses may nest at most `MAX_NESTING` deep, and an
+"1 + -3*z^2".  Parentheses may nest at most `MAX_NESTING` deep, no exponent
+and no total degree of a power or product may pass `MAX_DEGREE`, and an
 integer longer than Python converts (`sys.get_int_max_str_digits`) is a
-`ParseError`.
+`ParseError`.  A rational past that limit is a `DigitLimitError` when it
+is formatted.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ class NotDivisibleError(PolyError):
 
 class NotUnivariateError(PolyError):
     """Raised when a univariate-only operation receives multivariate input."""
+
+
+class DigitLimitError(PolyError):
+    """Raised when a rational number has more digits than Python converts to text."""
 
 
 class Polynomial:
@@ -655,7 +661,10 @@ def format_canonical(p: Polynomial) -> str:
 
 
 def _fmt_rational(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise DigitLimitError(f"cannot print a number: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +675,10 @@ def _fmt_rational(c: Fraction) -> str:
 # Deepest parenthesis nesting the parser accepts; each level takes four
 # stack frames, so deeper input would otherwise end in a RecursionError.
 MAX_NESTING = 100
+
+# Largest exponent, and largest total degree of a power or product, the parser
+# expands: (1 + z)^100000 would otherwise be expanded in full.
+MAX_DEGREE = 1000
 
 
 class _Parser:
@@ -735,7 +748,10 @@ class _Parser:
     def term(self) -> Polynomial:
         value = self.factor()
         while self.take("*"):
-            value = value * self.factor()
+            other = self.factor()
+            if value.total_degree() + other.total_degree() > MAX_DEGREE:
+                self.error(f"product of degree past {MAX_DEGREE}")
+            value = value * other
         return value
 
     def factor(self) -> Polynomial:
@@ -744,7 +760,10 @@ class _Parser:
             negate = not negate
         value = self.base()
         if self.take("^"):
-            value = value ** self.integer()
+            exponent = self.integer()
+            if exponent * max(value.total_degree(), 1) > MAX_DEGREE:
+                self.error(f"power of exponent or degree past {MAX_DEGREE}")
+            value = value ** exponent
         return -value if negate else value
 
     def base(self) -> Polynomial:

@@ -399,10 +399,6 @@ def _as_fraction(value):
 
 def fraction_in_ring(x: PolyFraction, ring: RingModel) -> bool:
     """Whether a transfer function is an element of the stable ring."""
-    if len(ring.variables) <= 1:
-        if not x.is_polynomial():
-            return False
-        return membership(x.as_polynomial().with_variables(ring.variables), ring)
     try:
         h = divide_exact(x.num, x.den)
     except NotDivisibleError:
@@ -437,8 +433,7 @@ def gap_rows(factors: Iterable[Polynomial], ring: RingModel,
     return rows
 
 
-def unit_multiplier(targets: list[Polynomial], ring: RingModel,
-                    degree_bound: int | None = None) -> Polynomial | None:
+def unit_multiplier(targets: list[Polynomial], ring: RingModel) -> Polynomial | None:
     """A multiplier s with nonzero constant term sending every target into A.
 
     Solves the gap-coefficient constraints (w*s)_g = 0 for every semigroup
@@ -449,10 +444,9 @@ def unit_multiplier(targets: list[Polynomial], ring: RingModel,
     """
     if ring.kind != "monomial":
         return Polynomial.one(ring.variables)
-    if degree_bound is None:
-        degree_bound = ring.conductor + max((t.total_degree() for t in targets), default=0)
+    degree = ring.conductor + max((t.total_degree() for t in targets), default=0)
     # (w*s)_g = 0 with s_0 = 1 moved to the right side
-    full = gap_rows(targets, ring, degree_bound + 1)
+    full = gap_rows(targets, ring, degree + 1)
     rows = [row[1:] for row in full]
     rhs = [-row[0] for row in full]
     if not rows:

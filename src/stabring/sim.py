@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrixring import Mat
+from .poly import _fmt_rational
 from .ring import PolyFraction
 from .synth import IllPosedError, _scalar_fraction, closed_loop
 
@@ -89,17 +90,21 @@ class _Row:
     """One output channel as one difference equation, d(z) y = sum_j n_j(z) u_j.
 
     d is the common denominator of the row's entries and n_j = num_j d/den_j,
-    both scaled so that d(0) = 1.  The history is the loop signals themselves:
-    the shared input channels u_j and this row's own output y.
+    both scaled so that d(0) = 1; the feedthrough n_j(0)/d(0) equals
+    num_j(0)/den_j(0).  d is the lcm of the den_j, so d(0) = 0, which raises
+    NotCausalTFError, exactly when some den_j(0) = 0.  The history is the
+    loop signals themselves: the shared input channels u_j and this row's own
+    output y.
     """
 
     __slots__ = ("feed", "num_taps", "den_taps", "inputs", "outputs")
 
-    def __init__(self, row: Mat, eqs: list[DiffEq], variables: tuple[str, ...],
-                 inputs: list[list[Fraction]]):
+    def __init__(self, row: Mat, variables: tuple[str, ...], inputs: list[list[Fraction]]):
         N, d = _scalar_fraction(row, variables)
         den = d.univar_coeffs()
-        self.feed = [eq.feedthrough for eq in eqs]   # = n_j(0) / d(0)
+        if den[0] == 0:
+            raise NotCausalTFError("denominator needs a nonzero constant term")
+        self.feed = [n.constant_coeff() / den[0] for n in N.entries]
         self.num_taps = [_taps(n.univar_coeffs(), den[0]) for n in N.entries]
         self.den_taps = _taps(den, den[0])
         self.inputs = inputs
@@ -165,34 +170,31 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
     n, m = P.rows, P.cols
     if C.rows != m or C.cols != n:
         raise SimError("controller shape does not match the plant")
-    eqs_p = [[DiffEq.from_fraction(P[i, j]) for j in range(m)] for i in range(n)]
-    eqs_c = [[DiffEq.from_fraction(C[i, j]) for j in range(n)] for i in range(m)]
     used = sorted({v for e in P.entries + C.entries
                    for v in e.num.used_variables() + e.den.used_variables()})
     if len(used) > 1:
         raise SimulationUnsupportedError(
             f"the loop's entries use more than one variable ({', '.join(used)}); "
             "only univariate delay rings can be simulated")
+    e1 = [[] for _ in range(n)]
+    e2 = [[] for _ in range(m)]
+    variables = tuple(used)
+    plant = [_Row(P.take_rows([i]), variables, e2) for i in range(n)]
+    ctrl = [_Row(C.take_rows([i]), variables, e1) for i in range(m)]
     u1 = _pad(u1, n, steps)
     u2 = _pad(u2, m, steps)
 
     # instantaneous constraint: [E_n  F_P; -F_C  E_m] [e1; e2] = rhs, whose
     # inverse is the closed loop of the feedthrough matrices
     k = n + m
-    feed_p = Mat.build(n, m, lambda i, j: PolyFraction(eqs_p[i][j].feedthrough))
-    feed_c = Mat.build(m, n, lambda i, j: PolyFraction(eqs_c[i][j].feedthrough))
+    feed_p = Mat.from_rows([[PolyFraction(f) for f in row.feed] for row in plant])
+    feed_c = Mat.from_rows([[PolyFraction(f) for f in row.feed] for row in ctrl])
     try:
         H0 = closed_loop(feed_p, feed_c)
     except IllPosedError:
         raise AlgebraicLoopSingularError("det(E + P(0)*C(0)) = 0")
     inv = [[H0[r, c].as_polynomial().constant_coeff() for c in range(k)]
            for r in range(k)]
-
-    e1 = [[] for _ in range(n)]
-    e2 = [[] for _ in range(m)]
-    variables = tuple(used)
-    plant = [_Row(P.take_rows([i]), eqs_p[i], variables, e2) for i in range(n)]
-    ctrl = [_Row(C.take_rows([i]), eqs_c[i], variables, e1) for i in range(m)]
     y1 = [row.outputs for row in ctrl]
     y2 = [row.outputs for row in plant]
     for t in range(steps):
@@ -253,9 +255,6 @@ def trace_to_csv(trace: SignalTrace) -> str:
     for t in range(trace.steps()):
         row = [str(t)]
         for _, channels in groups:
-            for ch in channels:
-                v = ch[t]
-                row.append(str(v.numerator) if v.denominator == 1
-                           else f"{v.numerator}/{v.denominator}")
+            row += [_fmt_rational(ch[t]) for ch in channels]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -375,7 +375,6 @@ def closed_loop(P: Mat, C: Mat) -> Mat:
 @dataclass
 class VerificationReport:
     well_posed: bool
-    H: Mat | None                        # PolyFraction entries, (m+n) square
     entry_membership: list[list[bool]]
     ok: bool
     H_ring: Mat | None                   # polynomial entries when ok
@@ -390,14 +389,14 @@ def verify_stabilizing(P: Mat, C: Mat, ring: RingModel) -> VerificationReport:
     try:
         H = closed_loop(P, C)
     except IllPosedError:
-        return VerificationReport(False, None, [], False, None)
+        return VerificationReport(False, [], False, None)
     flags = [[fraction_in_ring(H[i, j], ring) for j in range(H.cols)]
              for i in range(H.rows)]
     ok = all(all(row) for row in flags)
     H_ring = None
     if ok:
         H_ring = H.map(lambda e: e.as_polynomial().with_variables(ring.variables))
-    return VerificationReport(True, H, flags, ok, H_ring)
+    return VerificationReport(True, flags, ok, H_ring)
 
 
 def transpose_duality_check(P: Mat, C: Mat, ring: RingModel | None = None) -> bool:

@@ -83,7 +83,7 @@ def test_criterion_04_synthesis_soundness(delay_plant, delay_decision):
         assert all(all(r) for r in flags)
         assert z_nonsingular(result.Den, delay_plant.ring)
         one = delay_plant.P.entries[0].one_like()
-        loop = Mat.identity(2, one, one.zero_like()) + delay_plant.P * result.C
+        loop = Mat.scalar_matrix(2, one, one.zero_like()) + delay_plant.P * result.C
         assert not loop.det().is_zero()
         assert result.report.well_posed
 

@@ -22,6 +22,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 DELAY = os.path.join(FIXTURES, "delay_plant.json")
 XY = os.path.join(FIXTURES, "xy_plant.json")
 SISO = os.path.join(FIXTURES, "siso_delay_plant.json")
+RING23 = {"kind": "monomial_subalgebra", "variable": "z", "generators": [2, 3]}
 
 
 def write_json(path, payload):
@@ -171,6 +172,32 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err and "usage:" in captured.err
 
+    @pytest.mark.parametrize("command,ring,entry,line", [
+        ("check", None, None, "error: cannot read /nonexistent/plant.json: [Errno 2] "
+                              "No such file or directory: '/nonexistent/plant.json'"),
+        ("check", dict(RING23, generators=[2, 4]), "z^2",
+         "error: exponent generators (2, 4) have gcd 2 != 1"),
+        ("check", RING23, "z/(1 - z^2)", "error: entry (1,1) is not causal"),
+        ("check", RING23, "1 +", "error: cannot parse transfer function '1 +'"),
+        ("simulate", {"kind": "polynomial_ring", "variables": ["x", "y"],
+                      "z_mode": "zero_ideal"}, "x/y",
+         "error: the loop's entries use more than one variable (x, y); "
+         "only univariate delay rings can be simulated"),
+    ], ids=["input_error", "ring_error", "not_causal_error", "parse_error",
+            "multivariate_simulation"])
+    def test_error_line(self, tmp_path, capsys, command, ring, entry, line):
+        argv = [command, "/nonexistent/plant.json"]
+        if ring is not None:
+            argv[1] = str(tmp_path / "plant.json")
+            write_json(argv[1], {"ring": ring, "inputs": 1, "outputs": 1,
+                                 "entries": [[entry]]})
+        if command == "simulate":
+            argv.append(str(tmp_path / "controller.json"))
+            write_json(argv[2], {"entries": [["0"]]})
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == line + "\n"
+
     def test_unit_test_disagreeing_with_is_unit_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(IdealHandle, "is_unit", lambda handle: (False, None))
         assert main(["check", DELAY]) == EXIT_INTERNAL
@@ -286,6 +313,21 @@ class TestSimulateCommand:
         assert "Traceback" not in captured.out + captured.err
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    def test_sample_past_the_digit_limit(self, tmp_path, capsys):
+        # a 2500-digit controller gain drives the loop signals past 4300 digits
+        ctl = tmp_path / "controller.json"
+        write_json(ctl, {"entries": [["3" * 2500]]})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["simulate", SISO, str(ctl), "--steps", "5"]) == EXIT_INPUT
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot print a number")
+        assert captured.err.count("\n") == 1
+
     def test_negative_steps(self, tmp_path, capsys):
         ctl = tmp_path / "controller.json"
         assert main(["synth", SISO, "-o", str(ctl)]) == EXIT_OK
@@ -362,6 +404,9 @@ _JUNK_ENTRIES = st.one_of(_JSON_VALUES, _LONG_NUMERALS,
                           st.text(alphabet="zqxyw0123456789+-*/() .", max_size=12))
 _NESTED_ENTRIES = st.sampled_from([3000, 300, 101, 100]).map(
     lambda k: "(" * k + "1" + ")" * k)
+# powers and products past the parser's degree bound, in the ring's first variable
+_HUGE_DEGREES = st.sampled_from(["{v}^2/(1 - {v}^2)^100000", "({v} + 1)^1001",
+                                 "{v}^600*{v}^600"])
 _JUNK_GENERATORS = st.one_of(
     st.sampled_from([[2, 3, 10 ** 30], [10 ** 30, 10 ** 30 + 1], [1001]]),
     st.lists(_JSON_SCALARS, max_size=4))
@@ -373,7 +418,7 @@ _JUNK_RINGS = st.one_of(_JSON_VALUES, st.fixed_dictionaries({}, optional={
 # one fault per plant at most, None for a well-formed plant; hypothesis draws
 # the first items of a list most often
 _FAULTS = ["numeral", "nesting", "generators", "entry", "ring", "ring_field", "counts",
-           "shape", "missing_key", "foreign_name", "top_level"] + [None] * 4
+           "shape", "missing_key", "foreign_name", "top_level", "degree"] + [None] * 4
 
 
 @st.composite
@@ -409,6 +454,8 @@ def _plants(draw):
         junk = {"entry": _JUNK_ENTRIES, "nesting": _NESTED_ENTRIES,
                 "numeral": _LONG_NUMERALS}[fault]
         plant["entries"][draw(st.integers(0, n - 1))][0] = draw(junk)
+    elif fault == "degree":
+        plant["entries"][0][0] = draw(_HUGE_DEGREES).format(v=names[0])
     elif fault == "foreign_name":
         plant["entries"][0][draw(st.integers(0, m - 1))] = draw(_poly_text(_NAMES))
     elif fault == "top_level":
@@ -566,23 +613,27 @@ class TestPidPlants:
 
 class TestHostilePlants:
     """Inputs the fuzz test above finds crashing, with a traceback and exit 1,
-    unless they are refused as input errors."""
+    or hanging, unless they are refused as input errors."""
 
-    @pytest.mark.parametrize("ring,entry", [
-        ({"kind": "monomial_subalgebra", "variable": "z", "generators": [2, 3]},
-         "(" * 3000 + "1" + ")" * 3000),
-        ({"kind": "monomial_subalgebra", "variable": "z", "generators": [2, 3, 10 ** 30]},
-         "1"),
-        ({"kind": "monomial_subalgebra", "variable": "z", "generators": [2, 3]},
-         "1" * 5000 + "*z^2"),
-    ], ids=["deep_parentheses", "huge_generator", "numeral_past_the_digit_limit"])
-    def test_rejected_as_input_error(self, tmp_path, capsys, ring, entry):
+    @pytest.mark.parametrize("command,ring,entry", [
+        ("check", RING23, "(" * 3000 + "1" + ")" * 3000),
+        ("check", {"kind": "monomial_subalgebra", "variable": "z",
+                   "generators": [2, 3, 10 ** 30]}, "1"),
+        ("check", RING23, "1" * 5000 + "*z^2"),
+        ("check", RING23, "z^2/(1 - z^2)^100000"),
+        # under the digit limit on input, past it in the report's products
+        ("gef", RING23, "z^2/(1 - " + "3" * 2500 + "*z^2)"),
+        ("synth", RING23, "z^2/(1 - " + "3" * 2500 + "*z^2)"),
+    ], ids=["deep_parentheses", "huge_generator", "numeral_past_the_digit_limit",
+            "degree_past_the_bound", "gef_coefficient_past_the_digit_limit",
+            "synth_coefficient_past_the_digit_limit"])
+    def test_rejected_as_input_error(self, tmp_path, capsys, command, ring, entry):
         path = tmp_path / "plant.json"
         write_json(path, {"ring": ring, "inputs": 1, "outputs": 1, "entries": [[entry]]})
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
-            assert main(["check", str(path)]) == EXIT_INPUT
+            assert main([command, str(path)]) == EXIT_INPUT
         finally:
             sys.set_int_max_str_digits(limit)
         captured = capsys.readouterr()

@@ -36,7 +36,7 @@ class TestDetAdjugate:
         assert adj.to_rows() == [[sym("d"), -sym("b")], [-sym("c"), sym("a")]]
 
     def test_identity(self):
-        e3 = Mat.identity(3, Polynomial.one(()), Polynomial.zero(()))
+        e3 = Mat.scalar_matrix(3, Polynomial.one(()), Polynomial.zero(()))
         assert e3.det() == Polynomial.one(())
 
     def test_adjugate_identity_random(self):
@@ -105,7 +105,7 @@ class TestEnumerate:
 
 class TestMinorIdeal:
     def test_identity(self):
-        e2 = Mat.identity(2, Polynomial.one(()), Polynomial.zero(()))
+        e2 = Mat.scalar_matrix(2, Polynomial.one(()), Polynomial.zero(()))
         assert minor_ideal(e2, 2) == [Polynomial.one(())]
 
     def test_column(self):
@@ -131,7 +131,7 @@ class TestExpansions:
         # det(E R] * [A; B]) = sum over index sets of products of minors
         rng = random.Random(31)
         for m, n in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:
-            e_mat = Mat.identity(m, Polynomial.one(()), Polynomial.zero(()))
+            e_mat = Mat.scalar_matrix(m, Polynomial.one(()), Polynomial.zero(()))
             r_mat = _random_poly_matrix(rng, m, n, degree=1)
             a_mat = _random_poly_matrix(rng, m, m, degree=1)
             b_mat = _random_poly_matrix(rng, n, m, degree=1)

@@ -1,14 +1,15 @@
 """Polynomial arithmetic, parsing, exact division, gcd, and formatting."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabring.poly import (NotDivisibleError, ParseError, Polynomial, PolyError,
-                           UnknownVariableError, divide_exact,
+from stabring.poly import (DigitLimitError, NotDivisibleError, ParseError, Polynomial,
+                           PolyError, UnknownVariableError, divide_exact,
                            format_canonical, gcd_univariate, parse_poly)
 
 Z = ("z",)
@@ -283,6 +284,16 @@ class TestFormat:
     def test_multivariate_tie_break(self):
         assert format_canonical(parse_poly("y + x", XY)) == "x + y"
 
+    def test_coefficient_past_the_digit_limit(self):
+        p = Polynomial.const(Fraction(1, 10 ** 4300), Z)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(DigitLimitError):
+                format_canonical(p)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 def _random_poly(rng, variables, degree=4, terms=4):
     p = Polynomial.zero(variables)
@@ -509,3 +520,15 @@ class TestParseNesting:
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError):
             zp("(" * 5000 + "z" + ")" * 5000)
+
+
+class TestParseDegree:
+    def test_degree_bound(self):
+        assert zp("z^10 * (z^2)^495") == zp("z^1000")
+        assert zp("1^1000 * 3") == zp("3")
+
+    @pytest.mark.parametrize("text", ["(1 - z^2)^100000", "z^1001", "(z^2)^501",
+                                      "z^500 * z^501", "2^1001", "0^5000"])
+    def test_past_the_bound_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="past 1000"):
+            zp(text)

@@ -270,7 +270,7 @@ class TestSynthesize:
         P, C = delay_plant.P, delay_controller.C
         m = delay_plant.m
         one = P.entries[0].one_like()
-        E_m = Mat.identity(m, one, one.zero_like())
+        E_m = Mat.scalar_matrix(m, one, one.zero_like())
         inner = E_m + C * P
         det = inner.det()
         inv = inner.adjugate().map(lambda e: e * det.inverse())
@@ -278,7 +278,7 @@ class TestSynthesize:
         num_frac = delay_controller.Num.map(PolyFraction.from_poly)
         assert inv == den_frac
         n = delay_plant.n
-        E_n = Mat.identity(n, one, one.zero_like())
+        E_n = Mat.scalar_matrix(n, one, one.zero_like())
         outer = E_n + P * C
         det_o = outer.det()
         inv_o = outer.adjugate().map(lambda e: e * det_o.inverse())
@@ -287,7 +287,7 @@ class TestSynthesize:
     def test_zero_plant(self, zero_plant):
         result = synthesize(zero_plant)
         assert all(e.is_zero() for e in result.C.entries)
-        expected = Mat.identity(3, zp("1"), zp("0"))
+        expected = Mat.scalar_matrix(3, zp("1"), zp("0"))
         assert result.H == expected
         assert not result.repair_applied
 
@@ -323,7 +323,7 @@ class TestVerifyStabilizing:
         C = Mat.from_rows([[PolyFraction(zp("0")), PolyFraction(zp("0"))]])
         report = verify_stabilizing(zero_plant.P, C, zero_plant.ring)
         assert report.ok
-        assert report.H_ring == Mat.identity(3, zp("1"), zp("0"))
+        assert report.H_ring == Mat.scalar_matrix(3, zp("1"), zp("0"))
 
     def test_zero_controller_rejected(self, delay_plant):
         C = Mat.from_rows([[PolyFraction(zp("0")), PolyFraction(zp("0"))]])
@@ -375,8 +375,8 @@ def _fraction_inverse(M):
 def _fraction_closed_loop(P, C):
     """Reference closed loop: (E + P C)^-1 and (E + C P)^-1 in the fraction field."""
     one = P.entries[0].one_like()
-    E_n = Mat.identity(P.rows, one, one.zero_like())
-    E_m = Mat.identity(P.cols, one, one.zero_like())
+    E_n = Mat.scalar_matrix(P.rows, one, one.zero_like())
+    E_m = Mat.scalar_matrix(P.cols, one, one.zero_like())
     H11 = _fraction_inverse(E_n + P * C)
     H22 = _fraction_inverse(E_m + C * P)
     return H11.hstack(-(P * H22)).vstack((C * H11).hstack(H22))
