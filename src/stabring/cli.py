@@ -103,8 +103,8 @@ def parse_fraction_text(text: str, variables: tuple[str, ...]) -> tuple[Polynomi
     """Split "num/den" at a top-level '/', falling back to a plain polynomial."""
     try:
         return parse_fraction(text, variables)
-    except ParseError:
-        raise InputError(f"cannot parse transfer function {text!r}")
+    except ParseError as exc:
+        raise InputError(f"cannot parse transfer function {text!r}: {exc}")
 
 
 def _read_json(path: str):

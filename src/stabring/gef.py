@@ -166,11 +166,6 @@ class GefEntry:
     handle: IdealHandle            # lifted ideal in the presentation ring
     singular: bool
 
-    def contains(self, lam: Polynomial, pres: Presentation) -> bool:
-        if self.singular:
-            return lam.is_zero()
-        return self.handle.contains(pres.lift(lam))
-
 
 @dataclass
 class GefResult:

@@ -7,20 +7,21 @@ computations, which makes the engine operate modulo a quotient-ring
 presentation while staying inside an ordinary polynomial ring.
 
 Reduction is the kernel of the polynomial module, `poly._reduce_full`, which
-`poly.divide_exact` runs with one divisor: it keeps the pending polynomial as
-integer coefficients over one common denominator and its monomials in a heap
-keyed on the order's `descending_key`, so each step pops the greatest
-pending term instead of rescanning them all.  Basis elements are kept monic,
-each with its lead and an integer tail computed once (`poly._Divisor`).
-Division quotients are formed only when cofactors are tracked
-(`track_cofactors`, witnesses, Bezout certificates); colon, intersection and
-elimination never ask for them.
+`poly.divide_exact` runs with one divisor.  It works on the stored form of a
+polynomial, integer numerators over one common denominator, and keeps the
+pending monomials in a heap keyed on the order's `descending_key`, so each
+step pops the greatest pending term instead of rescanning them all.  Basis
+elements are kept monic, each with its lead and an integer tail computed
+once (`poly._Divisor`).  Division quotients, integers over the scale of the
+remainder, are formed only when cofactors are tracked (`track_cofactors`,
+witnesses, Bezout certificates); colon, intersection and elimination never
+ask for them.
 
 Determinism: the selection strategy is sugar with a fixed tie-break by
-(order key of the pair lcm, input index), reducers are chosen by basis
-index, and the reduced basis is sorted by leading monomial.  Each reduction
-step is fixed by the exact polynomial still pending, and the heap and the
-integer form change only how that polynomial is stored, so identical inputs
+(order of the pair lcm, input index), reducers are chosen by basis index,
+and the reduced basis is sorted by leading monomial.  Each reduction step is
+fixed by the exact polynomial still pending, and the heap and the common
+denominator change only how that polynomial is stored, so identical inputs
 produce identical bases and identical certificates.
 """
 
@@ -32,8 +33,7 @@ from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .poly import (Exponents, Polynomial, _Divisor, _from_integer_form,
-                   _grevlex_descending_key, _grevlex_key, _integer_form, _reduce_full)
+from .poly import Exponents, Polynomial, _Divisor, _grevlex_descending_key, _reduce_full
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -50,13 +50,6 @@ class MonomialOrder:
             raise ValueError(f"unknown order kind {kind!r}")
         self.kind = kind
         self.front = front
-
-    def key(self, exps: Exponents):
-        if self.kind == "lex":
-            return exps
-        if self.kind == "grevlex":
-            return _grevlex_key(exps)
-        return (_grevlex_key(exps[:self.front]), _grevlex_key(exps[self.front:]))
 
     def descending_key(self, exps: Exponents) -> tuple[int, ...]:
         """Flat tuple that sorts ascending exactly when monomials sort descending."""
@@ -88,14 +81,15 @@ def elimination_order(front_count: int) -> MonomialOrder:
 
 
 def _lead(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fraction]:
-    exps = max((e for e, _ in p.items()), key=order.key)
+    exps = min(p._terms, key=order.descending_key)
     return exps, p.coeff(exps)
 
 
-def _mul_term(p: Polynomial, shift: Exponents, coeff: Fraction) -> Polynomial:
+def _mul_term(p: Polynomial, shift: Exponents, coeff: Fraction | int) -> Polynomial:
     """p * coeff * x^shift for a nonzero coeff."""
     return Polynomial._from_clean(
-        {tuple(map(add, exps, shift)): c * coeff for exps, c in p.items()}, p.variables)
+        {tuple(map(add, exps, shift)): c * coeff.numerator for exps, c in p._terms.items()},
+        p._den * coeff.denominator, p.variables)
 
 
 def _exp_divides(a: Exponents, b: Exponents) -> bool:
@@ -186,16 +180,14 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         li, lj = divs[i].lead, divs[j].lead
         lcm = _exp_lcm(li, lj)
         sugar = max(sugars[i] + sum(_exp_sub(lcm, li)), sugars[j] + sum(_exp_sub(lcm, lj)))
-        return (sugar, order.key(lcm), i, j)
+        return (sugar, tuple(-k for k in order.descending_key(lcm)), i, j)
 
     def add_element(terms: dict[Exponents, int], scale: int, lexp: Exponents,
                     cof: list[Polynomial] | None, sugar: int):
         """Gebauer-Moeller pair update, then append terms / scale, made monic."""
         nonlocal pairs
-        if track:
-            lcoeff = Fraction(terms[lexp], scale)
-            if lcoeff != 1:
-                cof = [c.scale(Fraction(1) / lcoeff) for c in cof]
+        if track and terms[lexp] != scale:
+            cof = [c.scale(Fraction(scale, terms[lexp])) for c in cof]
         leads = [d.lead for d in divs]
         t = len(divs)
         kept = {}
@@ -209,7 +201,7 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         for i in range(t):
             lcm_groups.setdefault(_exp_lcm(leads[i], lexp), []).append(i)
         minimal: list[Exponents] = []
-        for lcm in sorted(lcm_groups, key=order.key):
+        for lcm in sorted(lcm_groups, key=order.descending_key, reverse=True):
             if all(not _exp_divides(prev, lcm) for prev in minimal):
                 minimal.append(lcm)
         divs.append(_Divisor(terms, lexp))
@@ -226,8 +218,7 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        terms, scale = _integer_form(g)
-        add_element(terms, scale, _lead(g, order)[0], unit_cof(i) if track else None,
+        add_element(g._terms, g._den, _lead(g, order)[0], unit_cof(i) if track else None,
                     g.total_degree())
 
     while pairs:
@@ -247,19 +238,19 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         if not track:
             add_element(rem, scale, lexp, None, sugar)
             continue
-        one = Fraction(1)
-        scof = [_mul_term(a, si, one) - _mul_term(b, sj, one)
+        scof = [_mul_term(a, si, 1) - _mul_term(b, sj, 1)
                 for a, b in zip(cofs[i], cofs[j])]
         for q, cof_k in zip(quot, cofs):
             if q:
-                q = Polynomial._from_clean(q, variables)
+                q = Polynomial._from_clean(q, scale, variables)
                 scof = [a - q * b for a, b in zip(scof, cof_k)]
         add_element(rem, scale, lexp, scof, sugar)
 
     # minimal basis in ascending lead order; reducing an element by the others
     # keeps its lead (no other lead divides it) and its lead coefficient 1
     minimal_idx: list[int] = []
-    for k in sorted(range(len(divs)), key=lambda k: order.key(divs[k].lead)):
+    for k in sorted(range(len(divs)), key=lambda k: order.descending_key(divs[k].lead),
+                    reverse=True):
         if all(not _exp_divides(divs[j].lead, divs[k].lead) for j in minimal_idx):
             minimal_idx.append(k)
 
@@ -267,16 +258,16 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
     basis_cofs: list[list[Polynomial]] = []
     for k in minimal_idx:
         others = [j for j in minimal_idx if j != k]
-        work, scale = divs[k].integer_form()
+        work, scale = divs[k].terms()
         rem, scale, quot = _reduce_full(work, scale, [divs[j] for j in others],
                                         order.descending_key,
                                         want_quotients=track)
-        basis.append(_from_integer_form(rem, scale, variables))
+        basis.append(Polynomial._from_clean(rem, scale, variables))
         if track:
             cof = cofs[k]
             for q, j in zip(quot, others):
                 if q:
-                    q = Polynomial._from_clean(q, variables)
+                    q = Polynomial._from_clean(q, scale, variables)
                     cof = [a - q * b for a, b in zip(cof, cofs[j])]
             basis_cofs.append(cof)
 
@@ -291,16 +282,15 @@ def normal_form(p: Polynomial, gb: GroebnerBasis, witness: bool = False):
     p = p.with_variables(gb.variables)
     if witness and gb.cofactors is None:
         raise ValueError("witness requested but basis lacks cofactors")
-    work, scale = _integer_form(p)
-    rem, scale, quot = _reduce_full(work, scale, gb._divisors, gb.order.descending_key,
-                                    want_quotients=witness)
-    rem = _from_integer_form(rem, scale, gb.variables)
+    rem, scale, quot = _reduce_full(dict(p._terms), p._den, gb._divisors,
+                                    gb.order.descending_key, want_quotients=witness)
+    rem = Polynomial._from_clean(rem, scale, gb.variables)
     if not witness:
         return rem
     coeffs = [Polynomial.zero(gb.variables) for _ in gb.generators]
     for q, cof in zip(quot, gb.cofactors):
         if q:
-            q = Polynomial._from_clean(q, gb.variables)
+            q = Polynomial._from_clean(q, scale, gb.variables)
             coeffs = [a + q * b for a, b in zip(coeffs, cof)]
     return rem, coeffs
 

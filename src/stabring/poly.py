@@ -1,24 +1,21 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is stored as a dictionary mapping exponent tuples to nonzero
-`Fraction` coefficients, relative to an ordered tuple of ambient variable
-names.  The zero polynomial is the empty dictionary.  All arithmetic is
-exact; no floating point is used anywhere.
+A polynomial over an ordered tuple of ambient variable names is stored in one
+canonical form: `_terms` maps exponent tuples to nonzero integer numerators
+over one positive denominator `_den`, and no factor divides `_den` and all
+numerators.  The zero polynomial is the empty dictionary over 1.  The
+arithmetic is exact and multiplies and adds plain integers; coefficients
+leave the class as reduced `Fraction`s (`items`, `coeff`).  `__init__`
+validates everything built from outside (the parser, `const`, `var`, tests);
+results of the arithmetic go through `Polynomial._from_clean`, which only
+divides out the common factor.  The univariate gcd is a primitive remainder
+sequence over the integers, made monic only at the end.
 
-`Fraction`s are the boundary form.  Inside products and exact division a
-polynomial is in integer form (`_integer_form`): integer coefficients over
-one positive common denominator, so the inner loops multiply and add plain
-integers and one `Fraction` is formed per output term.  `__init__` validates
-everything built from outside (the parser, `const`, `var`, tests); results of
-the arithmetic already satisfy its invariants and are wrapped without
-re-checking by `Polynomial._from_clean`.  The univariate gcd is a primitive
-remainder sequence over the integers, made monic only at the end.
-
-`_reduce_full` is the one reduction kernel: the full normal form of an
-integer-form polynomial modulo monic divisors (`_Divisor`) in any monomial
-order, given by its flat descending key, with the quotients on request.
-`divide_exact` runs it with one grevlex divisor, and the Groebner engine
-with the basis.
+`_reduce_full` is the one reduction kernel: the full normal form of
+integer numerators over a scale modulo monic divisors (`_Divisor`) in any
+monomial order, given by its flat descending key, with the quotients on
+request.  `divide_exact` runs it with one grevlex divisor, and the Groebner
+engine with the basis.
 
 The module also provides the text grammar for polynomial expressions:
 
@@ -31,7 +28,8 @@ The module also provides the text grammar for polynomial expressions:
 Whitespace is insignificant.  A '-' sign binds looser than '^', so "-z^2" is
 -(z^2); every string produced by `format_canonical` parses back, and so does
 "1 + -3*z^2".  Parentheses may nest at most `MAX_NESTING` deep, no exponent
-and no total degree of a power or product may pass `MAX_DEGREE`, and an
+and no total degree of a power or product may pass `MAX_DEGREE`, no power or
+product that could have more than `MAX_TERMS` terms is expanded, and an
 integer longer than Python converts (`sys.get_int_max_str_digits`) is a
 `ParseError`.  A rational past that limit is a `DigitLimitError` when it
 is formatted.
@@ -49,8 +47,6 @@ Exponents = tuple[int, ...]
 
 # Exact rational scalar used throughout; arbitrary precision, always reduced.
 Rational = Fraction
-
-_ZERO = Fraction(0)
 
 
 class PolyError(Exception):
@@ -84,7 +80,7 @@ class DigitLimitError(PolyError):
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("variables", "_terms")
+    __slots__ = ("variables", "_terms", "_den")
 
     def __init__(self, terms: dict[Exponents, Fraction] | None, variables: Iterable[str]):
         variables = tuple(variables)
@@ -101,22 +97,33 @@ class Polynomial:
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise PolyError(f"bad exponent vector {exps!r} for variables {variables!r}")
                 clean[exps] = c
+        # the lcm of reduced denominators shares no factor with all the numerators
+        den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", {e: c.numerator * (den // c.denominator)
+                                            for e, c in clean.items()})
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
 
     @staticmethod
-    def _from_clean(terms: dict[Exponents, Fraction], variables: tuple[str, ...]) -> "Polynomial":
-        """Wrap terms that already satisfy the invariants, without re-checking them.
+    def _from_clean(terms: dict[Exponents, int], den: int,
+                    variables: tuple[str, ...]) -> "Polynomial":
+        """The polynomial sum terms[e] / den * x^e, in canonical form.
 
         For internal results only: `terms` maps valid exponent tuples to
-        nonzero `Fraction`s over the distinct `variables`, and is not copied.
+        nonzero integers over the distinct `variables`, `den` is positive, and
+        `terms` is kept when nothing divides out.
         """
+        g = math.gcd(den, *terms.values())
+        if g != 1:
+            terms = {e: c // g for e, c in terms.items()}
+            den //= g
         p = object.__new__(Polynomial)
         object.__setattr__(p, "variables", variables)
         object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_den", den)
         return p
 
     # -- constructors ------------------------------------------------------
@@ -145,7 +152,7 @@ class Polynomial:
     # -- basic structure ---------------------------------------------------
 
     def items(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self._terms.items())
+        return ((e, Fraction(c, self._den)) for e, c in self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -154,7 +161,7 @@ class Polynomial:
         return all(all(e == 0 for e in exps) for exps in self._terms)
 
     def constant_coeff(self) -> Fraction:
-        return self._terms.get((0,) * len(self.variables), _ZERO)
+        return self.coeff((0,) * len(self.variables))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -171,11 +178,12 @@ class Polynomial:
         return tuple(v for v in self.variables if v in used)
 
     def coeff(self, exps: Exponents) -> Fraction:
-        return self._terms.get(tuple(exps), _ZERO)
+        return Fraction(self._terms.get(tuple(exps), 0), self._den)
 
     def _signature(self):
-        return frozenset(
-            (tuple((v, e) for v, e in zip(self.variables, exps) if e), coeff)
+        """The form compared across variable tuples; it ignores their order."""
+        return self._den, frozenset(
+            (frozenset((v, e) for v, e in zip(self.variables, exps) if e), coeff)
             for exps, coeff in self._terms.items()
         )
 
@@ -183,7 +191,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.variables == other.variables:
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         return self._signature() == other._signature()
 
     def __hash__(self):
@@ -212,14 +220,14 @@ class Polynomial:
         if missing:
             raise PolyError(f"cannot drop used variables {missing!r}")
         old_idx = [pos.get(v) for v in self.variables]
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, int] = {}
         for exps, coeff in self._terms.items():
             new = [0] * len(variables)
             for i, e in enumerate(exps):
                 if e:
                     new[old_idx[i]] = e
             terms[tuple(new)] = coeff
-        return Polynomial._from_clean(terms, variables)
+        return Polynomial._from_clean(terms, self._den, variables)
 
     @staticmethod
     def merge_variables(a: "Polynomial", b: "Polynomial") -> tuple[str, ...]:
@@ -246,7 +254,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._from_clean({e: -c for e, c in self._terms.items()}, self.variables)
+        return Polynomial._from_clean({e: -c for e, c in self._terms.items()}, self._den,
+                                      self.variables)
 
     def __sub__(self, other):
         other = _coerce(other, self.variables)
@@ -268,17 +277,14 @@ class Polynomial:
         a, b = self._aligned(other)
         if len(a._terms) < len(b._terms):
             a, b = b, a
-        ta, da = _integer_form(a)
-        tb, db = _integer_form(b)
         acc: dict[Exponents, int] = {}
         get = acc.get
-        for e1, c1 in ta.items():
-            for e2, c2 in tb.items():
+        for e1, c1 in a._terms.items():
+            for e2, c2 in b._terms.items():
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
-        den = da * db
-        return Polynomial._from_clean(
-            {e: Fraction(v, den) for e, v in acc.items() if v}, a.variables)
+        return Polynomial._from_clean({e: v for e, v in acc.items() if v},
+                                      a._den * b._den, a.variables)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -289,8 +295,8 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero(self.variables)
-        return Polynomial._from_clean({e: k * c for e, k in self._terms.items()},
-                                      self.variables)
+        return Polynomial._from_clean({e: k * c.numerator for e, k in self._terms.items()},
+                                      self._den * c.denominator, self.variables)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -321,12 +327,12 @@ class Polynomial:
             raise PolyError(f"no value for {missing!r}")
         total = Fraction(0)
         for exps, coeff in self._terms.items():
-            val = coeff
+            val = Fraction(coeff)
             for v, e in zip(self.variables, exps):
                 if e:
                     val *= Fraction(point[v]) ** e
             total += val
-        return total
+        return total / self._den
 
     # -- univariate views ----------------------------------------------------
 
@@ -342,7 +348,7 @@ class Polynomial:
         idx = self.variables.index(used[0])
         deg = max(exps[idx] for exps in self._terms)
         out = [Fraction(0)] * (deg + 1)
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.items():
             out[exps[idx]] = coeff
         return out
 
@@ -370,45 +376,21 @@ def _coerce(value, variables) -> "Polynomial":
 
 def _add_terms(a: Polynomial, b: Polynomial, subtract: bool) -> Polynomial:
     """a + b, or a - b with `subtract`, for polynomials over the same variables."""
-    terms = dict(a._terms)
+    den = math.lcm(a._den, b._den)
+    ma, mb = den // a._den, (-1 if subtract else 1) * (den // b._den)
+    terms = {e: c * ma for e, c in a._terms.items()} if ma != 1 else dict(a._terms)
     for exps, coeff in b._terms.items():
-        old = terms.get(exps)
-        if old is None:
-            terms[exps] = -coeff if subtract else coeff
-            continue
-        s = old - coeff if subtract else old + coeff
+        s = terms.get(exps, 0) + coeff * mb
         if s:
             terms[exps] = s
         else:
             del terms[exps]
-    return Polynomial._from_clean(terms, a.variables)
-
-
-def _integer_form(p: Polynomial) -> tuple[dict[Exponents, int], int]:
-    """(terms, scale) with integer terms and p = sum terms[e] / scale * x^e.
-
-    `scale` is the positive lcm of the coefficient denominators.
-    """
-    scale = math.lcm(*(c.denominator for c in p._terms.values()))
-    if scale == 1:
-        return {e: c.numerator for e, c in p._terms.items()}, 1
-    return {e: c.numerator * (scale // c.denominator) for e, c in p._terms.items()}, scale
-
-
-def _from_integer_form(terms: dict[Exponents, int], scale: int,
-                       variables: tuple[str, ...]) -> Polynomial:
-    """The polynomial sum terms[e] / scale * x^e; every term must be nonzero."""
-    return Polynomial._from_clean({e: Fraction(a, scale) for e, a in terms.items()},
-                                  variables)
+    return Polynomial._from_clean(terms, den, a.variables)
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def _grevlex_key(exps: Exponents):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def _grevlex_descending_key(exps: Exponents) -> tuple[int, ...]:
@@ -436,10 +418,9 @@ class _Divisor:
     @staticmethod
     def of(p: Polynomial, key) -> "_Divisor":
         """The monic multiple of the nonzero p, its lead taken in the order of `key`."""
-        terms = _integer_form(p)[0]
-        return _Divisor(terms, min(terms, key=key))
+        return _Divisor(p._terms, min(p._terms, key=key))
 
-    def integer_form(self) -> tuple[dict[Exponents, int], int]:
+    def terms(self) -> tuple[dict[Exponents, int], int]:
         terms = {self.lead: self.den}
         terms.update(self.tail)
         return terms, self.den
@@ -449,12 +430,12 @@ def _reduce_full(work: dict[Exponents, int], scale: int, divisors: list[_Divisor
                  key, want_quotients: bool = False):
     """Full normal form of work / scale modulo the divisors.
 
-    `work` and `scale` are an integer form (`_integer_form`), and `key` is the
-    flat descending key of the monomial order (`_grevlex_descending_key`,
+    `work` maps monomials to nonzero integers over the positive `scale`, and
+    `key` is the flat descending key of the monomial order (`_grevlex_descending_key`,
     `groebner.MonomialOrder.descending_key`).  Returns (remainder, scale,
-    quotients): the remainder in integer form over the returned scale, in
-    descending monomial order, and with want_quotients one dict of `Fraction`
-    coefficients per divisor (else None).  `work` is consumed.
+    quotients): integers over the returned scale, the remainder in descending
+    monomial order and with want_quotients one dict per divisor (else None).
+    `work` is consumed.
 
     Each step takes the greatest pending term and reduces it by the first
     divisor whose lead divides it, else moves it to the remainder.  Pending
@@ -474,8 +455,9 @@ def _reduce_full(work: dict[Exponents, int], scale: int, divisors: list[_Divisor
             if all(map(le, d.lead, exps)):
                 shift = tuple(map(sub, exps, d.lead))
                 if quotients is not None:
-                    # exps only decreases, so no shift repeats for one idx
-                    quotients[idx][shift] = Fraction(w, scale)
+                    # exps only decreases, so no shift repeats for one idx;
+                    # the scale only grows by factors, so it is rescaled below
+                    quotients[idx][shift] = (w, scale)
                 # work/scale - (w/scale)*(a/den) == (work*m - (w/g)*a) / (scale*m)
                 g = math.gcd(w, d.den)
                 factor, m = w // g, d.den // g
@@ -501,6 +483,9 @@ def _reduce_full(work: dict[Exponents, int], scale: int, divisors: list[_Divisor
                 break
         else:
             remainder[exps] = w
+    if quotients is not None:
+        quotients = [{e: w if s == scale else w * (scale // s) for e, (w, s) in q.items()}
+                     for q in quotients]
     return remainder, scale, quotients
 
 
@@ -519,20 +504,17 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
         return a.scale(1 / b.constant_coeff())
     divisor = _Divisor.of(b, _grevlex_descending_key)
     # the kernel divides by the monic b / lc(b), so it is handed a / lc(b):
-    # the integer form of a times den / num, with the sign moved into den
-    lc = b.coeff(divisor.lead)
-    num, den = lc.numerator, lc.denominator
+    # lc(b) = num / b._den, and the sign of num moves into the numerators
+    num, den = b._terms[divisor.lead], b._den
     if num < 0:
         num, den = -num, -den
-    work, scale = _integer_form(a)
-    if den != 1:
-        work = {e: c * den for e, c in work.items()}
-    rem, _, (quot,) = _reduce_full(work, scale * num, [divisor], _grevlex_descending_key,
-                                   want_quotients=True)
+    work = {e: c * den for e, c in a._terms.items()}
+    rem, scale, (quot,) = _reduce_full(work, a._den * num, [divisor],
+                                       _grevlex_descending_key, want_quotients=True)
     if rem:
         raise NotDivisibleError(
             f"{format_canonical(p)} is not divisible by {format_canonical(q)}")
-    return Polynomial._from_clean(quot, a.variables)
+    return Polynomial._from_clean(quot, scale, a.variables)
 
 
 def _primitive(coeffs: list[int]) -> list[int]:
@@ -545,9 +527,11 @@ def _primitive_coeffs(p: Polynomial) -> list[int]:
     """Dense ascending integer coefficients of the primitive part of a univariate p."""
     if p.is_zero():
         return []
-    coeffs = p.univar_coeffs()
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive([c.numerator * (scale // c.denominator) for c in coeffs])
+    # at most one variable is used, so the total degree is its exponent
+    coeffs = [0] * (p.total_degree() + 1)
+    for exps, c in p._terms.items():
+        coeffs[sum(exps)] = c
+    return _primitive(coeffs)
 
 
 def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
@@ -641,7 +625,7 @@ def format_canonical(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for exps, coeff in sorted(p._terms.items(), key=_term_order_key):
+    for exps, coeff in sorted(p.items(), key=_term_order_key):
         mono = "*".join(
             v if e == 1 else f"{v}^{e}"
             for v, e in zip(p.variables, exps) if e
@@ -679,6 +663,10 @@ MAX_NESTING = 100
 # Largest exponent, and largest total degree of a power or product, the parser
 # expands: (1 + z)^100000 would otherwise be expanded in full.
 MAX_DEGREE = 1000
+
+# Most terms a power or product the parser expands may have: under the degree
+# bound (x + y + 1)^1000 still has 501501 terms, and expanding it takes hours.
+MAX_TERMS = 2000
 
 
 class _Parser:
@@ -749,8 +737,11 @@ class _Parser:
         value = self.factor()
         while self.take("*"):
             other = self.factor()
-            if value.total_degree() + other.total_degree() > MAX_DEGREE:
+            degree = value.total_degree() + other.total_degree()
+            if degree > MAX_DEGREE:
                 self.error(f"product of degree past {MAX_DEGREE}")
+            self.bound_terms("product", len(value._terms) * len(other._terms), degree,
+                             value, other)
             value = value * other
         return value
 
@@ -763,8 +754,19 @@ class _Parser:
             exponent = self.integer()
             if exponent * max(value.total_degree(), 1) > MAX_DEGREE:
                 self.error(f"power of exponent or degree past {MAX_DEGREE}")
+            self.bound_terms("power", len(value._terms) ** exponent,
+                             exponent * value.total_degree(), value)
             value = value ** exponent
         return -value if negate else value
+
+    def bound_terms(self, what: str, count: int, degree: int, *operands: Polynomial):
+        """Refuse a result of at most `count` terms and total `degree` that could
+        have more than `MAX_TERMS`: in v variables it has at most C(degree + v, v)."""
+        if count <= MAX_TERMS:
+            return
+        v = len(set().union(*(p.used_variables() for p in operands)))
+        if math.comb(degree + v, v) > MAX_TERMS:
+            self.error(f"{what} of more than {MAX_TERMS} terms")
 
     def base(self) -> Polynomial:
         ch = self.peek()
@@ -802,14 +804,18 @@ class _Parser:
         self.error("expected a number, variable, or '('")
 
 
-def parse_poly(text: str, variables: Iterable[str]) -> Polynomial:
-    """Parse an expression into expanded canonical form."""
-    parser = _Parser(text, tuple(variables))
+def _parse_rest(parser: _Parser) -> Polynomial:
+    """The expression from the parser's position to the end of its text."""
     value = parser.expr()
     parser.skip_ws()
     if parser.pos != len(parser.text):
         parser.error("unexpected trailing input")
     return value
+
+
+def parse_poly(text: str, variables: Iterable[str]) -> Polynomial:
+    """Parse an expression into expanded canonical form."""
+    return _parse_rest(_Parser(text, tuple(variables)))
 
 
 def parse_fraction(text: str, variables: Iterable[str]) -> tuple[Polynomial, Polynomial]:
@@ -822,27 +828,33 @@ def parse_fraction(text: str, variables: Iterable[str]) -> tuple[Polynomial, Pol
     bar.  The only other '/' after which a numerator can end are those of
     rationals read outside parentheses (the first '/' of "1/2/3"); they are
     earlier candidates, and when one of them is the bar its numerator is
-    parsed again.
+    parsed again.  When no split parses, the error is that of the last
+    candidate's denominator, else that of the whole text, with its position
+    in the whole text.
     """
     variables = tuple(variables)
     parser = _Parser(text, variables)
+    num = None
     try:
         num = parser.expr()
         parser.skip_ws()
-    except ParseError:
-        num = None
-    else:
         if parser.pos == len(text):
             return num, Polynomial.one(variables)
+        parser.error("unexpected trailing input")
+    except ParseError as exc:
+        error = exc
     candidates = [(pos, None) for pos in parser.rational_bars]
     if num is not None and text[parser.pos] == "/":
         candidates.append((parser.pos, num))
     for pos, num in candidates:
+        den_parser = _Parser(text, variables)
+        den_parser.pos = pos + 1
         try:
-            den = parse_poly(text[pos + 1:], variables)
-        except ParseError:
+            den = _parse_rest(den_parser)
+        except ParseError as exc:
+            error = exc
             continue
         if num is None:
             num = parse_poly(text[:pos], variables)
         return num, den
-    raise ParseError("no polynomial or quotient of polynomials", 0)
+    raise error

@@ -178,13 +178,17 @@ class TestExitCodes:
         ("check", dict(RING23, generators=[2, 4]), "z^2",
          "error: exponent generators (2, 4) have gcd 2 != 1"),
         ("check", RING23, "z/(1 - z^2)", "error: entry (1,1) is not causal"),
-        ("check", RING23, "1 +", "error: cannot parse transfer function '1 +'"),
+        ("check", RING23, "1 +", "error: cannot parse transfer function '1 +': "
+                                 "expected a number, variable, or '(' (at position 3)"),
+        ("check", RING23, "z^2/(1 - z^2)^100000",
+         "error: cannot parse transfer function 'z^2/(1 - z^2)^100000': "
+         "power of exponent or degree past 1000 (at position 20)"),
         ("simulate", {"kind": "polynomial_ring", "variables": ["x", "y"],
                       "z_mode": "zero_ideal"}, "x/y",
          "error: the loop's entries use more than one variable (x, y); "
          "only univariate delay rings can be simulated"),
     ], ids=["input_error", "ring_error", "not_causal_error", "parse_error",
-            "multivariate_simulation"])
+            "parse_error_in_the_denominator", "multivariate_simulation"])
     def test_error_line(self, tmp_path, capsys, command, ring, entry, line):
         argv = [command, "/nonexistent/plant.json"]
         if ring is not None:
@@ -407,6 +411,9 @@ _NESTED_ENTRIES = st.sampled_from([3000, 300, 101, 100]).map(
 # powers and products past the parser's degree bound, in the ring's first variable
 _HUGE_DEGREES = st.sampled_from(["{v}^2/(1 - {v}^2)^100000", "({v} + 1)^1001",
                                  "{v}^600*{v}^600"])
+# powers and products past the parser's term bound, in two distinct variables
+_HUGE_TERM_COUNTS = st.sampled_from(["({v} + {w} + 1)^1000", "1/({v} + {w})^100",
+                                     "({v} + 1)^500*({w} + 1)^500"])
 _JUNK_GENERATORS = st.one_of(
     st.sampled_from([[2, 3, 10 ** 30], [10 ** 30, 10 ** 30 + 1], [1001]]),
     st.lists(_JSON_SCALARS, max_size=4))
@@ -455,7 +462,9 @@ def _plants(draw):
                 "numeral": _LONG_NUMERALS}[fault]
         plant["entries"][draw(st.integers(0, n - 1))][0] = draw(junk)
     elif fault == "degree":
-        plant["entries"][0][0] = draw(_HUGE_DEGREES).format(v=names[0])
+        huge = _HUGE_DEGREES if len(names) == 1 else st.one_of(_HUGE_DEGREES,
+                                                               _HUGE_TERM_COUNTS)
+        plant["entries"][0][0] = draw(huge).format(v=names[0], w=names[-1])
     elif fault == "foreign_name":
         plant["entries"][0][draw(st.integers(0, m - 1))] = draw(_poly_text(_NAMES))
     elif fault == "top_level":
@@ -621,11 +630,13 @@ class TestHostilePlants:
                    "generators": [2, 3, 10 ** 30]}, "1"),
         ("check", RING23, "1" * 5000 + "*z^2"),
         ("check", RING23, "z^2/(1 - z^2)^100000"),
+        ("check", {"kind": "polynomial_ring", "variables": ["x", "y"]}, "(x + y + 1)^1000"),
         # under the digit limit on input, past it in the report's products
         ("gef", RING23, "z^2/(1 - " + "3" * 2500 + "*z^2)"),
         ("synth", RING23, "z^2/(1 - " + "3" * 2500 + "*z^2)"),
     ], ids=["deep_parentheses", "huge_generator", "numeral_past_the_digit_limit",
-            "degree_past_the_bound", "gef_coefficient_past_the_digit_limit",
+            "degree_past_the_bound", "terms_past_the_bound",
+            "gef_coefficient_past_the_digit_limit",
             "synth_coefficient_past_the_digit_limit"])
     def test_rejected_as_input_error(self, tmp_path, capsys, command, ring, entry):
         path = tmp_path / "plant.json"

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, parsing, exact division, gcd, and formatting."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -332,8 +333,8 @@ class TestProperties:
 
 def _ref_add(p, q):
     a, b = p._aligned(q)
-    terms = dict(a._terms)
-    for exps, coeff in b._terms.items():
+    terms = dict(a.items())
+    for exps, coeff in b.items():
         s = terms.get(exps, Fraction(0)) + coeff
         if s:
             terms[exps] = s
@@ -344,11 +345,11 @@ def _ref_add(p, q):
 
 def _ref_mul(p, q):
     a, b = p._aligned(q)
-    if len(a._terms) < len(b._terms):
+    if len(list(a.items())) < len(list(b.items())):
         a, b = b, a
     terms = {}
-    for e1, c1 in a._terms.items():
-        for e2, c2 in b._terms.items():
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
             s = terms.get(e, Fraction(0)) + c1 * c2
             if s:
@@ -371,9 +372,9 @@ def _ref_divide_exact(p, q):
     a, b = p._aligned(q)
     if b.is_constant():
         return a.scale(Fraction(1) / b.constant_coeff())
-    lead_q = max(b._terms, key=_ref_grevlex_key)
-    cq = b._terms[lead_q]
-    work = dict(a._terms)
+    lead_q = max((e for e, _ in b.items()), key=_ref_grevlex_key)
+    cq = b.coeff(lead_q)
+    work = dict(a.items())
     quot = {}
     while work:
         lead = max(work, key=_ref_grevlex_key)
@@ -382,7 +383,7 @@ def _ref_divide_exact(p, q):
             raise NotDivisibleError("remainder left")
         c = work[lead] / cq
         quot[diff] = quot.get(diff, Fraction(0)) + c
-        for e2, c2 in b._terms.items():
+        for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(diff, e2))
             s = work.get(e, Fraction(0)) - c * c2
             if s:
@@ -431,20 +432,24 @@ def _poly_pairs(draw):
 
 
 def _same(result, reference):
-    assert result._terms == reference._terms
+    assert dict(result.items()) == dict(reference.items())
+    assert all(result.coeff(e) == c for e, c in reference.items())
     assert result.variables == reference.variables
 
 
 def _assert_clean(p, nvars=None):
-    """The invariants `Polynomial.__init__` establishes."""
+    """The invariants `Polynomial.__init__` establishes: integer numerators
+    over one positive denominator, with no factor common to all of them."""
     assert isinstance(p.variables, tuple)
     assert len(set(p.variables)) == len(p.variables)
     if nvars is not None:
         assert len(p.variables) == nvars
+    assert type(p._den) is int and p._den > 0
+    assert math.gcd(p._den, *p._terms.values()) == 1
     for exps, coeff in p._terms.items():
         assert type(exps) is tuple and len(exps) == len(p.variables)
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(coeff) is int and coeff != 0
 
 
 class TestKernelOracle:
@@ -493,6 +498,24 @@ class TestInternalInvariants:
         if not q.is_zero():
             _assert_clean(divide_exact(p * q, q))
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_poly_pairs(), _coefficients())
+    def test_canonical_form_is_unique(self, pair, c):
+        """Results reached by different routes are == and hash equal, and
+        items() yields reduced `Fraction`s."""
+        p, q = pair
+        routes = [p.with_variables(tuple(reversed(p.variables)))]
+        if not q.is_zero():
+            routes.append(divide_exact(p * q, q))
+        if c:
+            routes.append(p.scale(c).scale(1 / c))
+        for r in routes:
+            assert r == p and hash(r) == hash(p)
+            _assert_clean(r)
+        for _, coeff in p.items():
+            assert type(coeff) is Fraction and coeff != 0
+            assert math.gcd(coeff.numerator, coeff.denominator) == 1
+
     def test_with_variables_duplicate_names(self):
         p = parse_poly("x", ("x",))
         with pytest.raises(PolyError):
@@ -532,3 +555,16 @@ class TestParseDegree:
     def test_past_the_bound_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="past 1000"):
             zp(text)
+
+    def test_term_bound(self):
+        assert len(list(zp("(1 + z)^1000").items())) == 1001
+        assert len(list(parse_poly("(x + 1)^40 * (y + 1)^40", XY).items())) == 41 * 41
+        # one term of degree 1000, whatever the count C(1002, 2) allows
+        assert parse_poly("(x*y)^500", XY) == parse_poly("x^500*y^500", XY)
+
+    @pytest.mark.parametrize("text", ["(x + y + 1)^1000", "(x + y + 1)^62",
+                                      "(x + 1)^49 * (y + 1)^49",
+                                      "(x + y + 1)^31 * (x + y + 1)^31"])
+    def test_past_the_term_bound_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="more than 2000 terms"):
+            parse_poly(text, XY)
