@@ -52,6 +52,10 @@ MAX_GENERATOR = 1000
 MAX_SAMPLE_DIGITS = 1000
 MAX_SAMPLE_EXPONENT = 1000
 
+# Longest `simulate` horizon: the trace holds `--steps` samples of every loop
+# signal, and its CSV one line per step.
+MAX_STEPS = 100_000
+
 
 class InputError(Exception):
     pass
@@ -366,6 +370,8 @@ def _load_input_file(path: str, n: int, m: int) -> tuple[list, list]:
 def cmd_simulate(args) -> int:
     if args.steps < 1:
         raise InputError(f"--steps must be a positive integer, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        raise InputError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     pf = load_plant(args.plant)
     C = load_controller(args.controller, pf)
     if args.input == "file":

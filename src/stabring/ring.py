@@ -158,7 +158,7 @@ def membership(p: Polynomial, ring: RingModel) -> bool:
     if ring.kind == "polynomial":
         return True
     p = p.with_variables(ring.variables)
-    return all(ring.semigroup_contains(exps[0]) for exps, _ in p.items())
+    return all(ring.semigroup_contains(exps[0]) for exps in p._terms)
 
 
 def in_Z(a: Polynomial, ring: RingModel) -> bool:
@@ -219,11 +219,12 @@ class Presentation:
         if self._kind == "polynomial":
             return q
         weights = [self.power_map[u] for u in self.variables]
-        terms: dict[tuple[int], Fraction] = {}
-        for exps, c in q.items():
+        terms: dict[tuple[int], int] = {}
+        for exps, c in q._terms.items():  # integer numerators over q._den
             e = (sum(map(mul, weights, exps)),)
             terms[e] = terms.get(e, 0) + c
-        return Polynomial(terms, self._ring_variables)  # drops cancelled terms
+        return Polynomial._from_clean({e: c for e, c in terms.items() if c}, q._den,
+                                      self._ring_variables)
 
     def ideal(self, gens: Iterable[Polynomial]) -> groebner.IdealHandle:
         return groebner.IdealHandle(self.variables, gens, self.relations)

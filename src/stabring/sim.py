@@ -7,12 +7,22 @@ the loop signals themselves.  Realizing each entry on its own instead gives
 every entry an IIR state whose samples cancel only in the row sum, so their
 exact rationals keep growing while the loop signals, which are finite
 impulse responses for a stabilizing controller, have long since reached 0.
+
+The equations are realized by pushing, not pulling: each nonzero sample adds
+its weighted copies into the future steps its taps reach, so a step costs
+only the samples that are nonzero.  Once no future contribution is pending
+and no input sample remains, the loop state and input are zero, and so is
+every later sample; the simulation stops there and fills the rest of the
+horizon with exact zeros.  A stabilizing controller over a delay ring makes
+every closed-loop entry a polynomial, so under a finite input the work ends
+with the transient, whatever the horizon.
+
 The loop's instantaneous algebraic constraint is solved exactly at each
-step, so every signal is a sequence of Fractions.  Time-domain traces are
-cross-checked against the algebraic closed-loop map by comparing impulse
-responses entry by entry, bit for bit.  Multivariate rings, and loops whose
-entries together use more than one variable, have no canonical time axis and
-are rejected.
+computed step, so every signal is a sequence of Fractions.  Time-domain
+traces are cross-checked against the algebraic closed-loop map by comparing
+impulse responses entry by entry, bit for bit.  Multivariate rings, and loops
+whose entries together use more than one variable, have no canonical time
+axis and are rejected.
 """
 
 from __future__ import annotations
@@ -81,6 +91,9 @@ def impulse_response(tf: PolyFraction | DiffEq, steps: int) -> list[Fraction]:
     return out
 
 
+_ZERO = Fraction(0)
+
+
 def _taps(coeffs: list[Fraction], d0: Fraction) -> list[tuple[int, Fraction]]:
     """The nonzero coefficients past the constant term, as (delay, c / d0)."""
     return [(k, c / d0) for k, c in enumerate(coeffs) if k and c]
@@ -92,50 +105,61 @@ class _Row:
     d is the common denominator of the row's entries and n_j = num_j d/den_j,
     both scaled so that d(0) = 1; the feedthrough n_j(0)/d(0) equals
     num_j(0)/den_j(0).  d is the lcm of the den_j, so d(0) = 0, which raises
-    NotCausalTFError, exactly when some den_j(0) = 0.  The history is the
-    loop signals themselves: the shared input channels u_j and this row's own
-    output y.
+    NotCausalTFError, exactly when some den_j(0) = 0.
+
+    The history is the loop signals themselves, pushed forward as they are
+    made: a nonzero input sample v of channel j at step t adds c*v to
+    pending[t + k] for each tap (k, c) of n_j, and a nonzero output sample
+    adds its copies through the negated taps of d.  pending holds only the
+    steps before `steps`, and a step whose sum cancels to 0 is dropped, so
+    an empty pending means that no past sample reaches a later output.
     """
 
-    __slots__ = ("feed", "num_taps", "den_taps", "inputs", "outputs")
+    __slots__ = ("feed", "num_taps", "den_taps", "steps", "pending", "outputs")
 
-    def __init__(self, row: Mat, variables: tuple[str, ...], inputs: list[list[Fraction]]):
+    def __init__(self, row: Mat, variables: tuple[str, ...], steps: int):
         N, d = _scalar_fraction(row, variables)
         den = d.univar_coeffs()
         if den[0] == 0:
             raise NotCausalTFError("denominator needs a nonzero constant term")
         self.feed = [n.constant_coeff() / den[0] for n in N.entries]
         self.num_taps = [_taps(n.univar_coeffs(), den[0]) for n in N.entries]
-        self.den_taps = _taps(den, den[0])
-        self.inputs = inputs
+        self.den_taps = [(k, -c) for k, c in _taps(den, den[0])]
+        self.steps = steps
+        self.pending: dict[int, Fraction] = {}
         self.outputs: list[Fraction] = []
 
-    def memory(self) -> Fraction:
-        """Contribution of past samples to the next output."""
-        t = len(self.outputs)
-        acc = Fraction(0)
-        for u, taps in zip(self.inputs, self.num_taps):
-            for k, c in taps:
-                if k > t:
-                    break
-                v = u[t - k]
-                if v:
-                    acc += c * v
-        for k, c in self.den_taps:
-            if k > t:
-                break
-            v = self.outputs[t - k]
-            if v:
-                acc -= c * v
-        return acc
+    def memory(self, t: int) -> Fraction:
+        """Contribution of past samples to the output of step t."""
+        return self.pending.pop(t, _ZERO)
 
-    def advance(self, u: list[Fraction], memory: Fraction):
-        """Append the output for the inputs `u` of this step, whose memory() is given."""
+    def advance(self, t: int, u: list[Fraction], memory: Fraction):
+        """Append the output of step t for the inputs `u`, whose memory() is given."""
         y = memory
-        for f, v in zip(self.feed, u):
-            if f and v:
-                y += f * v
+        for f, taps, v in zip(self.feed, self.num_taps, u):
+            if v:
+                if f:
+                    y += f * v
+                self._push(t, v, taps)
+        if y:
+            self._push(t, y, self.den_taps)
         self.outputs.append(y)
+
+    def _push(self, t: int, v: Fraction, taps: list[tuple[int, Fraction]]):
+        pending, steps = self.pending, self.steps
+        for k, c in taps:  # in increasing delay
+            s = t + k
+            if s >= steps:
+                break
+            acc = pending.get(s)
+            if acc is None:
+                pending[s] = c * v
+            else:
+                acc += c * v
+                if acc:
+                    pending[s] = acc
+                else:
+                    del pending[s]
 
 
 @dataclass
@@ -179,8 +203,8 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
     e1 = [[] for _ in range(n)]
     e2 = [[] for _ in range(m)]
     variables = tuple(used)
-    plant = [_Row(P.take_rows([i]), variables, e2) for i in range(n)]
-    ctrl = [_Row(C.take_rows([i]), variables, e1) for i in range(m)]
+    plant = [_Row(P.take_rows([i]), variables, steps) for i in range(n)]
+    ctrl = [_Row(C.take_rows([i]), variables, steps) for i in range(m)]
     u1 = _pad(u1, n, steps)
     u2 = _pad(u2, m, steps)
 
@@ -197,23 +221,31 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
            for r in range(k)]
     y1 = [row.outputs for row in ctrl]
     y2 = [row.outputs for row in plant]
+    rows = plant + ctrl
+    last_input = max((t for ch in u1 + u2 for t in range(steps) if ch[t]), default=-1)
     for t in range(steps):
-        mem_p = [row.memory() for row in plant]
-        mem_c = [row.memory() for row in ctrl]
+        if t > last_input and not any(row.pending for row in rows):
+            # zero state and zero input from t on: every later sample is 0,
+            # and so are both sides of each loop equation
+            for ch in e1 + e2 + y1 + y2:
+                ch.extend([_ZERO] * (steps - t))
+            break
+        mem_p = [row.memory(t) for row in plant]
+        mem_c = [row.memory(t) for row in ctrl]
         rhs = [u1[i][t] - mem_p[i] for i in range(n)]
         rhs += [u2[i][t] + mem_c[i] for i in range(m)]
-        sol = [sum((a * b for a, b in zip(row, rhs) if a and b), Fraction(0))
+        sol = [sum((a * b for a, b in zip(row, rhs) if a and b), _ZERO)
                for row in inv]
         e1_t, e2_t = sol[:n], sol[n:]
         for row, mem in zip(plant, mem_p):
-            row.advance(e2_t, mem)
+            row.advance(t, e2_t, mem)
         for row, mem in zip(ctrl, mem_c):
-            row.advance(e1_t, mem)
+            row.advance(t, e1_t, mem)
         for i in range(n):
             e1[i].append(e1_t[i])
         for i in range(m):
             e2[i].append(e2_t[i])
-        # the loop equations must hold exactly at every step
+        # the loop equations must hold exactly at every computed step
         for i in range(n):
             if e1[i][t] != u1[i][t] - y2[i][t]:
                 raise SimError("loop equation e1 = u1 - y2 violated")

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabring.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK,
-                          InputError, main, parse_fraction_text)
+                          MAX_STEPS, InputError, main, parse_fraction_text)
 from stabring.groebner import IdealHandle
 from stabring.poly import ParseError, Polynomial, parse_poly
 
@@ -340,6 +340,19 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("controller", ["synthesized", "missing"])
+    def test_steps_past_the_bound(self, tmp_path, capsys, controller):
+        # refused before any file is read, so a missing controller file
+        # reports the bound too
+        ctl = tmp_path / "controller.json"
+        if controller == "synthesized":
+            assert main(["synth", SISO, "-o", str(ctl)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["simulate", SISO, str(ctl), "--steps", str(MAX_STEPS + 1)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --steps must be at most {MAX_STEPS}, got {MAX_STEPS + 1}\n"
 
     def test_mixed_delay_variables_rejected(self, tmp_path, capsys):
         plant = tmp_path / "plant.json"

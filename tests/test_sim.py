@@ -11,7 +11,7 @@ from stabring.poly import Polynomial, parse_poly
 from stabring.ring import PolyFraction
 from stabring.sim import (AlgebraicLoopSingularError, DiffEq, NotCausalTFError,
                           SignalTrace, SimError, SimulationUnsupportedError,
-                          _pad, compare_to_H, impulse_response, simulate_loop,
+                          _pad, _Row, compare_to_H, impulse_response, simulate_loop,
                           trace_to_csv)
 from stabring.synth import IllPosedError, closed_loop
 
@@ -317,3 +317,124 @@ class TestRowRealizationOracle:
         P, C, u1, u2, steps = loop
         want = _outcome(_reference_simulate_loop, P, C, u1, u2, steps)
         assert _outcome(simulate_loop, P, C, u1, u2, steps) == want
+
+
+# ---------------------------------------------------------------------------
+# the zero-state stop: loops that come to rest, are excited again after a
+# quiet gap, or never come to rest
+# ---------------------------------------------------------------------------
+
+
+def _tap_bound(M: Mat) -> int:
+    """A bound on the delays of every row's difference equation: d divides
+    the product of the row's denominators and n_j = num_j d/den_j."""
+    return max(max(e.num.total_degree() for e in row) + sum(e.den.total_degree() for e in row)
+               for row in M.to_rows())
+
+
+@st.composite
+def _poly_row(draw, cols, variables):
+    """Polynomial entries, some written over a common factor."""
+    out = []
+    for _ in range(cols):
+        num = _upoly(draw(st.lists(_COEFF, min_size=1, max_size=4)), variables)
+        den = Polynomial.one(variables)
+        if draw(st.booleans()):
+            common = draw(_causal_poly(variables, max_degree=2))
+            num, den = num * common, den * common
+        out.append(PolyFraction(num, den))
+    return out
+
+
+@st.composite
+def _gap_loop(draw):
+    """A causal loop and inputs that fall quiet for longer than any tap
+    reaches, then start again.
+
+    `iir` loops have random rational rows and in general never come to rest.
+    `open` loops have polynomial plants and a zero controller, and
+    `nilpotent` ones a polynomial column P = [a; b] with the controller
+    C = r [b, -a], so that C P = 0 and the closed loop I - P C is a
+    polynomial matrix: both come to rest a few steps after each burst."""
+    kind = draw(st.sampled_from(["iir", "open", "nilpotent"]))
+    variables = draw(st.sampled_from([("z",), ("z", "w")]))
+    if kind == "nilpotent":
+        n, m = 2, 1
+        (a,), (b,) = draw(_poly_row(1, variables)), draw(_poly_row(1, variables))
+        (r,) = draw(_poly_row(1, variables))
+        P = Mat.from_rows([[a], [b]])
+        C = Mat.from_rows([[b * r, -(a * r)]])
+    else:
+        n, m = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
+        row = _row if kind == "iir" else _poly_row
+        P = Mat.from_rows([draw(row(m, variables)) for _ in range(n)])
+        zero = PolyFraction(Polynomial.zero(variables), Polynomial.one(variables))
+        C = (Mat.from_rows([draw(_row(n, variables)) for _ in range(m)]) if kind == "iir"
+             else Mat(m, n, [zero] * (m * n)))
+    gap = max(_tap_bound(P), _tap_bound(C)) + 1 + draw(st.integers(0, 6))
+    sample = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    burst = st.lists(sample, min_size=1, max_size=4)
+    first, second = draw(burst), draw(burst)
+    start = len(first) + gap
+    steps = draw(st.integers(start + 1, max(start + 1, 80)))
+
+    def channel():
+        kept = draw(st.sampled_from(["both", "first", "second", "none"]))
+        head = first if kept in ("both", "first") else [Fraction(0)] * len(first)
+        tail = second if kept in ("both", "second") else []
+        return head + [Fraction(0)] * gap + tail
+
+    u1 = [channel() for _ in range(n)]
+    u2 = [channel() for _ in range(m)]
+    return P, C, u1, u2, steps
+
+
+class TestZeroStateStop:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(loop=_gap_loop())
+    def test_matches_per_entry_simulation(self, loop):
+        P, C, u1, u2, steps = loop
+        want = _outcome(_reference_simulate_loop, P, C, u1, u2, steps)
+        assert _outcome(simulate_loop, P, C, u1, u2, steps) == want
+
+    def test_impulse_again_after_rest(self, delay_plant, delay_controller):
+        # the loop is at rest long before step 250; the second impulse must
+        # still be simulated, and by time invariance it repeats the first
+        P, C = delay_plant.P, delay_controller.C
+        u1 = [[Fraction(1)] + [Fraction(0)] * 249 + [Fraction(1)], []]
+        trace = simulate_loop(P, C, u1, [[]], 400)
+        assert trace == _reference_simulate_loop(P, C, u1, [[]], 400)
+        for ch in trace.e1 + trace.e2 + trace.y1 + trace.y2:
+            assert len(ch) == 400
+            assert all(v == 0 for v in ch[100:250])
+            assert ch[250:400] == ch[0:150]
+        assert trace.e1[0][250] != 0
+
+    def test_unstable_loop_runs_every_step(self, delay_plant):
+        # with no controller, the pole of 1/(1 + 2z) in P[2] is never
+        # cancelled: the response doubles in size to the last step
+        P = delay_plant.P
+        zero = PolyFraction(zp("0"))
+        C = Mat.from_rows([[zero, zero]])
+        trace = simulate_loop(P, C, [[], []], [[Fraction(1)]], 400)
+        assert trace == _reference_simulate_loop(P, C, [[], []], [[Fraction(1)]], 400)
+        assert all(trace.y2[1][t] != 0 for t in range(2, 400))
+        assert abs(trace.y2[1][399]) > 2 ** 390
+
+    def test_cancelling_pending_sums(self):
+        # both inputs feed the same delay with opposite weights; equal
+        # samples cancel in the pending sum, which leaves no state behind
+        P = Mat.from_rows([[frac("z^2", "1 - z"), frac("-z^2", "1 - z")]])
+        row = _Row(P, Z, 10)
+        row.advance(0, [Fraction(3), Fraction(3)], row.memory(0))
+        assert row.pending == {} and row.outputs == [0]
+        # nothing is kept for the steps past the horizon
+        row = _Row(P, Z, 2)
+        row.advance(0, [Fraction(3), Fraction(0)], row.memory(0))
+        assert row.pending == {}
+        zero = frac("0")
+        C = Mat.from_rows([[zero], [zero]])
+        u2 = [[Fraction(3), Fraction(1)], [Fraction(3), Fraction(2)]]
+        trace = simulate_loop(P, C, [[]], u2, 10)
+        assert trace == _reference_simulate_loop(P, C, [[]], u2, 10)
+        assert trace.y2[0] == [0, 0, 0, -1, -1, -1, -1, -1, -1, -1]
