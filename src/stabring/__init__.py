@@ -14,7 +14,7 @@ from .gef import GefResult, PlantFraction, gef, scalar_denominator, witness_matr
 from .synth import (CausalityReport, ControllerResult, LocalFactorization,
                     StabilizabilityCertificate, StabilizabilityResult,
                     causality_check, closed_loop, local_factorization,
-                    repair_nonsingular, stabilizable, synthesize,
+                    repair_nonsingular, row_factors, stabilizable, synthesize,
                     transpose_duality_check, verify_stabilizing)
 from .sim import (DiffEq, SignalTrace, compare_to_H, impulse_response,
                   simulate_loop, trace_to_csv)

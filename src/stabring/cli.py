@@ -34,7 +34,7 @@ from .ring import (PolyFraction, RingModel, RingError, ZERO_CONSTANT_TERM,
 from .sim import SimError, simulate_loop, trace_to_csv
 from .synth import (ControllerResult, NotStabilizableError, SynthError,
                     SynthesisInternalError, StabilizabilityResult,
-                    stabilizable, synthesize, verify_stabilizing)
+                    row_factors, stabilizable, synthesize, verify_stabilizing)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -320,7 +320,7 @@ def cmd_synth(args) -> int:
 def cmd_verify(args) -> int:
     pf = load_plant(args.plant)
     C = load_controller(args.controller, pf)
-    report = verify_stabilizing(pf.P, C, pf.ring)
+    report = verify_stabilizing(pf.P, *row_factors(C, pf.ring.variables), pf.ring)
     if not report.well_posed:
         print("ill-posed: det(E + P*C) = 0")
         return EXIT_NEGATIVE

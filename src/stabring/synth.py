@@ -27,15 +27,20 @@ controller is recomputed.  Every synthesized controller is verified against
 the exact closed-loop map before it is returned.
 
 The closed loop is computed over the ring, never in the fraction field.  The
-plant and the controller are each put over one scalar common denominator,
-P = N d^-1 and C = X^-1 Y with X = c E; with Delta = X d + Y N,
+plant is put over one scalar common denominator, P = N d^-1, and the
+controller is given by a left factorization C = X^-1 Y over the ring, X
+nonsingular; with Delta = X d + Y N, so that
+det(Delta) = det(X) d^m det(E + P C),
 
     H = [[E - N Delta^-1 Y, -N Delta^-1 X], [d Delta^-1 Y, d Delta^-1 X]],
 
 which needs ring products, one det(Delta) and adj(Delta) of size m x m, and
-exact division by det(Delta).  A synthesized controller is verified the same
-way as one read from a file: from its fractions alone.  Fractions appear only
-where plants and controllers are parsed and where reports are rendered.
+exact division by det(Delta).  Synthesis verifies its own factors, X = Den
+and Y = Num, for which Delta is a scalar matrix by the identity
+Num N + Den d E = d E it checks; a controller read from a file puts each row
+over its own common denominator, X = diag(c_i) (`row_factors`).  Fractions
+appear only where plants and controllers are parsed and where reports are
+rendered.
 """
 
 from __future__ import annotations
@@ -60,7 +65,10 @@ class NotStabilizableError(SynthError):
 
 
 class IllPosedError(SynthError):
-    """det(E + P*C) vanishes; the feedback loop is not well posed."""
+    """det(E + P*C) vanishes; the feedback loop is not well posed.
+
+    Over the ring it shows as det(Delta) = det(X) d^m det(E + P*C) = 0.
+    """
 
 
 class NoNonsingularMinorError(SynthError):
@@ -324,26 +332,28 @@ def _over(num: Polynomial, den: Polynomial) -> PolyFraction:
         return PolyFraction(num, den)
 
 
-def _closed_loop(N: Mat, d: Polynomial, Y: Mat, c: Polynomial) -> Mat:
-    """The closed loop of P = N d^-1 and C = (cE)^-1 Y from ring products.
+def _closed_loop(N: Mat, d: Polynomial, X: Mat, Y: Mat) -> Mat:
+    """The closed loop of P = N d^-1 and C = X^-1 Y from ring products.
 
-    With X = cE and Delta = X d + Y N,
+    With Delta = X d + Y N,
     H = [[E - N Delta^-1 Y, -N Delta^-1 X], [d Delta^-1 Y, d Delta^-1 X]],
     so every entry is a ring element over det(Delta), with adj(Delta) in
-    place of the inverse.
+    place of the inverse.  X must be nonsingular.
     """
     n, m = N.rows, N.cols
+    if Y.rows != m or Y.cols != n or X.rows != m or X.cols != m:
+        raise SynthError(f"controller shape ({Y.rows},{Y.cols}) does not match plant")
     zero = d.zero_like()
-    delta = Mat.scalar_matrix(m, c * d, zero) + Y * N
+    delta = X.scale(d) + Y * N
     det = delta.det()
     if det.is_zero():
-        # det(Delta) = (c d)^m det(E + P*C), and c and d are nonzero
+        # det(Delta) = det(X) d^m det(E + P*C), and det(X) and d are nonzero
         raise IllPosedError("det(E + P*C) = 0")
     adj = delta.adjugate()
     if delta * adj != Mat.scalar_matrix(m, det, zero):
         raise SynthesisInternalError("adj(Delta) is not the inverse of Delta up to det(Delta)")
     adj_y = adj * Y
-    adj_x = adj.scale(c)
+    adj_x = adj * X
     H11 = Mat.scalar_matrix(n, det, zero) - N * adj_y
     H12 = -(N * adj_x)
     H21 = adj_y.scale(d)
@@ -359,17 +369,26 @@ def _scalar_fraction(M: Mat, variables: tuple[str, ...]) -> tuple[Mat, Polynomia
                                 for e, den in zip(M.entries, dens)]), c
 
 
+def row_factors(C: Mat, variables: tuple[str, ...]) -> tuple[Mat, Mat]:
+    """X = diag(c_i) and Y over the ring with C = X^-1 Y.
+
+    Row i is put over its own common denominator c_i, as `sim` realizes
+    each output channel; a zero row has c_i = 1.
+    """
+    zero = Polynomial.zero(variables)
+    rows = [_scalar_fraction(C.take_rows([i]), variables) for i in range(C.rows)]
+    X = Mat.build(C.rows, C.rows, lambda i, j: rows[i][1] if i == j else zero)
+    Y = Mat(C.rows, C.cols, [e for Y_i, _ in rows for e in Y_i.entries])
+    return X, Y
+
+
 def closed_loop(P: Mat, C: Mat) -> Mat:
     """The (m+n)-square transfer matrix from (u1, u2) to (e1, e2)."""
-    n, m = P.rows, P.cols
-    if C.rows != m or C.cols != n:
-        raise SynthError(f"controller shape ({C.rows},{C.cols}) does not match plant")
     variables: tuple[str, ...] = ()
     for e in P.entries + C.entries:
         variables += tuple(v for v in e.num.variables if v not in variables)
     N, d = _scalar_fraction(P, variables)
-    Y, c = _scalar_fraction(C, variables)
-    return _closed_loop(N, d, Y, c)
+    return _closed_loop(N, d, *row_factors(C, variables))
 
 
 @dataclass
@@ -384,10 +403,16 @@ class VerificationReport:
                 for j, good in enumerate(row) if not good]
 
 
-def verify_stabilizing(P: Mat, C: Mat, ring: RingModel) -> VerificationReport:
-    """Exact closed-loop computation and per-entry ring membership."""
+def verify_stabilizing(P: Mat, X: Mat, Y: Mat, ring: RingModel) -> VerificationReport:
+    """Exact closed loop of P and C = X^-1 Y, and per-entry ring membership.
+
+    X and Y are a left factorization of the controller over the ring:
+    `synthesize` passes its Den and Num, and a controller read as fractions
+    comes through `row_factors`.
+    """
+    N, d = _scalar_fraction(P, ring.variables)
     try:
-        H = closed_loop(P, C)
+        H = _closed_loop(N, d, X, Y)
     except IllPosedError:
         return VerificationReport(False, [], False, None)
     flags = [[fraction_in_ring(H[i, j], ring) for j in range(H.cols)]
@@ -495,13 +520,16 @@ def synthesize(pf: PlantFraction,
         repair_index_set = lf.index_set
         repair_selector = repair.R
 
-    det_den = Den.det()
-    adj_num = Den.adjugate() * Num
-    C = adj_num.map(lambda e: PolyFraction(e, det_den))
-    report = verify_stabilizing(pf.P, C, ring)
+    report = verify_stabilizing(pf.P, Den, Num, ring)
     if not report.ok:
         raise SynthesisInternalError(
             f"synthesized controller failed verification at {report.failures()}")
+    # the reported fractions are exactly Den^-1 Num = adj(Den) Num / det(Den)
+    det_den = Den.det()
+    adj_den = Den.adjugate()
+    if Den * adj_den != Mat.scalar_matrix(m, det_den, zero):
+        raise SynthesisInternalError("adj(Den) is not the inverse of Den up to det(Den)")
+    C = (adj_den * Num).map(lambda e: PolyFraction(e, det_den))
     return ControllerResult(C=C, Den=Den, Num=Num, H=report.H_ring,
                             repair_applied=repair_applied,
                             repair_index_set=repair_index_set,

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,10 +16,11 @@ from stabring.poly import Polynomial, parse_poly
 from stabring.ring import (PolyFraction, RingModel, ZERO_IDEAL, fraction_in_ring,
                            in_Z, membership, presentation, z_nonsingular)
 from stabring.sim import compare_to_H
-from stabring.synth import (IllPosedError, NotStabilizableError, _running_gcd,
-                            causality_check, closed_loop, local_factorization,
-                            partition_powers, repair_nonsingular, stabilizable,
-                            synthesize, transpose_duality_check,
+from stabring.synth import (IllPosedError, NotStabilizableError, _closed_loop,
+                            _running_gcd, _scalar_fraction, causality_check,
+                            closed_loop, local_factorization,
+                            partition_powers, repair_nonsingular, row_factors,
+                            stabilizable, synthesize, transpose_duality_check,
                             verify_stabilizing)
 from test_acceptance import _Budget
 
@@ -313,7 +315,8 @@ class TestFourOutputDelayPlant:
 
 class TestVerifyStabilizing:
     def test_published_controller_reproduces_h(self, delay_plant, paper):
-        report = verify_stabilizing(delay_plant.P, paper.controller,
+        report = verify_stabilizing(delay_plant.P,
+                                    *row_factors(paper.controller, delay_plant.ring.variables),
                                     delay_plant.ring)
         assert report.ok
         for (i, j), expected in paper.h_entries.items():
@@ -321,13 +324,15 @@ class TestVerifyStabilizing:
 
     def test_zero_pair(self, zero_plant):
         C = Mat.from_rows([[PolyFraction(zp("0")), PolyFraction(zp("0"))]])
-        report = verify_stabilizing(zero_plant.P, C, zero_plant.ring)
+        report = verify_stabilizing(zero_plant.P, *row_factors(C, zero_plant.ring.variables),
+                                    zero_plant.ring)
         assert report.ok
         assert report.H_ring == Mat.scalar_matrix(3, zp("1"), zp("0"))
 
     def test_zero_controller_rejected(self, delay_plant):
         C = Mat.from_rows([[PolyFraction(zp("0")), PolyFraction(zp("0"))]])
-        report = verify_stabilizing(delay_plant.P, C, delay_plant.ring)
+        report = verify_stabilizing(delay_plant.P, *row_factors(C, delay_plant.ring.variables),
+                                    delay_plant.ring)
         assert report.well_posed and not report.ok
         # the failing block is -P, whose reduced entries are not polynomials
         assert (0, 2) in report.failures()
@@ -335,7 +340,7 @@ class TestVerifyStabilizing:
     def test_ill_posed(self, ring23):
         P = Mat.from_rows([[PolyFraction(zp("1"))]])
         C = Mat.from_rows([[PolyFraction(zp("-1"))]])
-        report = verify_stabilizing(P, C, ring23)
+        report = verify_stabilizing(P, *row_factors(C, ring23.variables), ring23)
         assert not report.well_posed and not report.ok
 
 
@@ -432,14 +437,68 @@ class TestClosedLoopOracle:
                 ill_posed += 1
                 with pytest.raises(IllPosedError):
                     closed_loop(P, C)
-                assert not verify_stabilizing(P, C, ring).well_posed
+                report = verify_stabilizing(P, *row_factors(C, ring.variables), ring)
+                assert not report.well_posed
                 continue
             assert closed_loop(P, C) == expected
             reference_failures = [(i, j) for i in range(expected.rows)
                                   for j in range(expected.cols)
                                   if not fraction_in_ring(expected[i, j], ring)]
-            assert verify_stabilizing(P, C, ring).failures() == reference_failures
+            report = verify_stabilizing(P, *row_factors(C, ring.variables), ring)
+            assert report.failures() == reference_failures
         assert ill_posed == 3
+
+    def _nonsingular(self, entry):
+        """A random 2x2 ring matrix with nonzero determinant and off-diagonal."""
+        while True:
+            T = Mat.build(2, 2, lambda i, j: entry())
+            if not T.det().is_zero() and not T[0, 1].is_zero():
+                return T
+
+    def _factor_pairs(self, rng, ring23):
+        """Plants with left factorizations C = X^-1 Y whose X is not diagonal.
+
+        Random pairs over Q[z^2,z^3]; one pair over Q[x,y], whose plant keeps
+        a common factor 1 + y of its numerators and denominators and whose
+        Delta = [[1, x], [0, 1]] is unimodular; and one ill-posed pair, T X0
+        and T Y0 for the row factors of an ill-posed controller.
+        """
+        square = lambda: Mat.build(2, 2, lambda i, j: self._delay_entry(rng))
+        delay_poly = lambda: _random_causal_poly(rng)
+        for _ in range(4):
+            yield (square(), self._nonsingular(delay_poly),
+                   Mat.build(2, 2, lambda i, j: delay_poly()), ring23)
+        xy = lambda text: parse_poly(text, self.XY)
+        P = Mat.from_rows([[PolyFraction(xy("x*(1 + y)"), xy("1 + y")),
+                            PolyFraction(xy("y*(1 + y)"), xy("1 + y"))]])
+        yield (P, Mat.from_rows([[xy("1 - x"), xy("x - y")], [xy("0"), xy("1")]]),
+               Mat.from_rows([[xy("1")], [xy("0")]]), RingModel.polynomial(self.XY, ZERO_IDEAL))
+        P = square()
+        X0, Y0 = row_factors(_ill_posed_partner(P), Z)
+        T = self._nonsingular(delay_poly)
+        yield P, T * X0, T * Y0, ring23
+
+    def test_general_factorization_matches_fraction_field_reference(self, ring23):
+        rng = random.Random(41)
+        ill_posed = 0
+        for P, X, Y, ring in self._factor_pairs(rng, ring23):
+            N, d = _scalar_fraction(P, ring.variables)
+            C = _fraction_inverse(X.map(PolyFraction.from_poly)) * Y.map(PolyFraction.from_poly)
+            try:
+                expected = _fraction_closed_loop(P, C)
+            except IllPosedError:
+                ill_posed += 1
+                with pytest.raises(IllPosedError):
+                    _closed_loop(N, d, X, Y)
+                assert not verify_stabilizing(P, X, Y, ring).well_posed
+                continue
+            assert _closed_loop(N, d, X, Y) == expected
+            assert closed_loop(P, C) == expected
+            reference_failures = [(i, j) for i in range(expected.rows)
+                                  for j in range(expected.cols)
+                                  if not fraction_in_ring(expected[i, j], ring)]
+            assert verify_stabilizing(P, X, Y, ring).failures() == reference_failures
+        assert ill_posed == 1
 
 
 def _random_causal_poly(rng):
@@ -473,6 +532,59 @@ def _causal_plants(draw):
     return gens, rows
 
 
+def _synthesize_from_own_factors(pf, decision=None):
+    """synthesize with synth.row_factors raising, so it cannot split its own fractions."""
+    refuse = AssertionError("synthesize split its controller's fractions")
+    with mock.patch.object(synth, "row_factors", side_effect=refuse):
+        return synthesize(pf, decision)
+
+
+def _file_route_h(pf, result):
+    """H from the reported fractions, split into row factors as a controller file is."""
+    X, Y = row_factors(result.C, pf.ring.variables)
+    return verify_stabilizing(pf.P, X, Y, pf.ring).H_ring
+
+
+class TestSynthesisVerifiesItsFactors:
+    @pytest.mark.parametrize("name, repaired", [("delay_plant", True),
+                                                ("siso_plant", False),
+                                                ("zero_plant", False)])
+    def test_file_route_gives_the_same_h(self, request, name, repaired):
+        pf = request.getfixturevalue(name)
+        result = _synthesize_from_own_factors(pf)
+        assert result.repair_applied == repaired
+        assert result.report.H_ring == _file_route_h(pf, result)
+
+
+class TestRowFactors:
+    def _check(self, C, variables):
+        """X is diagonal with nonzero c_i and Y[i, j] / c_i == C[i, j]; returns X."""
+        X, Y = row_factors(C, variables)
+        assert (X.rows, X.cols, Y.rows, Y.cols) == (C.rows, C.rows, C.rows, C.cols)
+        for i in range(C.rows):
+            assert not X[i, i].is_zero()
+            assert all(X[i, j].is_zero() for j in range(C.rows) if j != i)
+            for j in range(C.cols):
+                assert PolyFraction(Y[i, j], X[i, i]) == C[i, j], (i, j)
+        return X
+
+    def test_oracle_and_published_controllers(self, ring23, paper):
+        for _, C, ring in TestClosedLoopOracle()._pairs(random.Random(97), ring23):
+            self._check(C, ring.variables)
+        self._check(paper.controller, Z)
+
+    def test_zero_row_and_multivariate_rows(self):
+        xy_vars = ("x", "y")
+        xy = lambda text: parse_poly(text, xy_vars)
+        C = Mat.from_rows([
+            [PolyFraction(xy("0")), PolyFraction(xy("0"))],
+            [PolyFraction(xy("x"), xy("1 + y")), PolyFraction(xy("y"), xy("(1 + x)*(1 + y)"))],
+            [PolyFraction(xy("1"), xy("1 + x*y")), PolyFraction(xy("x - y"))],
+        ])
+        X = self._check(C, xy_vars)
+        assert X[0, 0] == xy("1")
+
+
 class TestRandomPlantSynthesis:
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(_causal_plants())
@@ -484,7 +596,8 @@ class TestRandomPlantSynthesis:
         decision = stabilizable(pf)
         if not decision.stabilizable:
             return
-        result = synthesize(pf, decision)
+        result = _synthesize_from_own_factors(pf, decision)
+        assert result.report.H_ring == _file_route_h(pf, result)
         H = result.H.map(PolyFraction.from_poly)
         assert H == _fraction_closed_loop(pf.P, result.C)
         assert compare_to_H(pf.P, result.C, 8, against=H)
