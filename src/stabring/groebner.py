@@ -7,15 +7,15 @@ computations, which makes the engine operate modulo a quotient-ring
 presentation while staying inside an ordinary polynomial ring.
 
 Reduction is the kernel of the polynomial module, `poly._reduce_full`, which
-`poly.divide_exact` runs with one divisor.  It works on the stored form of a
-polynomial, integer numerators over one common denominator, and keeps the
-pending monomials in a heap keyed on the order's `descending_key`, so each
-step pops the greatest pending term instead of rescanning them all.  Basis
-elements are kept monic, each with its lead and an integer tail computed
-once (`poly._Divisor`).  Division quotients, integers over the scale of the
-remainder, are formed only when cofactors are tracked (`track_cofactors`,
-witnesses, Bezout certificates); colon, intersection and elimination never
-ask for them.
+`poly.divide_exact` runs with one divisor over two or more variables.  It
+works on the stored form of a polynomial, integer numerators over one common
+denominator, and keeps the pending monomials in a heap keyed on the order's
+`descending_key`, so each step pops the greatest pending term instead of
+rescanning them all.  Basis elements are kept monic, each with its lead and
+an integer tail computed once (`poly._Divisor`).  Division quotients,
+integers over the scale of the remainder, are formed only when cofactors are
+tracked (`track_cofactors`, witnesses, Bezout certificates); colon,
+intersection and elimination never ask for them.
 
 Determinism: the selection strategy is sugar with a fixed tie-break by
 (order of the pair lcm, input index), reducers are chosen by basis index,

@@ -6,16 +6,23 @@ over one positive denominator `_den`, and no factor divides `_den` and all
 numerators.  The zero polynomial is the empty dictionary over 1.  The
 arithmetic is exact and multiplies and adds plain integers; coefficients
 leave the class as reduced `Fraction`s (`items`, `coeff`).  `__init__`
-validates everything built from outside (the parser, `const`, `var`, tests);
-results of the arithmetic go through `Polynomial._from_clean`, which only
-divides out the common factor.  The univariate gcd is a primitive remainder
-sequence over the integers, made monic only at the end.
+validates terms given from outside (tests, `from_univar_coeffs`); `const`,
+`var`, the parser's sums and the results of the arithmetic go through
+`Polynomial._from_clean`, which only divides out the common factor.
 
-`_reduce_full` is the one reduction kernel: the full normal form of
-integer numerators over a scale modulo monic divisors (`_Divisor`) in any
-monomial order, given by its flat descending key, with the quotients on
-request.  `divide_exact` runs it with one grevlex divisor, and the Groebner
-engine with the basis.
+Over one ambient variable, products and exact division work on dense
+ascending integer lists.  `_pseudo_divide` is the one univariate division
+loop: each step cancels the lead with the least integer multiples, and it
+returns the remainder, the scale and, on request, the quotient.
+`divide_exact` takes its quotient, and `gcd_univariate`, a primitive
+remainder sequence over the integers made monic only at the end, its
+remainder.
+
+Over two or more variables, `_reduce_full` is the reduction kernel: the
+full normal form of integer numerators over a scale modulo monic divisors
+(`_Divisor`) in any monomial order, given by its flat descending key, with
+the quotients on request.  `divide_exact` runs it with one grevlex divisor,
+and the Groebner engine with the basis.
 
 The module also provides the text grammar for polynomial expressions:
 
@@ -83,9 +90,7 @@ class Polynomial:
     __slots__ = ("variables", "_terms", "_den")
 
     def __init__(self, terms: dict[Exponents, Fraction] | None, variables: Iterable[str]):
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise PolyError(f"duplicate variable in {variables!r}")
+        variables = _distinct(variables)
         clean: dict[Exponents, Fraction] = {}
         if terms:
             nvars = len(variables)
@@ -134,8 +139,10 @@ class Polynomial:
 
     @staticmethod
     def const(value, variables: Iterable[str] = ()) -> "Polynomial":
-        variables = tuple(variables)
-        return Polynomial({(0,) * len(variables): Fraction(value)}, variables)
+        variables = _distinct(variables)
+        c = Fraction(value)
+        terms = {(0,) * len(variables): c.numerator} if c else {}
+        return Polynomial._from_clean(terms, c.denominator, variables)
 
     @staticmethod
     def one(variables: Iterable[str] = ()) -> "Polynomial":
@@ -143,11 +150,11 @@ class Polynomial:
 
     @staticmethod
     def var(name: str, variables: Iterable[str]) -> "Polynomial":
-        variables = tuple(variables)
+        variables = _distinct(variables)
         if name not in variables:
             raise PolyError(f"variable {name!r} not among {variables!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return Polynomial({exps: Fraction(1)}, variables)
+        return Polynomial._from_clean({exps: 1}, 1, variables)
 
     # -- basic structure ---------------------------------------------------
 
@@ -213,8 +220,7 @@ class Polynomial:
         variables = tuple(variables)
         if variables == self.variables:
             return self
-        if len(set(variables)) != len(variables):
-            raise PolyError(f"duplicate variable in {variables!r}")
+        _distinct(variables)
         pos = {v: i for i, v in enumerate(variables)}
         missing = [v for v in self.used_variables() if v not in pos]
         if missing:
@@ -277,6 +283,8 @@ class Polynomial:
         a, b = self._aligned(other)
         if len(a._terms) < len(b._terms):
             a, b = b, a
+        if len(a.variables) == 1:
+            return _mul_univariate(a, b)
         acc: dict[Exponents, int] = {}
         get = acc.get
         for e1, c1 in a._terms.items():
@@ -303,6 +311,11 @@ class Polynomial:
             return NotImplemented
         if n < 0:
             raise PolyError("negative polynomial exponent")
+        if len(self._terms) == 1:
+            # (c x^e)^n = c^n x^(n e); c and _den share no factor, nor do their powers
+            ((exps, c),) = self._terms.items()
+            return Polynomial._from_clean({tuple(n * e for e in exps): c ** n},
+                                          self._den ** n, self.variables)
         result = Polynomial.one(self.variables)
         base = self
         while n:
@@ -366,6 +379,14 @@ class Polynomial:
         return Polynomial(terms, variables)
 
 
+def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
+    """The variable names as a tuple; PolyError if a name repeats."""
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise PolyError(f"duplicate variable in {variables!r}")
+    return variables
+
+
 def _coerce(value, variables) -> "Polynomial":
     if isinstance(value, Polynomial):
         return value
@@ -386,6 +407,32 @@ def _add_terms(a: Polynomial, b: Polynomial, subtract: bool) -> Polynomial:
         else:
             del terms[exps]
     return Polynomial._from_clean(terms, den, a.variables)
+
+
+def _mul_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b for polynomials over the same single variable, by convolution into
+    a dense ascending integer list."""
+    if not b._terms:
+        return b
+    out = [0] * (max(a._terms)[0] + max(b._terms)[0] + 1)
+    low = [(j, c) for (j,), c in b._terms.items()]
+    for (i,), c1 in a._terms.items():
+        for j, c2 in low:
+            out[i + j] += c1 * c2
+    return Polynomial._from_clean(_sparse(out), a._den * b._den, a.variables)
+
+
+def _dense(p: Polynomial) -> list[int]:
+    """Dense ascending integer numerators of p over one variable; [] for zero."""
+    coeffs = [0] * (max(p._terms)[0] + 1 if p._terms else 0)
+    for (k,), c in p._terms.items():
+        coeffs[k] = c
+    return coeffs
+
+
+def _sparse(coeffs: list[int]) -> dict[Exponents, int]:
+    """The terms of a dense ascending list over one variable."""
+    return {(k,): c for k, c in enumerate(coeffs) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +539,9 @@ def _reduce_full(work: dict[Exponents, int], scale: int, divisors: list[_Divisor
 def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     """Return h with p = h*q, or raise NotDivisibleError.
 
-    Single-divisor reduction in grevlex order: a singleton divisor set is a
-    Groebner basis, so a zero remainder is equivalent to divisibility.
+    Over one variable it is the long division of `_pseudo_divide`.  Over more,
+    it is single-divisor reduction in grevlex order: a singleton divisor set
+    is a Groebner basis, so a zero remainder is equivalent to divisibility.
     """
     if q.is_zero():
         raise PolyError("division by the zero polynomial")
@@ -502,6 +550,15 @@ def divide_exact(p: Polynomial, q: Polynomial) -> Polynomial:
     a, b = p._aligned(q)
     if b.is_constant():
         return a.scale(1 / b.constant_coeff())
+    if len(a.variables) == 1:
+        # scale * A == quot * B for the numerators A, B of a, b, so
+        # a / b == quot * b._den / (scale * a._den)
+        rem, scale, quot = _pseudo_divide(_dense(a), _dense(b), want_quotient=True)
+        if rem:
+            raise NotDivisibleError(
+                f"{format_canonical(p)} is not divisible by {format_canonical(q)}")
+        return Polynomial._from_clean(_sparse([c * b._den for c in quot]),
+                                      scale * a._den, a.variables)
     divisor = _Divisor.of(b, _grevlex_descending_key)
     # the kernel divides by the monic b / lc(b), so it is handed a / lc(b):
     # lc(b) = num / b._den, and the sign of num moves into the numerators
@@ -523,47 +580,53 @@ def _primitive(coeffs: list[int]) -> list[int]:
     return coeffs if g <= 1 else [c // g for c in coeffs]
 
 
-def _primitive_coeffs(p: Polynomial) -> list[int]:
-    """Dense ascending integer coefficients of the primitive part of a univariate p."""
-    if p.is_zero():
-        return []
-    # at most one variable is used, so the total degree is its exponent
-    coeffs = [0] * (p.total_degree() + 1)
-    for exps, c in p._terms.items():
-        coeffs[sum(exps)] = c
-    return _primitive(coeffs)
+def _pseudo_divide(u: list[int], v: list[int], want_quotient: bool = False):
+    """Long division of dense ascending integer lists, without trailing zeros.
 
-
-def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
-    """An integer multiple of the remainder of u by v, dense ascending.
+    Returns (r, s, q) with s*u == q*v + r, deg r < deg v and s > 0, all dense
+    ascending; q is None unless `want_quotient`.  `u` is consumed.
 
     Each step cancels the lead of u with the least integer multiples of u and
-    of the shifted v, so the result is an integer multiple of the Euclidean
-    remainder; the caller takes its primitive part.
+    of the shifted v, the multiple of u positive, so r is a positive integer
+    multiple of the Euclidean remainder.
     """
-    u = list(u)
     dv, lv = len(v) - 1, v[-1]
+    low = [(i, c) for i, c in enumerate(v[:-1]) if c]
+    scale = 1
+    steps = [] if want_quotient else None
     while len(u) > dv:
-        lu = u[-1]
+        lu = u.pop()
         g = math.gcd(lu, lv)
+        if lv < 0:
+            g = -g
         factor, m = lu // g, lv // g
-        shift = len(u) - 1 - dv
+        shift = len(u) - dv
         if m != 1:
+            scale *= m
             u = [c * m for c in u]
-        for i, cv in enumerate(v):
-            u[shift + i] -= factor * cv
+        if steps is not None:
+            # the scale only grows by factors, so it is rescaled below
+            steps.append((shift, factor, scale))
+        for i, c in low:
+            u[shift + i] -= factor * c
         while u and u[-1] == 0:
             u.pop()
-    return u
+    quotient = None
+    if steps is not None:
+        quotient = [0] * (steps[0][0] + 1 if steps else 0)
+        for shift, factor, s in steps:
+            quotient[shift] = factor if s == scale else factor * (scale // s)
+    return u, scale, quotient
 
 
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor of two univariate polynomials.
 
     A primitive remainder sequence over the integers: each input is cleared
-    to its integer primitive part once, each pseudo-remainder is divided by
-    its content, and only the last nonzero remainder is made monic.  The
-    monic gcd is unique, so this is the polynomial a rational Euclid gives.
+    to its integer primitive part once, each remainder of `_pseudo_divide`
+    is divided by its content, and only the last nonzero remainder is made
+    monic.  The monic gcd is unique, so this is the polynomial a rational
+    Euclid gives.
     """
     used = set(p.used_variables()) | set(q.used_variables())
     if len(used) > 1:
@@ -572,15 +635,17 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
         raise PolyError("gcd of two zero polynomials")
     var = next(iter(used)) if used else (p.variables[0] if p.variables else
                                          (q.variables[0] if q.variables else "x"))
-    a, b = _primitive_coeffs(p), _primitive_coeffs(q)
+    a, b = (_primitive(_dense(f.with_variables((var,)))) for f in (p, q))
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
+        a, b = b, _primitive(_pseudo_divide(a, b)[0])
+    if a[-1] < 0:
+        a = [-c for c in a]
     ambient = p.variables if var in p.variables else q.variables
     if var not in ambient:
         ambient = (var,)
-    return Polynomial.from_univar_coeffs([Fraction(c, a[-1]) for c in a], var, ambient)
+    return Polynomial._from_clean(_sparse(a), a[-1], (var,)).with_variables(ambient)
 
 
 def lcm_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -724,14 +789,14 @@ class _Parser:
         return self.text[start:self.pos]
 
     def expr(self) -> Polynomial:
-        value = self.term()
+        terms = [(1, self.term())]
         while True:
             if self.take("+"):
-                value = value + self.term()
+                terms.append((1, self.term()))
             elif self.take("-"):
-                value = value - self.term()
+                terms.append((-1, self.term()))
             else:
-                return value
+                return _sum_terms(terms, self.variables)
 
     def term(self) -> Polynomial:
         value = self.factor()
@@ -802,6 +867,21 @@ class _Parser:
                 self.error(f"unknown variable {var!r}", UnknownVariableError)
             return Polynomial.var(var, self.variables)
         self.error("expected a number, variable, or '('")
+
+
+def _sum_terms(terms: list[tuple[int, Polynomial]], variables: tuple[str, ...]) -> Polynomial:
+    """The sum of sign * p over the terms, all over `variables`, in one pass
+    over their numerators put over the lcm of their denominators."""
+    if len(terms) == 1:  # the first term has sign 1
+        return terms[0][1]
+    den = math.lcm(*(p._den for _, p in terms))
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for sign, p in terms:
+        m = sign * (den // p._den)
+        for e, c in p._terms.items():
+            acc[e] = get(e, 0) + c * m
+    return Polynomial._from_clean({e: c for e, c in acc.items() if c}, den, variables)
 
 
 def _parse_rest(parser: _Parser) -> Polynomial:

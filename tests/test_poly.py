@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabring.poly import (DigitLimitError, NotDivisibleError, ParseError, Polynomial,
-                           PolyError, UnknownVariableError, divide_exact,
-                           format_canonical, gcd_univariate, parse_poly)
+                           PolyError, UnknownVariableError, _pseudo_divide, divide_exact,
+                           format_canonical, gcd_univariate, lcm_univariate, parse_poly)
 
 Z = ("z",)
 XY = ("x", "y")
+ZW = ("z", "w")
 
 
 def zp(text):
@@ -452,6 +453,51 @@ def _assert_clean(p, nvars=None):
         assert type(coeff) is int and coeff != 0
 
 
+@st.composite
+def _univariate_polys(draw, variables=Z):
+    """Polynomials over one variable up to degree about 40: sparse with gaps,
+    a dense run shifted up, or a constant."""
+    shape = draw(st.sampled_from(["sparse", "run", "constant"]))
+    if shape == "sparse":
+        coeffs = draw(st.dictionaries(st.integers(0, 40), _coefficients(), max_size=8))
+    elif shape == "run":
+        run = draw(st.lists(_coefficients(), max_size=10))
+        shift = draw(st.integers(0, 30))
+        coeffs = {shift + k: c for k, c in enumerate(run)}
+    else:
+        coeffs = {0: draw(_coefficients())}
+    return Polynomial({(k,): c for k, c in coeffs.items()}, variables)
+
+
+def _ref_pow(p, n):
+    result = Polynomial.one(p.variables)
+    for _ in range(n):
+        result = _ref_mul(result, p)
+    return result
+
+
+def _ref_lcm(p, q):
+    # the gcd is checked against the `Fraction` Euclid in TestIntegerGcd,
+    # which is too slow on these degrees and coefficients
+    return _ref_mul(p, _ref_divide_exact(q, gcd_univariate(p, q)))
+
+
+def _convolve(u, v):
+    out = [0] * (len(u) + len(v) - 1) if u and v else []
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+def _dense_integers(nonzero=True):
+    """Dense ascending integer lists without trailing zeros, some with gaps."""
+    coeffs = st.lists(st.one_of(st.integers(-9, 9), st.just(0),
+                                st.integers(-10 ** 20, 10 ** 20)), max_size=25)
+    stripped = coeffs.map(lambda c: c[:max((i + 1 for i, x in enumerate(c) if x), default=0)])
+    return stripped.filter(bool) if nonzero else stripped
+
+
 class TestKernelOracle:
     """The integer-form kernel against the previous `Fraction` loops."""
 
@@ -482,6 +528,70 @@ class TestKernelOracle:
         _same(divide_exact(p, q), expected)
         if exact:
             assert divide_exact(p, q) == h
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.one_of(_polys(_NAMES[:1]), _polys(_NAMES[:2]), _polys(_NAMES),
+                     _univariate_polys()),
+           st.integers(0, 5))
+    def test_pow(self, p, n):
+        r = p ** n
+        _same(r, _ref_pow(p, n))
+        _assert_clean(r)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_univariate_polys(), _univariate_polys(), st.booleans())
+    def test_univariate(self, h, q, exact):
+        """The dense one-variable route of `*`, `divide_exact` and
+        `lcm_univariate`, and the same pair over two variables, where the
+        dict route runs."""
+        hw, qw = h.with_variables(ZW), q.with_variables(ZW)
+        for r, rw in ((h * q, hw * qw), (q * h, qw * hw)):
+            _same(r, _ref_mul(h, q))
+            _same(rw, _ref_mul(hw, qw))
+            _assert_clean(r)
+            _assert_clean(rw)
+        if not (h.is_zero() and q.is_zero()):
+            expected = _ref_lcm(h, q)
+            for r in (lcm_univariate(h, q), lcm_univariate(hw, qw)):
+                _same(r, expected.with_variables(r.variables))
+                _assert_clean(r)
+        if q.is_zero():
+            return
+        p = _ref_mul(h, q) if exact else h
+        pw = p.with_variables(ZW)
+        try:
+            expected = _ref_divide_exact(p, q)
+        except NotDivisibleError:
+            assert not exact
+            for a, b in ((p, q), (pw, qw)):
+                with pytest.raises(NotDivisibleError):
+                    divide_exact(a, b)
+            return
+        for a, b in ((p, q), (pw, qw)):
+            r = divide_exact(a, b)
+            _same(r, expected.with_variables(a.variables))
+            _assert_clean(r)
+        if exact:
+            assert divide_exact(p, q) == h
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_dense_integers(nonzero=False), _dense_integers())
+    def test_pseudo_divide(self, u, v):
+        """s*u == q*v + r with deg r < deg v and s > 0; the quotient is only
+        computed on request and changes nothing else."""
+        r, s, q = _pseudo_divide(list(u), v, want_quotient=True)
+        assert type(s) is int and s > 0
+        assert len(r) < len(v) and (not r or r[-1] != 0)
+        qv = _convolve(q, v)
+        total = [0] * max(len(qv), len(r))
+        for i, c in enumerate(qv):
+            total[i] += c
+        for i, c in enumerate(r):
+            total[i] += c
+        while total and total[-1] == 0:
+            total.pop()
+        assert total == [s * c for c in u]
+        assert _pseudo_divide(list(u), v) == (r, s, None)
 
 
 class TestInternalInvariants:
@@ -515,6 +625,36 @@ class TestInternalInvariants:
         for _, coeff in p.items():
             assert type(coeff) is Fraction and coeff != 0
             assert math.gcd(coeff.numerator, coeff.denominator) == 1
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_coefficients(), st.sampled_from([(), Z, XY, _NAMES]))
+    def test_const_and_var(self, c, variables):
+        for p in (Polynomial.const(c, variables), Polynomial.const(0, variables),
+                  Polynomial.one(variables)):
+            _assert_clean(p, len(variables))
+        assert Polynomial.const(c, variables) == Polynomial(
+            {(0,) * len(variables): c}, variables)
+        for v in variables:
+            x = Polynomial.var(v, variables)
+            _assert_clean(x, len(variables))
+            assert x.used_variables() == (v,) and x.coeff(
+                tuple(int(w == v) for w in variables)) == 1
+        with pytest.raises(PolyError):
+            Polynomial.const(c, variables + variables[:1] + ("w", "w"))
+        with pytest.raises(PolyError):
+            Polynomial.var("w", ("w", "w"))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), _univariate_polys()), min_size=1, max_size=12))
+    def test_parsed_sum(self, terms):
+        """A parsed sum of many terms is the running sum, in canonical form."""
+        text = " ".join(f"{'-' if neg else '+'} ({format_canonical(p)})" for neg, p in terms)
+        expected = Polynomial.zero(Z)
+        for neg, p in terms:
+            expected = _ref_add(expected, -p if neg else p)
+        r = zp(text.lstrip("+ "))
+        _same(r, expected)
+        _assert_clean(r)
 
     def test_with_variables_duplicate_names(self):
         p = parse_poly("x", ("x",))
