@@ -63,6 +63,8 @@ class PlantFraction:
         """Build the plant directly from numerator matrix and scalar denominator."""
         if d.is_zero() or in_Z(d, ring):
             raise NotCausalError(f"denominator {d} lies in the causality ideal")
+        if not membership(d, ring):
+            raise NotCausalError(f"denominator {d} is not in the ring")
         for entry in N.entries:
             if not membership(entry, ring):
                 raise NotCausalError(f"numerator entry {entry} is not in the ring")
@@ -111,27 +113,22 @@ def scalar_denominator(entries, ring: RingModel) -> PlantFraction:
             raise NotCausalError("no scalar denominator found within the search bound")
         return plant
 
-    d = common_denominator((den for row in pairs for _, den in row), ring.variables)
+    nums, d = common_denominator((pair for row in pairs for pair in row), ring.variables)
     if in_Z(d, ring):
         raise NotCausalError(f"product denominator {d} lies in the causality ideal")
-    N = Mat.build(n, m, lambda i, j: pairs[i][j][0] * divide_exact(d, pairs[i][j][1]))
-    return PlantFraction.from_parts(ring, N, d)
+    return PlantFraction.from_parts(ring, Mat(n, m, nums), d)
 
 
 def _scalar_denominator_pairs(pairs, ring: RingModel) -> PlantFraction | None:
-    lcm = common_denominator((den for row in pairs for _, den in row), ring.variables)
-    base = [[num * divide_exact(lcm, den) for num, den in row] for row in pairs]
-    targets = [lcm] + [e for row in base for e in row]
-    s = _denominator_multiplier(targets, ring)
+    base, lcm = common_denominator((pair for row in pairs for pair in row), ring.variables)
+    s = _denominator_multiplier([lcm] + base, ring)
     if s is None:
         return None
-    d = lcm * s
-    if in_Z(d, ring) or not membership(d, ring):
+    try:
+        return PlantFraction.from_parts(ring, Mat(len(pairs), len(pairs[0]),
+                                                  [e * s for e in base]), lcm * s)
+    except NotCausalError:
         return None
-    N = Mat.from_rows([[e * s for e in row] for row in base])
-    if not all(membership(e, ring) for e in N.entries):
-        return None
-    return PlantFraction.from_parts(ring, N, d)
 
 
 def _denominator_multiplier(targets, ring: RingModel) -> Polynomial | None:

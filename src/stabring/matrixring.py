@@ -72,9 +72,6 @@ class Mat:
         return (self.rows, self.cols) == (other.rows, other.cols) and \
             all(a == b for a, b in zip(self.entries, other.entries))
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
     def __repr__(self):
         return f"Mat({self.to_rows()!r})"
 
@@ -102,21 +99,19 @@ class Mat:
             raise MatrixError(f"shape mismatch ({self.rows},{self.cols}) vs "
                               f"({other.rows},{other.cols})")
 
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise MatrixError(f"cannot multiply ({self.rows},{self.cols}) by "
-                                  f"({other.rows},{other.cols})")
-            out = []
-            for i in range(self.rows):
-                for j in range(other.cols):
-                    acc = None
-                    for k in range(self.cols):
-                        term = self[i, k] * other[k, j]
-                        acc = term if acc is None else acc + term
-                    out.append(acc)
-            return Mat(self.rows, other.cols, out)
-        return self.map(lambda x: x * other)
+    def __mul__(self, other: "Mat") -> "Mat":
+        if self.cols != other.rows:
+            raise MatrixError(f"cannot multiply ({self.rows},{self.cols}) by "
+                              f"({other.rows},{other.cols})")
+        out = []
+        for i in range(self.rows):
+            for j in range(other.cols):
+                acc = None
+                for k in range(self.cols):
+                    term = self[i, k] * other[k, j]
+                    acc = term if acc is None else acc + term
+                out.append(acc)
+        return Mat(self.rows, other.cols, out)
 
     def scale(self, scalar) -> "Mat":
         return self.map(lambda x: x * scalar)
@@ -150,6 +145,8 @@ class Mat:
         if n == 1:
             return self.entries[0]
         all_poly = all(isinstance(x, Polynomial) for x in self.entries)
+        # up to n = 4 the expansion is as fast as Bareiss or faster; above,
+        # Bareiss avoids its n! terms
         if all_poly and n > 4:
             return self._det_bareiss()
         return self._det_cofactor()

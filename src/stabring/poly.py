@@ -654,25 +654,26 @@ def lcm_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
     return p * divide_exact(q, g)
 
 
-def common_denominator(dens: Iterable[Polynomial], variables: Iterable[str]) -> Polynomial:
-    """One common multiple of the given denominators.
+def common_denominator(pairs: Iterable[tuple[Polynomial, Polynomial]],
+                       variables: Iterable[str]) -> tuple[list[Polynomial], Polynomial]:
+    """The fractions num/den over one common denominator c: ([num * c/den], c).
 
-    Over one variable it is their running lcm, which keeps the scaling of the
-    first denominator; otherwise it is the product of the distinct
-    denominators.
+    Over one variable c is the running `lcm_univariate` of the denominators,
+    from 1 on; otherwise it is the product of the distinct denominators.
     """
     variables = tuple(variables)
+    pairs = list(pairs)
     c = Polynomial.one(variables)
     if len(variables) == 1:
-        for den in dens:
+        for _, den in pairs:
             c = lcm_univariate(c, den)
-        return c
-    distinct: list[Polynomial] = []
-    for den in dens:
-        if den not in distinct:
-            distinct.append(den)
-            c = c * den
-    return c
+    else:
+        distinct: list[Polynomial] = []
+        for _, den in pairs:
+            if den not in distinct:
+                distinct.append(den)
+                c = c * den
+    return [num * divide_exact(c, den) for num, den in pairs], c
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +681,7 @@ def common_denominator(dens: Iterable[Polynomial], variables: Iterable[str]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _term_order_key(item: tuple[Exponents, Fraction]):
+def _term_order_key(item: tuple[Exponents, int]):
     exps, _ = item
     return (sum(exps), tuple(-e for e in exps))
 
@@ -689,29 +690,32 @@ def format_canonical(p: Polynomial) -> str:
     """Deterministic string form: ascending total degree, constant term first."""
     if p.is_zero():
         return "0"
+    den = p._den
     pieces = []
-    for exps, coeff in sorted(p.items(), key=_term_order_key):
+    for exps, c in sorted(p._terms.items(), key=_term_order_key):
         mono = "*".join(
             v if e == 1 else f"{v}^{e}"
             for v, e in zip(p.variables, exps) if e
         )
-        mag = abs(coeff)
+        g = math.gcd(c, den)
+        num, q = abs(c) // g, den // g
         if not mono:
-            body = _fmt_rational(mag)
-        elif mag == 1:
+            body = _fmt_rational(num, q)
+        elif num == 1 and q == 1:
             body = mono
         else:
-            body = f"{_fmt_rational(mag)}*{mono}"
+            body = f"{_fmt_rational(num, q)}*{mono}"
         if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(body if c > 0 else f"-{body}")
         else:
-            pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
+            pieces.append(f"{'+' if c > 0 else '-'} {body}")
     return " ".join(pieces)
 
 
-def _fmt_rational(c: Fraction) -> str:
+def _fmt_rational(num: int, den: int) -> str:
+    """num/den as text, with den > 0 and the two coprime; "num" when den is 1."""
     try:
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError as exc:  # past the interpreter's digit limit
         raise DigitLimitError(f"cannot print a number: {exc}")
 

@@ -93,17 +93,6 @@ class RingModel:
                             z_mode: str = ZERO_CONSTANT_TERM) -> "RingModel":
         return RingModel("monomial", (delay_var,), tuple(generators), z_mode)
 
-    # -- identity ------------------------------------------------------------
-
-    def _key(self):
-        return (self.kind, self.variables, self.generators, self.z_mode)
-
-    def __eq__(self, other):
-        return isinstance(other, RingModel) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         if self.kind == "monomial":
             return (f"RingModel.monomial_subalgebra({self.variables[0]!r}, "
@@ -324,40 +313,18 @@ class PolyFraction:
                 raise RingError(f"{self} is not a polynomial")
         return self.num.scale(Fraction(1) / self.den.constant_coeff())
 
-    def __add__(self, other):
-        other = _as_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __add__(self, other: "PolyFraction") -> "PolyFraction":
         return PolyFraction(self.num * other.den + other.num * self.den,
                             self.den * other.den)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return PolyFraction(-self.num, self.den)
 
-    def __sub__(self, other):
-        other = _as_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __sub__(self, other: "PolyFraction") -> "PolyFraction":
         return self + (-other)
 
-    def __rsub__(self, other):
-        return _as_fraction(other) + (-self)
-
-    def __mul__(self, other):
-        other = _as_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __mul__(self, other: "PolyFraction") -> "PolyFraction":
         return PolyFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     def inverse(self) -> "PolyFraction":
         if self.is_zero():
@@ -365,13 +332,9 @@ class PolyFraction:
         return PolyFraction(self.den, self.num)
 
     def __eq__(self, other):
-        other = _as_fraction(other)
-        if other is NotImplemented:
+        if not isinstance(other, PolyFraction):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def zero_like(self) -> "PolyFraction":
         return PolyFraction(Polynomial.zero(self.num.variables))
@@ -386,16 +349,6 @@ class PolyFraction:
 
     def __repr__(self):
         return f"PolyFraction({self.num!r}, {self.den!r})"
-
-
-def _as_fraction(value):
-    if isinstance(value, PolyFraction):
-        return value
-    if isinstance(value, Polynomial):
-        return PolyFraction.from_poly(value)
-    if isinstance(value, (int, Fraction)):
-        return PolyFraction(Polynomial.const(value))
-    return NotImplemented
 
 
 def fraction_in_ring(x: PolyFraction, ring: RingModel) -> bool:

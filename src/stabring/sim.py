@@ -18,7 +18,9 @@ every closed-loop entry a polynomial, so under a finite input the work ends
 with the transient, whatever the horizon.
 
 The loop's instantaneous algebraic constraint is solved exactly at each
-computed step, so every signal is a sequence of Fractions.  Time-domain
+computed step, so every signal is a sequence of Fractions.  Its inverse is
+the closed loop of the feedthrough matrices, whose numerators and det(Delta)
+`synth._closed_loop` gives as constant polynomials.  Time-domain
 traces are cross-checked against the algebraic closed-loop map by comparing
 impulse responses entry by entry, bit for bit.  Multivariate rings, and loops
 whose entries together use more than one variable, have no canonical time
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrixring import Mat
-from .poly import _fmt_rational
+from .poly import Polynomial, _fmt_rational
 from .ring import PolyFraction
-from .synth import IllPosedError, _scalar_fraction, closed_loop
+from .synth import IllPosedError, _closed_loop, _scalar_fraction, closed_loop
 
 
 class SimError(Exception):
@@ -209,16 +211,16 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
     u2 = _pad(u2, m, steps)
 
     # instantaneous constraint: [E_n  F_P; -F_C  E_m] [e1; e2] = rhs, whose
-    # inverse is the closed loop of the feedthrough matrices
-    k = n + m
-    feed_p = Mat.from_rows([[PolyFraction(f) for f in row.feed] for row in plant])
-    feed_c = Mat.from_rows([[PolyFraction(f) for f in row.feed] for row in ctrl])
+    # inverse is the closed loop of P = F_P and C = E_m^-1 F_C over constants
+    feed_p = Mat.from_rows([[Polynomial.const(f) for f in row.feed] for row in plant])
+    feed_c = Mat.from_rows([[Polynomial.const(f) for f in row.feed] for row in ctrl])
+    one = Polynomial.one()
     try:
-        H0 = closed_loop(feed_p, feed_c)
+        H0, det = _closed_loop(feed_p, one, Mat.scalar_matrix(m, one, one.zero_like()), feed_c)
     except IllPosedError:
         raise AlgebraicLoopSingularError("det(E + P(0)*C(0)) = 0")
-    inv = [[H0[r, c].as_polynomial().constant_coeff() for c in range(k)]
-           for r in range(k)]
+    det0 = det.constant_coeff()
+    inv = [[e.constant_coeff() / det0 for e in row] for row in H0.to_rows()]
     y1 = [row.outputs for row in ctrl]
     y2 = [row.outputs for row in plant]
     rows = plant + ctrl
@@ -287,6 +289,7 @@ def trace_to_csv(trace: SignalTrace) -> str:
     for t in range(trace.steps()):
         row = [str(t)]
         for _, channels in groups:
-            row += [_fmt_rational(ch[t]) for ch in channels]
+            row += [_fmt_rational(ch[t].numerator, ch[t].denominator)
+                    for ch in channels]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -34,13 +34,18 @@ det(Delta) = det(X) d^m det(E + P C),
 
     H = [[E - N Delta^-1 Y, -N Delta^-1 X], [d Delta^-1 Y, d Delta^-1 X]],
 
-which needs ring products, one det(Delta) and adj(Delta) of size m x m, and
-exact division by det(Delta).  Synthesis verifies its own factors, X = Den
-and Y = Num, for which Delta is a scalar matrix by the identity
-Num N + Den d E = d E it checks; a controller read from a file puts each row
-over its own common denominator, X = diag(c_i) (`row_factors`).  Fractions
-appear only where plants and controllers are parsed and where reports are
-rendered.
+so det(Delta) H is a ring matrix, from ring products and one det(Delta)
+and adj(Delta) of size m x m.  `_closed_loop` returns these numerators with
+det(Delta), and no fraction is reduced: an entry lies in A exactly when
+det(Delta) divides its numerator and the quotient lies in A, which
+`verify_stabilizing` decides with one exact division and one membership
+test.  Synthesis verifies its own factors, X = Den and Y = Num, for which
+Delta is a scalar matrix by the identity Num N + Den d E = d E it checks; a
+controller read from a file puts each row over its own common denominator,
+X = diag(c_i) (`row_factors`).  Fractions appear only where plants and
+controllers are parsed, where reports are rendered, and in
+`closed_loop(P, C)`, which puts the numerators over det(Delta) for the
+tests and the transpose-duality check.
 """
 
 from __future__ import annotations
@@ -324,21 +329,13 @@ def repair_nonsingular(Amat: Mat, Bmat: Mat, ring: RingModel) -> RepairResult:
 # ---------------------------------------------------------------------------
 
 
-def _over(num: Polynomial, den: Polynomial) -> PolyFraction:
-    """num/den, built without a gcd when den divides num."""
-    try:
-        return PolyFraction.from_poly(divide_exact(num, den))
-    except NotDivisibleError:
-        return PolyFraction(num, den)
-
-
-def _closed_loop(N: Mat, d: Polynomial, X: Mat, Y: Mat) -> Mat:
-    """The closed loop of P = N d^-1 and C = X^-1 Y from ring products.
+def _closed_loop(N: Mat, d: Polynomial, X: Mat, Y: Mat) -> tuple[Mat, Polynomial]:
+    """The closed loop of P = N d^-1 and C = X^-1 Y as ring numerators over det(Delta).
 
     With Delta = X d + Y N,
     H = [[E - N Delta^-1 Y, -N Delta^-1 X], [d Delta^-1 Y, d Delta^-1 X]],
-    so every entry is a ring element over det(Delta), with adj(Delta) in
-    place of the inverse.  X must be nonsingular.
+    so det(Delta) H is a ring matrix, with adj(Delta) in place of the
+    inverse; it is returned with det(Delta).  X must be nonsingular.
     """
     n, m = N.rows, N.cols
     if Y.rows != m or Y.cols != n or X.rows != m or X.cols != m:
@@ -358,15 +355,15 @@ def _closed_loop(N: Mat, d: Polynomial, X: Mat, Y: Mat) -> Mat:
     H12 = -(N * adj_x)
     H21 = adj_y.scale(d)
     H22 = adj_x.scale(d)
-    return H11.hstack(H12).vstack(H21.hstack(H22)).map(lambda e: _over(e, det))
+    return H11.hstack(H12).vstack(H21.hstack(H22)), det
 
 
 def _scalar_fraction(M: Mat, variables: tuple[str, ...]) -> tuple[Mat, Polynomial]:
     """A polynomial matrix and one scalar c with M = (numerators) / c."""
-    dens = [e.den.with_variables(variables) for e in M.entries]
-    c = common_denominator(dens, variables)
-    return Mat(M.rows, M.cols, [e.num.with_variables(variables) * divide_exact(c, den)
-                                for e, den in zip(M.entries, dens)]), c
+    nums, c = common_denominator(
+        [(e.num.with_variables(variables), e.den.with_variables(variables))
+         for e in M.entries], variables)
+    return Mat(M.rows, M.cols, nums), c
 
 
 def row_factors(C: Mat, variables: tuple[str, ...]) -> tuple[Mat, Mat]:
@@ -388,7 +385,8 @@ def closed_loop(P: Mat, C: Mat) -> Mat:
     for e in P.entries + C.entries:
         variables += tuple(v for v in e.num.variables if v not in variables)
     N, d = _scalar_fraction(P, variables)
-    return _closed_loop(N, d, *row_factors(C, variables))
+    H, det = _closed_loop(N, d, *row_factors(C, variables))
+    return H.map(lambda e: PolyFraction(e, det))
 
 
 @dataclass
@@ -408,20 +406,25 @@ def verify_stabilizing(P: Mat, X: Mat, Y: Mat, ring: RingModel) -> VerificationR
 
     X and Y are a left factorization of the controller over the ring:
     `synthesize` passes its Den and Num, and a controller read as fractions
-    comes through `row_factors`.
+    comes through `row_factors`.  An entry e/det(Delta) lies in the ring
+    exactly when det(Delta) divides e and the quotient lies in the ring.
     """
     N, d = _scalar_fraction(P, ring.variables)
     try:
-        H = _closed_loop(N, d, X, Y)
+        H, det = _closed_loop(N, d, X, Y)
     except IllPosedError:
         return VerificationReport(False, [], False, None)
-    flags = [[fraction_in_ring(H[i, j], ring) for j in range(H.cols)]
+    entries = []
+    for e in H.entries:
+        try:
+            q = divide_exact(e, det).with_variables(ring.variables)
+        except NotDivisibleError:
+            q = None
+        entries.append(q if q is not None and membership(q, ring) else None)
+    flags = [[e is not None for e in entries[i * H.cols:(i + 1) * H.cols]]
              for i in range(H.rows)]
-    ok = all(all(row) for row in flags)
-    H_ring = None
-    if ok:
-        H_ring = H.map(lambda e: e.as_polynomial().with_variables(ring.variables))
-    return VerificationReport(True, flags, ok, H_ring)
+    ok = all(e is not None for e in entries)
+    return VerificationReport(True, flags, ok, Mat(H.rows, H.cols, entries) if ok else None)
 
 
 def transpose_duality_check(P: Mat, C: Mat, ring: RingModel | None = None) -> bool:

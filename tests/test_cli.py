@@ -238,6 +238,19 @@ class TestSynthVerify:
         write_json(ctl, {"entries": [["0", "0"]]})
         assert main(["verify", DELAY, str(ctl)]) == EXIT_NEGATIVE
 
+    def test_verify_ill_posed_controller(self, tmp_path, capsys):
+        # C = [-1/P(1,1), 0] makes E + P*C singular
+        ctl = tmp_path / "ill.json"
+        write_json(ctl, {"entries": [["(-1 + z^2)/(1 - z^3)", "0"]]})
+        assert main(["verify", DELAY, str(ctl)]) == EXIT_NEGATIVE
+        assert capsys.readouterr().out == "ill-posed: det(E + P*C) = 0\n"
+
+    def test_verify_zero_controller_denominator(self, tmp_path, capsys):
+        ctl = tmp_path / "zero_den.json"
+        write_json(ctl, {"entries": [["1/(z - z)", "0"]]})
+        assert main(["verify", DELAY, str(ctl)]) == EXIT_INPUT
+        assert "zero denominator" in capsys.readouterr().err
+
     def test_synth_not_stabilizable(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["synth", XY, "-o", str(out)]) == EXIT_NEGATIVE

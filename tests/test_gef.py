@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from stabring.gef import (GefResult, MembershipFailedError, PlantFraction, gef,
-                          scalar_denominator, witness_matrix)
-from stabring.matrixring import IndexSet
+from stabring.gef import (GefResult, MembershipFailedError, PlantFraction,
+                          _scalar_denominator_pairs, gef, scalar_denominator,
+                          witness_matrix)
+from stabring.matrixring import IndexSet, Mat
 from stabring.poly import Polynomial, parse_poly
-from stabring.ring import (NotCausalError, PolyFraction, in_Z, membership)
+from stabring.ring import (NotCausalError, PolyFraction, RingModel, ZERO_IDEAL,
+                           in_Z, membership)
 
 Z = ("z",)
 
@@ -64,6 +66,27 @@ class TestScalarDenominator:
         assert membership(pf.d, ring23) and not in_Z(pf.d, ring23)
         assert all(membership(e, ring23) for e in pf.N.entries)
         assert pf.P[0, 0] == PolyFraction(zp("1 + z + z^2"), zp("1 + z"))
+
+    def test_retry_from_reduced_fractions(self, ring23):
+        # z^2/z^2 as written puts z^2 into every common denominator, which
+        # then lies in Z; its reduced form 1/1 does not
+        pairs = [[(zp("z^2"), zp("z^2"))], [(zp("z^2"), zp("1 - z^2"))]]
+        assert _scalar_denominator_pairs(pairs, ring23) is None
+        pf = scalar_denominator(pairs, ring23)
+        assert pf.d == zp("-1 + z^2")
+        assert pf.N.entries == (zp("-1 + z^2"), zp("-z^2"))
+
+    def test_zero_ideal_multiplier_shift(self):
+        # no multiplier with a constant term sends z into Q[z^2,z^3]; without
+        # a causality constraint the search shifts the support upward
+        ring = RingModel.monomial_subalgebra("z", (2, 3), ZERO_IDEAL)
+        pf = scalar_denominator([[(zp("1"), zp("z"))]], ring)
+        assert pf.d == zp("z^3")
+        assert pf.N.entries == (zp("z^2"),)
+
+    def test_from_parts_rejects_denominator_outside_ring(self, ring23):
+        with pytest.raises(NotCausalError):
+            PlantFraction.from_parts(ring23, Mat.from_rows([[zp("z^2")]]), zp("1 + z"))
 
 
 class TestFactors:

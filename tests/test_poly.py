@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabring.poly import (DigitLimitError, NotDivisibleError, ParseError, Polynomial,
-                           PolyError, UnknownVariableError, _pseudo_divide, divide_exact,
-                           format_canonical, gcd_univariate, lcm_univariate, parse_poly)
+                           PolyError, UnknownVariableError, _pseudo_divide,
+                           common_denominator, divide_exact, format_canonical,
+                           gcd_univariate, lcm_univariate, parse_poly)
 
 Z = ("z",)
 XY = ("x", "y")
@@ -185,6 +186,34 @@ class TestGcd:
                     divide_exact(target, g)
 
 
+class TestCommonDenominator:
+    def test_univariate_running_lcm(self):
+        # lcm(2 - 2*z^2, 1 - z) keeps the first argument times (1 - z)/(z - 1)
+        pairs = [(zp("1"), zp("2 - 2*z^2")), (zp("z"), zp("1 - z")), (zp("3"), zp("1 + z"))]
+        nums, c = common_denominator(pairs, Z)
+        assert c == zp("-2 + 2*z^2")
+        assert nums == [zp("-1"), zp("-2*z - 2*z^2"), zp("-6 + 6*z")]
+
+    def test_multivariate_product_of_distinct(self):
+        xy = lambda text: parse_poly(text, XY)
+        pairs = [(xy("x"), xy("1 + y")), (xy("y"), xy("1 + x")), (xy("1"), xy("1 + y"))]
+        nums, c = common_denominator(pairs, XY)
+        assert c == xy("(1 + y)*(1 + x)")
+        assert nums == [xy("x*(1 + x)"), xy("y*(1 + y)"), xy("1 + x")]
+
+    def test_fractions_unchanged(self):
+        rng = random.Random(13)
+        for variables in (Z, XY):
+            pairs = []
+            for _ in range(4):
+                den = _random_poly(rng, variables, degree=2)
+                if not den.is_zero():
+                    pairs.append((_random_poly(rng, variables, degree=2), den))
+            nums, c = common_denominator(pairs, variables)
+            for (num, den), scaled in zip(pairs, nums):
+                assert scaled * den == num * c
+
+
 def _gcd_fraction_euclid(p, q):
     """The earlier `gcd_univariate`: Euclid over `Fraction`s, monic at the end."""
     used = set(p.used_variables()) | set(q.used_variables())
@@ -286,6 +315,15 @@ class TestFormat:
     def test_multivariate_tie_break(self):
         assert format_canonical(parse_poly("y + x", XY)) == "x + y"
 
+    def test_matches_fraction_terms(self):
+        # the text built from the integer numerators over one denominator is
+        # the text of the reduced Fraction coefficients
+        rng = random.Random(17)
+        for _ in range(80):
+            variables = Z if rng.random() < 0.5 else XY
+            p = _random_poly(rng, variables)
+            assert format_canonical(p) == _ref_format(p)
+
     def test_coefficient_past_the_digit_limit(self):
         p = Polynomial.const(Fraction(1, 10 ** 4300), Z)
         limit = sys.get_int_max_str_digits()
@@ -295,6 +333,19 @@ class TestFormat:
                 format_canonical(p)
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+def _ref_format(p):
+    """`format_canonical` from the reduced Fraction coefficients of `items()`."""
+    pieces = []
+    for exps, coeff in sorted(p.items(), key=lambda t: (sum(t[0]), tuple(-e for e in t[0]))):
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(p.variables, exps) if e)
+        mag = abs(coeff)
+        text = str(mag)
+        body = text if not mono else mono if mag == 1 else f"{text}*{mono}"
+        sign = "-" if coeff < 0 else "+"
+        pieces.append(("-" if coeff < 0 else "") + body if not pieces else f"{sign} {body}")
+    return " ".join(pieces) or "0"
 
 
 def _random_poly(rng, variables, degree=4, terms=4):

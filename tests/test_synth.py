@@ -337,6 +337,15 @@ class TestVerifyStabilizing:
         # the failing block is -P, whose reduced entries are not polynomials
         assert (0, 2) in report.failures()
 
+    def test_polynomial_entry_outside_ring(self, ring23):
+        # with P = 0 the closed loop is [[1, 0], [C, 1]]: C = z divides
+        # exactly but does not lie in Q[z^2,z^3]
+        P = Mat.from_rows([[PolyFraction(zp("0"))]])
+        C = Mat.from_rows([[PolyFraction(zp("z"))]])
+        report = verify_stabilizing(P, *row_factors(C, ring23.variables), ring23)
+        assert report.well_posed and not report.ok
+        assert report.failures() == [(1, 0)] and report.H_ring is None
+
     def test_ill_posed(self, ring23):
         P = Mat.from_rows([[PolyFraction(zp("1"))]])
         C = Mat.from_rows([[PolyFraction(zp("-1"))]])
@@ -492,7 +501,8 @@ class TestClosedLoopOracle:
                     _closed_loop(N, d, X, Y)
                 assert not verify_stabilizing(P, X, Y, ring).well_posed
                 continue
-            assert _closed_loop(N, d, X, Y) == expected
+            H, det = _closed_loop(N, d, X, Y)
+            assert H.map(lambda e: PolyFraction(e, det)) == expected
             assert closed_loop(P, C) == expected
             reference_failures = [(i, j) for i in range(expected.rows)
                                   for j in range(expected.cols)
