@@ -29,8 +29,8 @@ from .linsolve import nullspace
 from .matrixring import IndexSet, Mat, enumerate_index_sets
 from .poly import (NotDivisibleError, Polynomial, common_denominator,
                    divide_exact, gcd_univariate)
-from .ring import (NotCausalError, Presentation, PolyFraction, RingModel,
-                   causal, gap_rows, in_Z, membership, presentation,
+from .ring import (ZERO_IDEAL, NotCausalError, Presentation, PolyFraction,
+                   RingModel, causal, gap_rows, in_Z, membership, presentation,
                    unit_multiplier)
 
 
@@ -61,7 +61,7 @@ class PlantFraction:
     @staticmethod
     def from_parts(ring: RingModel, N: Mat, d: Polynomial) -> "PlantFraction":
         """Build the plant directly from numerator matrix and scalar denominator."""
-        if d.is_zero() or in_Z(d, ring):
+        if in_Z(d, ring):
             raise NotCausalError(f"denominator {d} lies in the causality ideal")
         if not membership(d, ring):
             raise NotCausalError(f"denominator {d} is not in the ring")
@@ -133,7 +133,7 @@ def _scalar_denominator_pairs(pairs, ring: RingModel) -> PlantFraction | None:
 
 def _denominator_multiplier(targets, ring: RingModel) -> Polynomial | None:
     s = unit_multiplier(targets, ring)
-    if s is not None or ring.z_mode != "zero_ideal":
+    if s is not None or ring.z_mode != ZERO_IDEAL:
         return s
     # without a causality constraint the multiplier may vanish at zero:
     # shift the candidate support upward one degree at a time

@@ -926,7 +926,8 @@ def parse_fraction(text: str, variables: Iterable[str]) -> tuple[Polynomial, Pol
             return num, Polynomial.one(variables)
         parser.error("unexpected trailing input")
     except ParseError as exc:
-        error = exc
+        # without its traceback the kept error holds no frame of this call
+        error = exc.with_traceback(None)
     candidates = [(pos, None) for pos in parser.rational_bars]
     if num is not None and text[parser.pos] == "/":
         candidates.append((parser.pos, num))
@@ -936,7 +937,7 @@ def parse_fraction(text: str, variables: Iterable[str]) -> tuple[Polynomial, Pol
         try:
             den = _parse_rest(den_parser)
         except ParseError as exc:
-            error = exc
+            error = exc.with_traceback(None)
             continue
         if num is None:
             num = parse_poly(text[:pos], variables)

@@ -150,16 +150,21 @@ def membership(p: Polynomial, ring: RingModel) -> bool:
     return all(ring.semigroup_contains(exps[0]) for exps in p._terms)
 
 
+def residue(a: Polynomial, ring: RingModel) -> Polynomial:
+    """The image of a in A/Z: its constant term, or a itself when Z = 0."""
+    if ring.z_mode == ZERO_IDEAL:
+        return a
+    return Polynomial.const(a.constant_coeff(), a.variables)
+
+
 def in_Z(a: Polynomial, ring: RingModel) -> bool:
     """Membership in the causality prime ideal Z."""
-    if ring.z_mode == ZERO_IDEAL:
-        return a.is_zero()
-    return a.constant_coeff() == 0
+    return residue(a, ring).is_zero()
 
 
 def z_nonsingular(mat: Mat, ring: RingModel) -> bool:
-    """det(M) in A \\ Z for a square matrix over the ring."""
-    return not in_Z(mat.det(), ring)
+    """det(M) in A \\ Z, decided as det(M mod Z) != 0 (reduction is a ring map)."""
+    return not mat.map(lambda a: residue(a, ring)).det().is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ sum(lambda_I) = 1 needs no coefficients, and the candidate controller is
 
 When the candidate denominator is Z-singular it is repaired by a 0/1 selector
 matrix obtained from a Z-nonsingular full-size minor search, after which the
-controller is recomputed.  Every synthesized controller is verified against
-the exact closed-loop map before it is returned.
+controller is recomputed.  The search decides each minor on residues mod Z,
+as det(M) mod Z = det(M mod Z).  Every synthesized controller is verified
+against the exact closed-loop map before it is returned.
 
 The closed loop is computed over the ring, never in the fraction field.  The
 plant is put over one scalar common denominator, P = N d^-1, and the
@@ -290,16 +291,16 @@ def partition_powers(lambdas: list[Polynomial]) -> list[Polynomial]:
 @dataclass
 class RepairResult:
     R: Mat                    # 0/1 selector with A + R*B Z-nonsingular
-    minor: Polynomial         # the chosen Z-nonsingular full-size minor
-    rows: tuple[int, ...]     # 0-based rows of [A; B] forming the minor
+    rows: tuple[int, ...]     # 0-based rows of [A; B] of a Z-nonsingular minor
 
 
 def repair_nonsingular(Amat: Mat, Bmat: Mat, ring: RingModel) -> RepairResult:
     """A 0/1 matrix R making A + R*B Z-nonsingular.
 
     Full-size minors of the stacked [A; B] are scanned by (number of B-rows
-    ascending, then lexicographic row selection); the first Z-nonsingular
-    minor fixes R by matching excluded A-rows with included B-rows.
+    ascending, then lexicographic row selection), each decided on residues
+    mod Z; the first Z-nonsingular minor fixes R by matching excluded A-rows
+    with included B-rows.
     """
     if not Amat.is_square() or Bmat.cols != Amat.cols:
         raise SynthError("repair needs square A and B with matching columns")
@@ -310,17 +311,15 @@ def repair_nonsingular(Amat: Mat, Bmat: Mat, ring: RingModel) -> RepairResult:
     choices = sorted(combinations(range(p + q), p),
                      key=lambda c: (sum(1 for i in c if i >= p), c))
     for rows in choices:
-        minor = stack.take_rows(rows).det()
-        if in_Z(minor, ring):
+        if not z_nonsingular(stack.take_rows(rows), ring):
             continue
         excluded = [i for i in range(p) if i not in rows]
         included = [i - p for i in rows if i >= p]
         cells = set(zip(excluded, included))
         R = Mat.build(p, q, lambda i, j: one if (i, j) in cells else zero)
-        repaired = Amat + R * Bmat
-        if in_Z(repaired.det(), ring):
+        if not z_nonsingular(Amat + R * Bmat, ring):
             raise RepairImpossibleError("selector failed its post-verification")
-        return RepairResult(R, minor, rows)
+        return RepairResult(R, rows)
     raise NoNonsingularMinorError("no Z-nonsingular full-size minor in [A; B]")
 
 

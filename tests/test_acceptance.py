@@ -105,7 +105,8 @@ def test_criterion_06_repair_golden(ring23, paper):
         b_mat = Mat.from_rows([[-(scalar * paper.lam1)], [-(scalar * paper.k2)]])
         result = repair_nonsingular(a_mat, b_mat, ring23)
         assert result.R.to_rows() == [[zp("1"), zp("0")]]
-        assert result.minor == -(paper.alpha1 * paper.lam1 ** 2 * paper.g_12_3)
+        assert (a_mat.vstack(b_mat).take_rows(result.rows).det()
+                == -(paper.alpha1 * paper.lam1 ** 2 * paper.g_12_3))
 
 
 def test_criterion_07_representation_invariance(delay_plant, ring23):

@@ -17,6 +17,7 @@ from stabring.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK,
                           MAX_STEPS, InputError, main, parse_fraction_text)
 from stabring.groebner import IdealHandle
 from stabring.poly import ParseError, Polynomial, parse_poly
+from stabring.ring import RingModel
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 DELAY = os.path.join(FIXTURES, "delay_plant.json")
@@ -644,6 +645,48 @@ class TestPidPlants:
                 assert main(["check", path]) == EXIT_OK
                 assert main(["synth", path, "-o", ctl]) == EXIT_OK
                 assert main(["verify", path, ctl]) == EXIT_OK
+
+
+@st.composite
+def _semigroup_plants(draw):
+    """A causal plant over Q[z^S] with a constant-term causality ideal, up to
+    2 x 2: numerators and denominators are ring elements of degree at most 6,
+    and each denominator has a nonzero constant term."""
+    gens = draw(st.sampled_from([[2, 3], [3, 4, 5], [2, 5]]))
+    ring = {"kind": "monomial_subalgebra", "variable": "z", "generators": gens,
+            "z_mode": "zero_constant_term"}
+    exps = [e for e in range(1, 7)
+            if RingModel.monomial_subalgebra("z", gens).semigroup_contains(e)]
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    small = st.sampled_from([1, -1, 2, -3])
+
+    def ring_element(constants):
+        coeffs = [draw(constants)] + [0] * 6
+        for e in draw(st.lists(st.sampled_from(exps), max_size=2, unique=True)):
+            coeffs[e] = draw(small)
+        return _univariate_text(coeffs)
+
+    def entry():
+        num = ring_element(st.sampled_from([0, 1, -2]))
+        return f"({num})/({ring_element(small)})"
+
+    return {"ring": ring, "inputs": m, "outputs": n,
+            "entries": [[entry() for _ in range(m)] for _ in range(n)]}
+
+
+class TestSemigroupPlants:
+    """Over Q[z^S] with Z the elements of zero constant term every causal plant
+    is stabilizable: away from z = 0 the ring is locally Q[z], as the
+    conductor holds a power of z, and at z = 0 the denominator is a unit."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_semigroup_plants())
+    def test_check_exits_zero(self, plant):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "plant.json")
+            write_json(path, plant)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["check", path]) == EXIT_OK
 
 
 class TestHostilePlants:

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, parsing, exact division, gcd, and formatting."""
 
+import gc
 import math
 import random
 import sys
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from stabring.poly import (DigitLimitError, NotDivisibleError, ParseError, Polynomial,
                            PolyError, UnknownVariableError, _pseudo_divide,
                            common_denominator, divide_exact, format_canonical,
-                           gcd_univariate, lcm_univariate, parse_poly)
+                           gcd_univariate, lcm_univariate, parse_fraction,
+                           parse_poly)
 
 Z = ("z",)
 XY = ("x", "y")
@@ -723,6 +725,21 @@ class TestInternalInvariants:
         assert divide_exact(h * q, q) == h
         with pytest.raises(NotDivisibleError):
             divide_exact(h * q + parse_poly("x^3", XY), q)
+
+
+class TestParseFraction:
+    def test_leaves_no_cyclic_garbage(self):
+        # a caught ParseError kept with its traceback would tie each call's
+        # frame and parser into a cycle for the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                num, den = parse_fraction("(1 - z^3)/(1 - z^2)", Z)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert (num, den) == (zp("1 - z^3"), zp("1 - z^2"))
 
 
 class TestParseNesting:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from stabring.poly import Polynomial, parse_poly
 from stabring.ring import (MembershipError, PolyFraction, RingModel, RingError,
-                           ZERO_IDEAL, causal, in_Z, membership, presentation,
-                           strictly_causal, unit_multiplier, z_nonsingular)
+                           ZERO_CONSTANT_TERM, ZERO_IDEAL, causal, in_Z, membership,
+                           presentation, residue, strictly_causal, unit_multiplier,
+                           z_nonsingular)
 from stabring.matrixring import Mat
 
 Z = ("z",)
@@ -200,6 +201,52 @@ class TestCausalityIdeal:
                 assert not in_Z(a + b, ring23)
             if not in_Z(a * b, ring23):
                 assert not in_Z(a, ring23) and not in_Z(b, ring23)
+
+
+_RESIDUE_RINGS = [RingModel.monomial_subalgebra("z", (2, 3)),
+                  RingModel.polynomial(("x", "y"), ZERO_CONSTANT_TERM),
+                  RingModel.polynomial(("x", "y"), ZERO_IDEAL)]
+
+
+@st.composite
+def _square_matrices(draw):
+    """A ring and a k x k matrix over it, k <= 3.
+
+    Some entries have a zero constant term, and the last row may be a
+    multiple of the first, so that the determinant vanishes in either mode.
+    """
+    ring = draw(st.sampled_from(_RESIDUE_RINGS))
+    if ring.kind == "monomial":
+        monomials = [(0,), (2,), (3,), (5,)]
+    else:
+        monomials = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+
+    def entry():
+        terms = draw(st.dictionaries(st.sampled_from(monomials[1:]), st.integers(-2, 2),
+                                     max_size=2))
+        terms[monomials[0]] = draw(st.sampled_from([1, -1, 2, 0]))
+        return Polynomial(terms, ring.variables)
+
+    k = draw(st.integers(1, 3))
+    rows = [[entry() for _ in range(k)] for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        c = entry()
+        rows[-1] = [c * a for a in rows[0]]
+    return ring, Mat.from_rows(rows)
+
+
+class TestResidue:
+    def test_images(self, ring23):
+        assert residue(zp("2 - z^2 + z^3"), ring23) == zp("2")
+        assert residue(zp("z^2"), ring23).is_zero()
+        ring0 = RingModel.monomial_subalgebra("z", (2, 3), ZERO_IDEAL)
+        assert residue(zp("2 - z^2"), ring0) == zp("2 - z^2")
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_square_matrices())
+    def test_z_nonsingular_matches_the_polynomial_determinant(self, case):
+        ring, mat = case
+        assert z_nonsingular(mat, ring) == (not in_Z(mat.det(), ring))
 
 
 class TestCausal:

@@ -1,7 +1,12 @@
 """Stabilizability, local factorizations, repair, synthesis, verification."""
 
+import contextlib
+import hashlib
+import io
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -9,14 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabring import groebner, synth
-from stabring.cli import synth_report
+from stabring.cli import main, synth_report
 from stabring.gef import PlantFraction, gef, scalar_denominator
 from stabring.matrixring import IndexSet, Mat
 from stabring.poly import Polynomial, parse_poly
 from stabring.ring import (PolyFraction, RingModel, ZERO_IDEAL, fraction_in_ring,
                            in_Z, membership, presentation, z_nonsingular)
 from stabring.sim import compare_to_H
-from stabring.synth import (IllPosedError, NotStabilizableError, _closed_loop,
+from stabring.synth import (IllPosedError, NoNonsingularMinorError,
+                            NotStabilizableError, _closed_loop,
                             _running_gcd, _scalar_fraction, causality_check,
                             closed_loop, local_factorization,
                             partition_powers, repair_nonsingular, row_factors,
@@ -206,6 +212,49 @@ class TestPartitionPowers:
             partition_powers([zp("z^2")])
 
 
+def _repair_by_polynomial_minors(a_mat, b_mat, ring):
+    """The scan over polynomial minors: (rows, R) of the first minor outside Z, else None."""
+    p, q = a_mat.rows, b_mat.rows
+    stack = a_mat.vstack(b_mat)
+    for rows in sorted(combinations(range(p + q), p),
+                       key=lambda c: (sum(i >= p for i in c), c)):
+        if not in_Z(stack.take_rows(rows).det(), ring):
+            cells = set(zip([i for i in range(p) if i not in rows],
+                            [i - p for i in rows if i >= p]))
+            return rows, Mat.build(p, q, lambda i, j: Polynomial.const(
+                int((i, j) in cells), ring.variables))
+    return None
+
+
+@st.composite
+def _stacked_pairs(draw):
+    """A ring over Q[z^2,z^3] and a p x p matrix A over it with a q x p B, p, q <= 3.
+
+    The last rows of A may repeat the first mod Z, so that A(0) is
+    rank-deficient by up to p - 1; one column may be killed mod Z, so that
+    [A; B] has no Z-nonsingular full-size minor at all.
+    """
+    ring = draw(st.sampled_from([RingModel.monomial_subalgebra("z", (2, 3)),
+                                 RingModel.monomial_subalgebra("z", (2, 3), ZERO_IDEAL)]))
+    killer = zp("0") if ring.z_mode == ZERO_IDEAL else zp("z^2")  # a generator of Z
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def entry():
+        terms = draw(st.dictionaries(st.sampled_from([(2,), (3,), (5,)]),
+                                     st.integers(-2, 2), max_size=2))
+        terms[(0,)] = draw(st.sampled_from([1, -1, 2, 0]))
+        return Polynomial(terms, Z)
+
+    rows = [[entry() for _ in range(p)] for _ in range(p + q)]
+    for i in range(p - draw(st.integers(0, p - 1)), p):
+        rows[i] = [a + killer * entry() for a in rows[0]]
+    if draw(st.integers(0, 3)) == 3:
+        j = draw(st.integers(0, p - 1))
+        for row in rows:
+            row[j] = row[j] * killer
+    return ring, Mat.from_rows(rows[:p]), Mat.from_rows(rows[p:])
+
+
 class TestRepair:
     def test_published_instance(self, ring23, paper):
         a_mat = Mat.from_rows([[zp("0")]])
@@ -214,7 +263,8 @@ class TestRepair:
                                [-(scalar * paper.k2)]])
         result = repair_nonsingular(a_mat, b_mat, ring23)
         assert result.R.to_rows() == [[zp("1"), zp("0")]]
-        assert result.minor == -(paper.alpha1 * paper.lam1 ** 2 * paper.g_12_3)
+        assert (a_mat.vstack(b_mat).take_rows(result.rows).det()
+                == -(paper.alpha1 * paper.lam1 ** 2 * paper.g_12_3))
         repaired = a_mat + result.R * b_mat
         assert z_nonsingular(repaired, ring23)
 
@@ -223,7 +273,7 @@ class TestRepair:
         b_mat = Mat.from_rows([[zp("z^2")], [zp("1")]])
         result = repair_nonsingular(a_mat, b_mat, ring23)
         assert all(e.is_zero() for e in result.R.entries)
-        assert result.minor == zp("1 - z^2")
+        assert a_mat.vstack(b_mat).take_rows(result.rows).det() == zp("1 - z^2")
 
     def test_minor_enumeration_by_hand(self, ring23):
         a_mat = Mat.from_rows([[zp("0")]])
@@ -233,11 +283,44 @@ class TestRepair:
         assert (a_mat + result.R * b_mat).entries[0] == zp("1")
 
     def test_no_minor_raises(self, ring23):
-        from stabring.synth import NoNonsingularMinorError
         a_mat = Mat.from_rows([[zp("z^2")]])
         b_mat = Mat.from_rows([[zp("z^3")]])
         with pytest.raises(NoNonsingularMinorError):
             repair_nonsingular(a_mat, b_mat, ring23)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_stacked_pairs())
+    # A(0) = 0, so the first minor outside Z takes two B-rows
+    @example((RingModel.monomial_subalgebra("z", (2, 3)),
+              Mat.from_rows([[zp("z^2"), zp("z^3")], [zp("z^3"), zp("z^2")]]),
+              Mat.from_rows([[zp("z^2"), zp("1")], [zp("1"), zp("z^3")], [zp("1"), zp("1")]])))
+    def test_same_choice_as_the_polynomial_minor_scan(self, case):
+        ring, a_mat, b_mat = case
+        expected = _repair_by_polynomial_minors(a_mat, b_mat, ring)
+        if expected is None:
+            with pytest.raises(NoNonsingularMinorError):
+                repair_nonsingular(a_mat, b_mat, ring)
+            return
+        result = repair_nonsingular(a_mat, b_mat, ring)
+        assert (result.rows, result.R) == expected
+
+    def test_scan_with_several_b_rows(self, tmp_path):
+        # the 3 x 2 plant [r2, z^2; z^3, r3; z^2, z^3] with
+        # rc = (1 - c^3 z^3)/(1 - c^2 z^2): its repair takes two B-rows
+        r = lambda c: f"(1 - {c ** 3}*z^3)/(1 - {c ** 2}*z^2)"
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps({
+            "ring": {"kind": "monomial_subalgebra", "variable": "z", "generators": [2, 3],
+                     "z_mode": "zero_constant_term"},
+            "inputs": 2, "outputs": 3,
+            "entries": [[r(2), "z^2"], ["z^3", r(3)], ["z^2", "z^3"]]}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["synth", str(path)]) == 0
+        assert json.loads(out.getvalue())["repair"]["applied"]
+        # the report of the scan over polynomial minors
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+            "da19220f1c13513d6024ab18c6c955baf308ad3c123839e3d448e139a4e49724"
 
 
 class TestSynthesize:
