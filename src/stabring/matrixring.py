@@ -1,8 +1,9 @@
 """Dense exact matrices over ring scalars, selection matrices, and minors.
 
 Matrices are immutable, rectangular, row-major, and homogeneous in scalar
-kind (Polynomial or PolyFraction -- anything with +, -, * and the
-zero_like/one_like protocol).  Determinants over polynomial entries use
+kind.  Arithmetic needs +, -, * and the zero_like/one_like protocol of
+Polynomial; a matrix of PolyFractions, as files are read, is only built,
+indexed and compared.  Determinants over polynomial entries use
 fraction-free Gaussian elimination (Bareiss); small sizes and non-division
 scalars use cofactor expansion.  Both are exact.
 """
@@ -77,9 +78,6 @@ class Mat:
 
     def map(self, fn: Callable) -> "Mat":
         return Mat(self.rows, self.cols, [fn(x) for x in self.entries])
-
-    def transpose(self) -> "Mat":
-        return Mat.build(self.cols, self.rows, lambda i, j: self[j, i])
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
@@ -264,13 +262,3 @@ def selection(index_set: IndexSet, m: int, n: int) -> Mat:
     return Mat.build(m, m + n,
                      lambda k, j: _ONE if j == index_set.members[k] - 1 else _ZERO)
 
-
-def minor_ideal(mat: Mat, size: int) -> list[Polynomial]:
-    """All size-m minors, ordered by (row combination, column combination)."""
-    if size < 1 or size > min(mat.rows, mat.cols):
-        raise MatrixError(f"minor size {size} out of range")
-    out = []
-    for rows in combinations(range(mat.rows), size):
-        for cols in combinations(range(mat.cols), size):
-            out.append(mat.submatrix(list(rows), list(cols)).det())
-    return out

@@ -20,11 +20,11 @@ with the transient, whatever the horizon.
 The loop's instantaneous algebraic constraint is solved exactly at each
 computed step, so every signal is a sequence of Fractions.  Its inverse is
 the closed loop of the feedthrough matrices, whose numerators and det(Delta)
-`synth._closed_loop` gives as constant polynomials.  Time-domain
-traces are cross-checked against the algebraic closed-loop map by comparing
-impulse responses entry by entry, bit for bit.  Multivariate rings, and loops
-whose entries together use more than one variable, have no canonical time
-axis and are rejected.
+`synth._closed_loop` gives as constant polynomials.  The tests cross-check
+time-domain traces against the algebraic closed-loop map, impulse response
+by impulse response and bit for bit (`compare_to_H` in tests/oracles.py).
+Multivariate rings, and loops whose entries together use more than one
+variable, have no canonical time axis and are rejected.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from fractions import Fraction
 
 from .matrixring import Mat
 from .poly import Polynomial, _fmt_rational
-from .ring import PolyFraction
-from .synth import IllPosedError, _closed_loop, _scalar_fraction, closed_loop
+from .synth import IllPosedError, _closed_loop, _scalar_fraction
 
 
 class SimError(Exception):
@@ -52,45 +51,6 @@ class AlgebraicLoopSingularError(SimError):
 
 class SimulationUnsupportedError(SimError):
     """Raised for plants over rings without a time axis (multivariate)."""
-
-
-@dataclass
-class DiffEq:
-    """y_t = (1/d0) * (sum_k n_k u_{t-k} - sum_{k>=1} d_k y_{t-k})."""
-
-    num_coeffs: list[Fraction]
-    den_coeffs: list[Fraction]
-
-    def __post_init__(self):
-        if not self.den_coeffs or self.den_coeffs[0] == 0:
-            raise NotCausalTFError("denominator needs a nonzero constant term")
-
-    @staticmethod
-    def from_fraction(tf: PolyFraction) -> "DiffEq":
-        used = set(tf.num.used_variables()) | set(tf.den.used_variables())
-        if len(used) > 1:
-            raise SimulationUnsupportedError(
-                "only univariate delay rings can be simulated")
-        num = tf.num.univar_coeffs()
-        den = tf.den.univar_coeffs()
-        return DiffEq(num or [Fraction(0)], den)
-
-    @property
-    def feedthrough(self) -> Fraction:
-        return self.num_coeffs[0] / self.den_coeffs[0]
-
-
-def impulse_response(tf: PolyFraction | DiffEq, steps: int) -> list[Fraction]:
-    """First `steps` power-series coefficients of the transfer function."""
-    eq = tf if isinstance(tf, DiffEq) else DiffEq.from_fraction(tf)
-    num, den = eq.num_coeffs, eq.den_coeffs
-    out: list[Fraction] = []
-    for t in range(steps):
-        acc = num[t] if t < len(num) else Fraction(0)
-        for k in range(1, min(t, len(den) - 1) + 1):
-            acc -= den[k] * out[t - k]
-        out.append(acc / den[0])
-    return out
 
 
 _ZERO = Fraction(0)
@@ -255,27 +215,6 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
             if e2[i][t] != u2[i][t] + y1[i][t]:
                 raise SimError("loop equation e2 = u2 + y1 violated")
     return SignalTrace(u1, u2, e1, e2, y1, y2)
-
-
-def compare_to_H(P: Mat, C: Mat, steps: int, against: Mat | None = None) -> bool:
-    """Simulated impulse responses equal the algebraic closed-loop map.
-
-    `against` substitutes a reference closed-loop matrix, which makes the
-    check a detector: simulating a perturbed controller against the original
-    map reports the mismatch.
-    """
-    n, m = P.rows, P.cols
-    H = against if against is not None else closed_loop(P, C)
-    for channel in range(n + m):
-        u1 = [[Fraction(1)] if channel == i else [] for i in range(n)]
-        u2 = [[Fraction(1)] if channel == n + i else [] for i in range(m)]
-        trace = simulate_loop(P, C, u1, u2, steps)
-        outputs = trace.e1 + trace.e2
-        for row in range(n + m):
-            expected = impulse_response(H[row, channel], steps)
-            if outputs[row] != expected:
-                return False
-    return True
 
 
 def trace_to_csv(trace: SignalTrace) -> str:

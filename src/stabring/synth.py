@@ -1,4 +1,4 @@
-"""Stabilizability decision, controller synthesis, and closed-loop checks.
+"""Stabilizability decision, controller synthesis, and closed-loop verification.
 
 The decision asks whether the generalized-elementary-factor generators
 together generate the unit ideal.  Over Q[z^S] that is one univariate gcd
@@ -44,9 +44,10 @@ test.  Synthesis verifies its own factors, X = Den and Y = Num, for which
 Delta is a scalar matrix by the identity Num N + Den d E = d E it checks; a
 controller read from a file puts each row over its own common denominator,
 X = diag(c_i) (`row_factors`).  Fractions appear only where plants and
-controllers are parsed, where reports are rendered, and in
-`closed_loop(P, C)`, which puts the numerators over det(Delta) for the
-tests and the transpose-duality check.
+controllers are parsed and where reports are rendered.  The tests put the
+numerators over det(Delta) with `closed_loop(P, C)`, and their oracles
+(tests/oracles.py) check it against the fraction field, the transposed
+loop and a simulation.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ from .gef import GefResult, PlantFraction, gef, witness_matrix
 from .matrixring import IndexSet, Mat, selection
 from .poly import (NotDivisibleError, Polynomial, common_denominator,
                    divide_exact, gcd_univariate)
-from .ring import (PolyFraction, RingModel, causal, fraction_in_ring, in_Z,
-                   matrix_strictly_causal, membership, z_nonsingular)
+from .ring import PolyFraction, RingModel, in_Z, membership, z_nonsingular
 
 
 class SynthError(Exception):
@@ -273,7 +273,8 @@ def partition_powers(lambdas: list[Polynomial]) -> list[Polynomial]:
 
     Synthesis clears every localized denominator with lambda_I itself, so the
     partition of unity needs no power expansion and synthesis does not call
-    this; the name stays because perfbench/layers.py traces it.
+    this; only the tests do, and it stays because perfbench/layers.py traces
+    it.
     """
     if not lambdas:
         raise SynthError("empty partition")
@@ -297,10 +298,14 @@ class RepairResult:
 def repair_nonsingular(Amat: Mat, Bmat: Mat, ring: RingModel) -> RepairResult:
     """A 0/1 matrix R making A + R*B Z-nonsingular.
 
-    Full-size minors of the stacked [A; B] are scanned by (number of B-rows
-    ascending, then lexicographic row selection), each decided on residues
-    mod Z; the first Z-nonsingular minor fixes R by matching excluded A-rows
-    with included B-rows.
+    Full-size minors of the stacked [A; B] are scanned in lexicographic
+    order of their row selections, each decided on residues mod Z; the first
+    Z-nonsingular minor fixes R by matching excluded A-rows with included
+    B-rows.  That minor also has the fewest B-rows: the rows of [A; B] mod Z
+    form a matroid (linear independence over Q, or over the fraction field
+    when Z = 0), whose lexicographically first basis is the greedy one, and
+    the greedy basis takes every A-row independent of the A-rows before it,
+    so it holds as many A-rows as any basis.
     """
     if not Amat.is_square() or Bmat.cols != Amat.cols:
         raise SynthError("repair needs square A and B with matching columns")
@@ -308,9 +313,7 @@ def repair_nonsingular(Amat: Mat, Bmat: Mat, ring: RingModel) -> RepairResult:
     stack = Amat.vstack(Bmat)
     zero = Polynomial.zero(ring.variables)
     one = Polynomial.one(ring.variables)
-    choices = sorted(combinations(range(p + q), p),
-                     key=lambda c: (sum(1 for i in c if i >= p), c))
-    for rows in choices:
+    for rows in combinations(range(p + q), p):
         if not z_nonsingular(stack.take_rows(rows), ring):
             continue
         excluded = [i for i in range(p) if i not in rows]
@@ -379,7 +382,12 @@ def row_factors(C: Mat, variables: tuple[str, ...]) -> tuple[Mat, Mat]:
 
 
 def closed_loop(P: Mat, C: Mat) -> Mat:
-    """The (m+n)-square transfer matrix from (u1, u2) to (e1, e2)."""
+    """The (m+n)-square transfer matrix from (u1, u2) to (e1, e2).
+
+    The library verifies over the ring (`verify_stabilizing`) and does not
+    call this; only the tests do, and it stays here because
+    perfbench/layers.py traces it as a layer.
+    """
     variables: tuple[str, ...] = ()
     for e in P.entries + C.entries:
         variables += tuple(v for v in e.num.variables if v not in variables)
@@ -426,22 +434,6 @@ def verify_stabilizing(P: Mat, X: Mat, Y: Mat, ring: RingModel) -> VerificationR
     return VerificationReport(True, flags, ok, Mat(H.rows, H.cols, entries) if ok else None)
 
 
-def transpose_duality_check(P: Mat, C: Mat, ring: RingModel | None = None) -> bool:
-    """The closed loop of the transposed pair is the permuted closed loop."""
-    n, m = P.rows, P.cols
-    H = closed_loop(P, C)
-    H_t = closed_loop(P.transpose(), C.transpose())
-    order = list(range(n, n + m)) + list(range(n))
-    if H_t.transpose() != H.submatrix(order, order):
-        return False
-    if ring is not None:
-        direct = all(fraction_in_ring(e, ring) for e in H.entries)
-        transposed = all(fraction_in_ring(e, ring) for e in H_t.entries)
-        if direct and not transposed:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------------
@@ -460,8 +452,9 @@ class ControllerResult:
     locals: list[LocalFactorization]
     report: VerificationReport
 
-    # the power of lambda_I that clears the local denominators, which
-    # perfbench/layers.py records; rows_I(K) = lambda_I E makes it 1
+    # the power of lambda_I that clears the local denominators;
+    # rows_I(K) = lambda_I E makes it 1, and nothing in the library reads
+    # it: it stays because perfbench/layers.py records it
     omega = 1
 
 
@@ -538,41 +531,3 @@ def synthesize(pf: PlantFraction,
                             repair_selector=repair_selector,
                             certificate=cert, locals=locals_, report=report)
 
-
-# ---------------------------------------------------------------------------
-# causality of the result
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CausalityReport:
-    denominator_nonsingular: bool
-    adjugate_in_ring: bool
-    entry_causal: list[list[bool]]
-    controller_causal: bool
-    plant_strictly_causal: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.denominator_nonsingular and self.adjugate_in_ring
-                and self.controller_causal)
-
-
-def causality_check(pf: PlantFraction, result: ControllerResult) -> CausalityReport:
-    """Causality of the synthesized controller, entrywise and structurally.
-
-    Structurally: Den is Z-nonsingular, so C = (det(Den) E)^-1 (adj(Den) Num)
-    exhibits every entry as a ring element over a denominator outside Z.  For
-    a strictly causal plant every stabilizing controller must moreover be
-    entrywise causal, which the per-entry decisions confirm.
-    """
-    ring = pf.ring
-    den_ok = z_nonsingular(result.Den, ring)
-    adj_num = result.Den.adjugate() * result.Num
-    adj_ok = all(membership(e, ring) for e in adj_num.entries) and \
-        membership(result.Den.det(), ring)
-    flags = [[causal(result.C[i, j], ring) for j in range(result.C.cols)]
-             for i in range(result.C.rows)]
-    all_causal = den_ok and adj_ok and all(all(row) for row in flags)
-    strict = matrix_strictly_causal(pf.P, ring)
-    return CausalityReport(den_ok, adj_ok, flags, all_causal, strict)

@@ -8,8 +8,9 @@ from itertools import combinations
 import pytest
 
 from stabring.matrixring import (IndexSet, Mat, MatrixError,
-                                 enumerate_index_sets, minor_ideal, selection)
+                                 enumerate_index_sets, selection)
 from stabring.poly import Polynomial, parse_poly
+from oracles import minor_ideal
 
 ABCD = ("a", "b", "c", "d")
 

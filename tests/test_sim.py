@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from stabring.matrixring import Mat
 from stabring.poly import Polynomial, parse_poly
 from stabring.ring import PolyFraction
-from stabring.sim import (AlgebraicLoopSingularError, DiffEq, NotCausalTFError,
+from stabring.sim import (AlgebraicLoopSingularError, NotCausalTFError,
                           SignalTrace, SimError, SimulationUnsupportedError,
-                          _pad, _Row, compare_to_H, impulse_response, simulate_loop,
-                          trace_to_csv)
+                          _pad, _Row, simulate_loop, trace_to_csv)
 from stabring.synth import IllPosedError, closed_loop
+from oracles import DiffEq, FieldFraction, compare_to_H, impulse_response
 
 Z = ("z",)
 
@@ -23,7 +23,7 @@ def zp(text):
 
 
 def frac(num, den="1"):
-    return PolyFraction(zp(num), zp(den))
+    return FieldFraction(zp(num), zp(den))
 
 
 class TestImpulseResponse:
@@ -271,7 +271,7 @@ def _row(draw, cols, variables):
         if draw(st.booleans()):
             common = draw(_causal_poly(variables, max_degree=2))
             num, den = num * common, den * common
-        out.append(PolyFraction(num, den))
+        out.append(FieldFraction(num, den))
     return out
 
 
@@ -283,7 +283,7 @@ def _loop(draw):
     C = Mat.from_rows([draw(_row(n, variables)) for _ in range(m)])
     z = _upoly([Fraction(0), Fraction(1)], variables)
     case = draw(st.sampled_from(["causal"] * 3 + ["not_causal", "singular"]))
-    entries = [e * PolyFraction(z) for e in C.entries] if case == "singular" else list(C.entries)
+    entries = [e * FieldFraction(z) for e in C.entries] if case == "singular" else list(C.entries)
     if case == "not_causal":
         # a denominator without constant term has no causal realization
         entries[0] = PolyFraction(entries[0].num + 1, entries[0].den * z)
@@ -291,10 +291,10 @@ def _loop(draw):
         p0 = DiffEq.from_fraction(P[0, 0]).feedthrough
         if not p0:
             p0 = Fraction(1)
-            P = Mat(n, m, [P[0, 0] + PolyFraction(Polynomial.one(variables))]
+            P = Mat(n, m, [P[0, 0] + FieldFraction(Polynomial.one(variables))]
                     + list(P.entries[1:]))
         # only C[0, 0] has a feedthrough, so det(E + P(0) C(0)) = 1 + p0 c0 = 0
-        entries[0] = entries[0] + PolyFraction(Polynomial.const(-1 / p0, variables))
+        entries[0] = entries[0] + FieldFraction(Polynomial.const(-1 / p0, variables))
     C = Mat(C.rows, C.cols, entries)
     trace = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7),
                      min_size=1, max_size=6)
@@ -342,7 +342,7 @@ def _poly_row(draw, cols, variables):
         if draw(st.booleans()):
             common = draw(_causal_poly(variables, max_degree=2))
             num, den = num * common, den * common
-        out.append(PolyFraction(num, den))
+        out.append(FieldFraction(num, den))
     return out
 
 
