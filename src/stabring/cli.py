@@ -320,7 +320,7 @@ def cmd_synth(args) -> int:
 def cmd_verify(args) -> int:
     pf = load_plant(args.plant)
     C = load_controller(args.controller, pf)
-    report = verify_stabilizing(pf.P, *row_factors(C, pf.ring.variables), pf.ring)
+    report = verify_stabilizing(pf.N, pf.d, *row_factors(C, pf.ring.variables), pf.ring)
     if not report.well_posed:
         print("ill-posed: det(E + P*C) = 0")
         return EXIT_NEGATIVE

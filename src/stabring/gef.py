@@ -6,18 +6,14 @@ ideal, stacked into T = [N; d*E_m].  For every selection I of m rows of T the
 generalized elementary factor is the ideal of all lambda in A such that
 lambda*T = K * (rows_I of T) for some K over A.  With delta_I = det(rows_I T)
 nonzero and C = T * adj(rows_I T) this is the finite intersection of colon
-ideals (delta_I A : c_rs) over the entries of C.  The route depends on the
-ring:
-
-  * over Q[x1..xn] the colons and their intersection are Groebner
-    computations (elimination with an auxiliary variable);
-  * over a monomial ring Q[z^S] the intersection has a closed form, found by
-    one gcd and one exact linear system on the coefficients below the
-    conductor (`_gap_factor`).
-
-Either way the factor is handed on as an ideal of the ring's quotient
-presentation, whose reduced basis gives the reported generators, and each
-reported generator is post-verified by reconstructing its witness matrix K.
+ideals (delta_I A : c_rs) over the entries of C.  One formula gives it
+(`_factor`): with g the gcd of delta and every target c, and h = delta/g, it
+is (h) over a ring without gaps (Q[x1..xn] or Q[z], a UFD, where each colon
+is (delta / gcd(delta, c))), and over Q[z^S] h times a space found by one
+exact linear system on the coefficients below the conductor.  The factor is
+handed on as an ideal of the ring's quotient presentation, whose reduced
+basis gives the reported generators, and each reported generator is
+post-verified by reconstructing its witness matrix K.
 """
 
 from __future__ import annotations
@@ -217,20 +213,30 @@ def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
     return K
 
 
-def _gap_factor(ring: RingModel, delta: Polynomial,
-                targets: list[Polynomial]) -> list[Polynomial]:
+def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """A gcd of a and b; over several variables a*b / lcm, the lcm from `intersect`."""
+    if len(a.variables) == 1:
+        return gcd_univariate(a, b)
+    (lcm,) = IdealHandle(a.variables, [a]).intersect(IdealHandle(a.variables, [b])).gens
+    return divide_exact(a * b, lcm)
+
+
+def _factor(ring: RingModel, delta: Polynomial,
+            targets: list[Polynomial]) -> list[Polynomial]:
     """Generators of the intersection of the colons (delta A : c) over the targets.
 
-    A = Q[z^S] is a monomial ring with conductor F+1 and least generator s1.
-    With g the monic gcd of delta and every target and h = delta/g, the
-    intersection is h * (V + z^(F+1) Q[z]), where V is the space of q of
-    degree at most F for which h*q and every (c/g)*q vanish at all gaps.  Its
+    With g the gcd of delta and every target and h = delta/g, it is (h) over
+    a ring without gaps.  Over A = Q[z^S], with conductor F+1 and least
+    generator s1, it is h * (V + z^(F+1) Q[z]), where V is the space of q of
+    degree at most F for which h*q and every (c/g)*q vanish at all gaps; its
     generators are h*v for a basis v of V and h*z^(F+1+j) for j < s1.
     """
     g = delta
     for c in targets:
-        g = gcd_univariate(g, c)
+        g = _gcd(g, c)
     h = divide_exact(delta, g)
+    if not ring.gaps():
+        return [h]
     factors = [h] + [divide_exact(c, g) for c in targets]
     n, z = ring.conductor, ring.delay_var
     gens = [h * Polynomial.from_univar_coeffs(v, z, ring.variables)
@@ -259,16 +265,7 @@ def gef(pf: PlantFraction) -> GefResult:
                 continue  # the colon ideal is the whole ring for these
             if all(c != seen for seen in targets):
                 targets.append(c)
-        if not targets:
-            handle = pres.ideal([Polynomial.one(pres.variables)])
-        elif pf.ring.kind == "monomial":
-            handle = pres.ideal([pres.lift(g) for g in _gap_factor(pf.ring, delta, targets)])
-        else:
-            base = pres.ideal([pres.lift(delta)])
-            handle = None
-            for c in targets:
-                colon = base.colon(pres.lift(c))
-                handle = colon if handle is None else handle.intersect(colon)
+        handle = pres.ideal([pres.lift(g) for g in _factor(pf.ring, delta, targets)])
         generators = []
         for g in handle.reduced_basis():
             lam = pres.push(g)

@@ -1,10 +1,10 @@
 """Buchberger Groebner-basis engine over Q[x1..xk] with cofactor tracking.
 
 Supports ideal membership with witnesses, unit-ideal tests with Bezout
-certificates, colon ideals and intersections.  Every ideal handle carries a
-list of relation generators that are implicitly adjoined to all
-computations, which makes the engine operate modulo a quotient-ring
-presentation while staying inside an ordinary polynomial ring.
+certificates, and intersections; colon ideals serve only the tests.  Every
+ideal handle carries a list of relation generators that are implicitly
+adjoined to all computations, which makes the engine operate modulo a
+quotient-ring presentation while staying inside an ordinary polynomial ring.
 
 Reduction is the kernel of the polynomial module, `poly._reduce_full`, which
 `poly.divide_exact` runs with one divisor over two or more variables.  It
@@ -366,6 +366,7 @@ class IdealHandle:
             raise AssertionError("Bezout certificate failed verification")
         return True, cert
 
+    # the library does not call it; the tests' oracles and perfbench/layers.py do
     def colon(self, f: Polynomial) -> "IdealHandle":
         """(I : f) = {g | g*f in I}, via intersection with <f> and exact division."""
         from .poly import divide_exact

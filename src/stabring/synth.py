@@ -408,15 +408,16 @@ class VerificationReport:
                 for j, good in enumerate(row) if not good]
 
 
-def verify_stabilizing(P: Mat, X: Mat, Y: Mat, ring: RingModel) -> VerificationReport:
-    """Exact closed loop of P and C = X^-1 Y, and per-entry ring membership.
+def verify_stabilizing(N: Mat, d: Polynomial, X: Mat, Y: Mat,
+                       ring: RingModel) -> VerificationReport:
+    """Exact closed loop of P = N d^-1 and C = X^-1 Y, and per-entry ring membership.
 
-    X and Y are a left factorization of the controller over the ring:
-    `synthesize` passes its Den and Num, and a controller read as fractions
-    comes through `row_factors`.  An entry e/det(Delta) lies in the ring
-    exactly when det(Delta) divides e and the quotient lies in the ring.
+    N and d are the plant's own factors and X, Y a left factorization of the
+    controller over the ring: `synthesize` passes its Den and Num, and a
+    controller read as fractions comes through `row_factors`.  An entry
+    e/det(Delta) is in the ring exactly when det(Delta) divides e and the
+    quotient is in the ring.
     """
-    N, d = _scalar_fraction(P, ring.variables)
     try:
         H, det = _closed_loop(N, d, X, Y)
     except IllPosedError:
@@ -515,7 +516,7 @@ def synthesize(pf: PlantFraction,
         repair_index_set = lf.index_set
         repair_selector = repair.R
 
-    report = verify_stabilizing(pf.P, Den, Num, ring)
+    report = verify_stabilizing(pf.N, pf.d, Den, Num, ring)
     if not report.ok:
         raise SynthesisInternalError(
             f"synthesized controller failed verification at {report.failures()}")

@@ -92,7 +92,7 @@ def test_criterion_04_synthesis_soundness(delay_plant, delay_decision):
 
 def test_criterion_05_golden_controller(delay_plant, paper):
     with _Budget("criterion 05: published controller reproduces H exactly", 30):
-        report = verify_stabilizing(delay_plant.P,
+        report = verify_stabilizing(delay_plant.N, delay_plant.d,
                                     *row_factors(paper.controller, delay_plant.ring.variables),
                                     delay_plant.ring)
         assert report.ok

@@ -1,23 +1,26 @@
-"""The gap route of the GEFs over monomial rings against the Groebner route.
+"""The generalized elementary factors of `gef` against Groebner colon ideals.
 
-Over Q[z^S] `gef` finds each factor in closed form (`_gap_factor`): one gcd
-and one exact nullspace.  The oracle is the route polynomial rings still
-take: a Groebner colon ideal per target and their intersection, in the
-quotient presentation.  Both are ideals of the same presentation, so their
-reduced bases must be equal.
+`gef` finds each factor by one formula (`_factor`): with h = delta /
+gcd(delta, targets), the factor is (h) over a ring without gaps and h times
+one exact nullspace over Q[z^S].  The oracle is the factor's definition: a
+Groebner colon ideal per target and their intersection, in the quotient
+presentation.  Both are ideals of the same presentation, so their reduced
+bases must be equal.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabring.gef import PlantFraction, _cofactor_columns, gef
+from stabring.gef import PlantFraction, _cofactor_columns, _gcd, gef
 from stabring.linsolve import nullspace, solve_exact
 from stabring.matrixring import Mat, enumerate_index_sets
-from stabring.poly import Polynomial
-from stabring.ring import RingModel, presentation
+from stabring.poly import Polynomial, divide_exact, parse_poly
+from stabring.ring import (ZERO_CONSTANT_TERM, ZERO_IDEAL, RingModel,
+                           presentation)
 
 SEMIGROUPS = [(2, 3), (3, 5), (3, 4, 5), (4, 5, 6, 7), (1,)]
 
@@ -40,32 +43,60 @@ def groebner_factor(pf: PlantFraction, index_set):
     return handle
 
 
+def _monomials(ring: RingModel) -> list[Polynomial]:
+    """The nonconstant monomials of the ring of degree at most 6 (Q[z^S]) or 2."""
+    if ring.kind == "monomial":
+        z = Polynomial.var("z", ring.variables)
+        return [z ** e for e in range(1, 7) if ring.semigroup_contains(e)]
+    out = []
+    for k in (1, 2):
+        for names in combinations_with_replacement(ring.variables, k):
+            term = Polynomial.one(ring.variables)
+            for name in names:
+                term = term * Polynomial.var(name, ring.variables)
+            out.append(term)
+    return out
+
+
 @st.composite
-def causal_plants(draw, gens):
-    """A random plant N d^-1 over Q[z^gens], up to 2 x 2.
+def causal_plants(draw, ring):
+    """A random plant N d^-1 over the ring, up to 2 x 2.
 
     A common factor is drawn into d and into some numerator entries, so that
     the gcd of delta and its targets is often more than a constant.
     """
-    ring = RingModel.monomial_subalgebra("z", gens)
-    z = Polynomial.var("z", ring.variables)
-    exponent = st.sampled_from([e for e in range(1, 7) if ring.semigroup_contains(e)])
+    monomial = st.sampled_from(_monomials(ring))
     coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
 
     def element(constant=0):
         # at most two terms besides the constant, to keep the oracle quick
         acc = Polynomial.const(Fraction(constant), ring.variables)
-        for e, c in draw(st.lists(st.tuples(exponent, coeff), max_size=2)):
-            acc = acc + z ** e * c
+        for t, c in draw(st.lists(st.tuples(monomial, coeff), max_size=2)):
+            acc = acc + t * c
         return acc
 
     n = draw(st.integers(1, 2))
     m = draw(st.integers(1, 2))
-    common = Polynomial.one(ring.variables) + z ** draw(exponent) * draw(coeff)
+    common = Polynomial.one(ring.variables) + draw(monomial) * draw(coeff)
     d = element(constant=draw(st.sampled_from([1, -2, 3]))) * common
     entries = [element() * (common if draw(st.booleans()) else Polynomial.one(ring.variables))
                for _ in range(n * m)]
     return PlantFraction.from_parts(ring, Mat(n, m, entries), d)
+
+
+def assert_factors_match(pf: PlantFraction) -> int:
+    """gef against the oracle on every index set; returns the nonsingular count."""
+    result = gef(pf)
+    nonsingular = 0
+    for entry, index_set in zip(result.entries, enumerate_index_sets(pf.m, pf.n),
+                                strict=True):
+        assert entry.index_set == index_set
+        if entry.singular:
+            continue
+        nonsingular += 1
+        oracle = groebner_factor(pf, index_set)
+        assert entry.handle.reduced_basis() == oracle.reduced_basis()
+    return nonsingular
 
 
 class TestGapRouteAgainstGroebner:
@@ -73,14 +104,66 @@ class TestGapRouteAgainstGroebner:
     @settings(max_examples=10, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_reduced_bases_equal(self, gens, data):
-        pf = data.draw(causal_plants(gens))
-        result = gef(pf)
-        for entry, index_set in zip(result.entries, enumerate_index_sets(pf.m, pf.n)):
-            assert entry.index_set == index_set
-            if entry.singular:
-                continue
-            oracle = groebner_factor(pf, index_set)
-            assert entry.handle.reduced_basis() == oracle.reduced_basis()
+        assert_factors_match(data.draw(causal_plants(RingModel.monomial_subalgebra("z", gens))))
+
+
+POLYNOMIAL_RINGS = {
+    "xy": RingModel.polynomial(("x", "y"), ZERO_IDEAL),
+    "xy-constant-term": RingModel.polynomial(("x", "y"), ZERO_CONSTANT_TERM),
+    "xyw": RingModel.polynomial(("x", "y", "w")),
+    "z": RingModel.polynomial(("z",)),
+}
+
+
+class TestPrincipalFactorAgainstGroebner:
+    @pytest.mark.parametrize("name", POLYNOMIAL_RINGS)
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_reduced_bases_equal(self, name, data):
+        assert_factors_match(data.draw(causal_plants(POLYNOMIAL_RINGS[name])))
+
+
+class TestNoTargets:
+    @pytest.mark.parametrize("ring", [RingModel.monomial_subalgebra("z", (2, 3)),
+                                      POLYNOMIAL_RINGS["xy"]], ids=["z2z3", "xy"])
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (2, 2)])
+    def test_zero_numerators(self, ring, n, m):
+        # no index set has a target: the nonsingular ones take the whole
+        # ring, the reduced basis [1]
+        one = Polynomial.one(ring.variables)
+        d = one - Polynomial.var(ring.variables[-1], ring.variables) ** 2 * 4
+        pf = PlantFraction.from_parts(ring, Mat(n, m, [one.zero_like()] * (n * m)), d)
+        assert assert_factors_match(pf) == 1
+        assert all(e.generators == [one] for e in gef(pf).entries if not e.singular)
+
+
+class TestMultivariateGcd:
+    CASES = [
+        ("(x + y)*(1 - x*y)", "(x + y)*(2 + w)"),
+        ("(1 + x)^2*(y - w)", "(1 + x)*(y - w)^2"),
+        ("x*y + w", "x - y"),                     # coprime
+        ("x^2 - y^2", "3"),                       # a constant
+        ("5", "x*w + 1"),
+        ("2*(x - 1)*(w + y)", "-4*(x - 1)*(w + y)"),
+        ("x*y*w", "x*w^2"),
+    ]
+
+    @pytest.mark.parametrize("a, b", CASES)
+    def test_against_sympy(self, a, b):
+        sympy = pytest.importorskip("sympy")
+        variables = ("x", "y", "w")
+        p, q = parse_poly(a, variables), parse_poly(b, variables)
+        g = _gcd(p, q)
+        # each division raises unless g divides
+        divide_exact(p, g)
+        divide_exact(q, g)
+        symbols = sympy.symbols(variables)
+        theirs = sympy.Poly(sympy.gcd(sympy.sympify(a.replace("^", "**")),
+                                      sympy.sympify(b.replace("^", "**"))), *symbols)
+        theirs = Polynomial({e: Fraction(int(c.p), int(c.q))
+                             for e, c in theirs.as_dict().items()}, variables)
+        ratio = divide_exact(g, theirs)
+        assert ratio.is_constant() and not ratio.is_zero()
 
 
 class TestNullspace:

@@ -402,7 +402,7 @@ class TestFourOutputDelayPlant:
 
 class TestVerifyStabilizing:
     def test_published_controller_reproduces_h(self, delay_plant, paper):
-        report = verify_stabilizing(delay_plant.P,
+        report = verify_stabilizing(delay_plant.N, delay_plant.d,
                                     *row_factors(paper.controller, delay_plant.ring.variables),
                                     delay_plant.ring)
         assert report.ok
@@ -411,14 +411,16 @@ class TestVerifyStabilizing:
 
     def test_zero_pair(self, zero_plant):
         C = Mat.from_rows([[PolyFraction(zp("0")), PolyFraction(zp("0"))]])
-        report = verify_stabilizing(zero_plant.P, *row_factors(C, zero_plant.ring.variables),
+        report = verify_stabilizing(zero_plant.N, zero_plant.d,
+                                    *row_factors(C, zero_plant.ring.variables),
                                     zero_plant.ring)
         assert report.ok
         assert report.H_ring == Mat.scalar_matrix(3, zp("1"), zp("0"))
 
     def test_zero_controller_rejected(self, delay_plant):
         C = Mat.from_rows([[PolyFraction(zp("0")), PolyFraction(zp("0"))]])
-        report = verify_stabilizing(delay_plant.P, *row_factors(C, delay_plant.ring.variables),
+        report = verify_stabilizing(delay_plant.N, delay_plant.d,
+                                    *row_factors(C, delay_plant.ring.variables),
                                     delay_plant.ring)
         assert report.well_posed and not report.ok
         # the failing block is -P, whose reduced entries are not polynomials
@@ -429,14 +431,16 @@ class TestVerifyStabilizing:
         # exactly but does not lie in Q[z^2,z^3]
         P = Mat.from_rows([[PolyFraction(zp("0"))]])
         C = Mat.from_rows([[PolyFraction(zp("z"))]])
-        report = verify_stabilizing(P, *row_factors(C, ring23.variables), ring23)
+        report = verify_stabilizing(*_scalar_fraction(P, ring23.variables),
+                                    *row_factors(C, ring23.variables), ring23)
         assert report.well_posed and not report.ok
         assert report.failures() == [(1, 0)] and report.H_ring is None
 
     def test_ill_posed(self, ring23):
         P = Mat.from_rows([[PolyFraction(zp("1"))]])
         C = Mat.from_rows([[PolyFraction(zp("-1"))]])
-        report = verify_stabilizing(P, *row_factors(C, ring23.variables), ring23)
+        report = verify_stabilizing(*_scalar_fraction(P, ring23.variables),
+                                    *row_factors(C, ring23.variables), ring23)
         assert not report.well_posed and not report.ok
 
 
@@ -535,14 +539,16 @@ class TestClosedLoopOracle:
                 ill_posed += 1
                 with pytest.raises(IllPosedError):
                     closed_loop(P, C)
-                report = verify_stabilizing(P, *row_factors(C, ring.variables), ring)
+                report = verify_stabilizing(*_scalar_fraction(P, ring.variables),
+                                            *row_factors(C, ring.variables), ring)
                 assert not report.well_posed
                 continue
             assert closed_loop(P, C) == expected
             reference_failures = [(i, j) for i in range(expected.rows)
                                   for j in range(expected.cols)
                                   if not fraction_in_ring(expected[i, j], ring)]
-            report = verify_stabilizing(P, *row_factors(C, ring.variables), ring)
+            report = verify_stabilizing(*_scalar_fraction(P, ring.variables),
+                                        *row_factors(C, ring.variables), ring)
             assert report.failures() == reference_failures
         assert ill_posed == 3
 
@@ -588,7 +594,7 @@ class TestClosedLoopOracle:
                 ill_posed += 1
                 with pytest.raises(IllPosedError):
                     _closed_loop(N, d, X, Y)
-                assert not verify_stabilizing(P, X, Y, ring).well_posed
+                assert not verify_stabilizing(N, d, X, Y, ring).well_posed
                 continue
             H, det = _closed_loop(N, d, X, Y)
             assert H.map(lambda e: PolyFraction(e, det)) == expected
@@ -596,7 +602,7 @@ class TestClosedLoopOracle:
             reference_failures = [(i, j) for i in range(expected.rows)
                                   for j in range(expected.cols)
                                   if not fraction_in_ring(expected[i, j], ring)]
-            assert verify_stabilizing(P, X, Y, ring).failures() == reference_failures
+            assert verify_stabilizing(N, d, X, Y, ring).failures() == reference_failures
         assert ill_posed == 1
 
 
@@ -641,7 +647,7 @@ def _synthesize_from_own_factors(pf, decision=None):
 def _file_route_h(pf, result):
     """H from the reported fractions, split into row factors as a controller file is."""
     X, Y = row_factors(result.C, pf.ring.variables)
-    return verify_stabilizing(pf.P, X, Y, pf.ring).H_ring
+    return verify_stabilizing(pf.N, pf.d, X, Y, pf.ring).H_ring
 
 
 class TestSynthesisVerifiesItsFactors:
@@ -653,6 +659,23 @@ class TestSynthesisVerifiesItsFactors:
         result = _synthesize_from_own_factors(pf)
         assert result.repair_applied == repaired
         assert result.report.H_ring == _file_route_h(pf, result)
+
+    def test_closed_loop_takes_the_plant_factors(self, delay_plant):
+        # with the plant's own N and d, Delta = Den d + Num N = d E, so
+        # det(Delta) = d^m; factors re-derived from P would give another d
+        calls = []
+
+        def spy(N, d, X, Y):
+            H, det = _closed_loop(N, d, X, Y)
+            calls.append((N, d, det))
+            return H, det
+
+        with mock.patch.object(synth, "_closed_loop", side_effect=spy):
+            synthesize(delay_plant)
+        assert calls
+        for N, d, det in calls:
+            assert N == delay_plant.N and d == delay_plant.d
+            assert det == delay_plant.d ** delay_plant.m
 
 
 class TestRowFactors:
