@@ -46,6 +46,15 @@ EXIT_INTERNAL = 3
 # the semigroup table has g_1 * g_k + 2 entries.
 MAX_GENERATOR = 1000
 
+# Largest conductor of a monomial subalgebra a plant file may name: the gap
+# systems of the scalar denominator and the factors are dense, about
+# conductor x conductor, and their elimination grows with its cube.
+MAX_CONDUCTOR = 200
+
+# Most inputs + outputs of a plant: the factors are taken over all
+# C(inputs + outputs, inputs) index sets, at most C(14, 7) = 3432 here.
+MAX_CHANNELS = 14
+
 # Most digits, and largest decimal exponent, of one sample of an input trace:
 # Fraction("1e999999999") would compute a billion-digit power of ten, and
 # within these bounds every sample prints in the CSV trace.
@@ -82,7 +91,11 @@ def ring_from_config(cfg: dict) -> RingModel:
             raise InputError("'generators' must be integers")
         if any(g > MAX_GENERATOR for g in gens):
             raise InputError(f"'generators' must be at most {MAX_GENERATOR}")
-        return RingModel.monomial_subalgebra(var, tuple(gens), z_mode)
+        ring = RingModel.monomial_subalgebra(var, tuple(gens), z_mode)
+        if ring.conductor > MAX_CONDUCTOR:
+            raise InputError(f"the conductor {ring.conductor} of generators {gens} "
+                             f"is past {MAX_CONDUCTOR}")
+        return ring
     if kind == "polynomial_ring":
         variables = cfg.get("variables")
         if not isinstance(variables, list) or not variables:
@@ -136,6 +149,8 @@ def load_plant(path: str) -> PlantFraction:
     entries = data.get("entries")
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in (m, n)):
         raise InputError("'inputs' and 'outputs' must be positive integers")
+    if m + n > MAX_CHANNELS:
+        raise InputError(f"'inputs' + 'outputs' must be at most {MAX_CHANNELS}, got {m + n}")
     if (not isinstance(entries, list) or len(entries) != n
             or any(not isinstance(r, list) or len(r) != m for r in entries)):
         raise InputError(f"'entries' must be a {n} x {m} array of strings")

@@ -132,10 +132,9 @@ def _denominator_multiplier(targets, ring: RingModel) -> Polynomial | None:
     if s is not None or ring.z_mode != ZERO_IDEAL:
         return s
     # without a causality constraint the multiplier may vanish at zero:
-    # shift the candidate support upward one degree at a time
-    z = Polynomial.var(ring.delay_var, ring.variables) if ring.kind == "monomial" else None
-    if z is None:
-        return None
+    # shift the candidate support upward one degree at a time (the ring is
+    # Q[z^S] here, as `unit_multiplier` returns 1 over any other)
+    z = Polynomial.var(ring.delay_var, ring.variables)
     bound = ring.conductor + max((t.total_degree() for t in targets), default=0) + 1
     shifted = list(targets)
     for power in range(1, bound + 1):
@@ -221,6 +220,22 @@ def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return divide_exact(a * b, lcm)
 
 
+def running_gcd(polys: list[Polynomial]) -> Polynomial:
+    """A gcd of nonzero polynomials, folded pairwise with `_gcd`.
+
+    The fold stops at the first constant, since every later gcd would be a
+    nonzero constant too: the result is the full fold's up to a nonzero
+    rational factor, and over Q[x1..xn] the intersections after it are
+    skipped.
+    """
+    g = polys[0]
+    for p in polys[1:]:
+        if g.is_constant():
+            break
+        g = _gcd(g, p)
+    return g
+
+
 def _factor(ring: RingModel, delta: Polynomial,
             targets: list[Polynomial]) -> list[Polynomial]:
     """Generators of the intersection of the colons (delta A : c) over the targets.
@@ -230,10 +245,10 @@ def _factor(ring: RingModel, delta: Polynomial,
     generator s1, it is h * (V + z^(F+1) Q[z]), where V is the space of q of
     degree at most F for which h*q and every (c/g)*q vanish at all gaps; its
     generators are h*v for a basis v of V and h*z^(F+1+j) for j < s1.
+    A constant factor of g scales h and every row of the gap system alike,
+    so it changes neither the ideal nor V.
     """
-    g = delta
-    for c in targets:
-        g = _gcd(g, c)
+    g = running_gcd([delta] + targets)
     h = divide_exact(delta, g)
     if not ring.gaps():
         return [h]

@@ -353,9 +353,7 @@ class IdealHandle:
         gb = self.groebner(track_cofactors=True)
         if len(gb.basis) != 1 or not gb.basis[0].is_constant():
             return False, None
-        one = gb.basis[0]
-        if one.constant_coeff() != 1:  # reduced bases are monic, so this is 1
-            return False, None
+        # the reduced basis is monic, so it is [1]; `cert.verify` checks it
         cof = gb.cofactors[0]
         ngens = len(self.gens)
         cert = BezoutCertificate(

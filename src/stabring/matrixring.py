@@ -3,9 +3,9 @@
 Matrices are immutable, rectangular, row-major, and homogeneous in scalar
 kind.  Arithmetic needs +, -, * and the zero_like/one_like protocol of
 Polynomial; a matrix of PolyFractions, as files are read, is only built,
-indexed and compared.  Determinants over polynomial entries use
-fraction-free Gaussian elimination (Bareiss); small sizes and non-division
-scalars use cofactor expansion.  Both are exact.
+indexed and compared.  Determinants, and the minors of adjugates, are
+computed by one exact algorithm, fraction-free Gaussian elimination
+(Bareiss), whose every division is exact.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class Mat:
     # -- determinant / adjugate --------------------------------------------
 
     def det(self):
-        """Exact determinant of a square matrix."""
+        """Exact determinant of a square matrix of polynomials."""
         if not self.is_square():
             raise MatrixError("determinant of a non-square matrix")
         n = self.rows
@@ -142,21 +142,15 @@ class Mat:
             raise MatrixError("determinant of an empty matrix")
         if n == 1:
             return self.entries[0]
-        all_poly = all(isinstance(x, Polynomial) for x in self.entries)
-        # up to n = 4 the expansion is as fast as Bareiss or faster; above,
-        # Bareiss avoids its n! terms
-        if all_poly and n > 4:
-            return self._det_bareiss()
-        return self._det_cofactor()
-
-    def _det_cofactor(self):
-        idx = tuple(range(self.rows))
-        return _cofactor_expansion(self, idx, idx)
+        return self._det_bareiss()
 
     def _det_bareiss(self) -> Polynomial:
-        # fraction-free elimination; every division is exact over a domain
+        # fraction-free elimination: after step k each entry right of and
+        # below the pivot is a (k+2)-minor of the matrix, so the division by
+        # the previous pivot is exact over a domain; at n = 2 it is the one
+        # cross product a00*a11 - a10*a01
         n = self.rows
-        a = [list(self.row(i)) for i in range(n)]
+        a = self.to_rows()
         sign = 1
         prev = None
         for k in range(n - 1):
@@ -170,7 +164,6 @@ class Mat:
                 for j in range(k + 1, n):
                     num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                     a[i][j] = num if prev is None else divide_exact(num, prev)
-                a[i][k] = a[i][k].zero_like()
             prev = a[k][k]
         result = a[n - 1][n - 1]
         return result if sign > 0 else -result
@@ -191,27 +184,6 @@ class Mat:
                 minor = self.submatrix(rows, cols).det()
                 out.append(minor if (i + j) % 2 == 0 else -minor)
         return Mat(n, n, out)
-
-
-def _cofactor_expansion(mat: Mat, row_idx: tuple[int, ...], col_idx: tuple[int, ...]):
-    """det of the submatrix on row_idx x col_idx, expanded along its first row.
-
-    A module function rather than a closure over the matrix: a recursive
-    closure refers to itself through its cell and would leave the matrix to
-    the cyclic collector.
-    """
-    if len(row_idx) == 1:
-        return mat[row_idx[0], col_idx[0]]
-    i = row_idx[0]
-    rest = row_idx[1:]
-    acc = None
-    for pos, j in enumerate(col_idx):
-        sub_cols = col_idx[:pos] + col_idx[pos + 1:]
-        term = mat[i, j] * _cofactor_expansion(mat, rest, sub_cols)
-        if pos % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .gef import GefResult, PlantFraction, gef, witness_matrix
+from .gef import GefResult, PlantFraction, gef, running_gcd, witness_matrix
 from .matrixring import IndexSet, Mat, selection
-from .poly import (NotDivisibleError, Polynomial, common_denominator,
-                   divide_exact, gcd_univariate)
+from .poly import NotDivisibleError, Polynomial, common_denominator, divide_exact
 from .ring import PolyFraction, RingModel, in_Z, membership, z_nonsingular
 
 
@@ -121,16 +120,6 @@ class StabilizabilityResult:
     evidence_basis: list[Polynomial]  # pushed reduced basis when not stabilizable
 
 
-def _running_gcd(polys: list[Polynomial]) -> Polynomial:
-    """A gcd of nonzero univariate polynomials, stopping at the first constant."""
-    g = polys[0]
-    for p in polys[1:]:
-        if g.is_constant():
-            break
-        g = gcd_univariate(g, p)
-    return g
-
-
 def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
     """Decide stabilizability and produce a partition-of-unity certificate.
 
@@ -168,10 +157,10 @@ def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
     full = ideal(index_sets)
     full_cert = None
     if pf.ring.kind == "monomial":
-        gcds = {e.index_set: _running_gcd(e.generators) for e in gr.entries if e.generators}
+        gcds = {e.index_set: running_gcd(e.generators) for e in gr.entries if e.generators}
 
         def generates(combo) -> bool:
-            return _running_gcd([gcds[i] for i in combo]).is_constant()
+            return running_gcd([gcds[i] for i in combo]).is_constant()
         ok = generates(index_sets)
         if not ok and full.reduced_basis() == [one]:
             raise SynthesisInternalError("the gcd test and the Groebner basis disagree")
@@ -459,14 +448,11 @@ class ControllerResult:
     omega = 1
 
 
-def synthesize(pf: PlantFraction,
-               decision: StabilizabilityResult | None = None) -> ControllerResult:
-    """Construct and verify a stabilizing controller for the plant."""
+def synthesize(pf: PlantFraction, decision: StabilizabilityResult) -> ControllerResult:
+    """Construct and verify a stabilizing controller from `stabilizable(pf)`'s decision."""
     ring = pf.ring
     m, n = pf.m, pf.n
     zero = Polynomial.zero(ring.variables)
-    if decision is None:
-        decision = stabilizable(pf)
     if not decision.stabilizable:
         raise NotStabilizableError("the generalized elementary factors are not coprime")
     cert = decision.certificate

@@ -126,5 +126,5 @@ def delay_controller(delay_plant, delay_decision):
 
 @pytest.fixture(scope="session")
 def siso_controller(siso_plant):
-    from stabring.synth import synthesize
-    return synthesize(siso_plant)
+    from stabring.synth import stabilizable, synthesize
+    return synthesize(siso_plant, stabilizable(siso_plant))

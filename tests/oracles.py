@@ -12,7 +12,8 @@ run them:
     simulates the loop and compares it with the algebraic closed loop;
   * matrix transposition, the transpose-duality check, and the causality
     report of a synthesized controller;
-  * the ideal of minors of a matrix;
+  * the determinant by cofactor expansion, the reference for the library's
+    fraction-free elimination, and the ideal of minors of a matrix;
   * the paper's module criterion for plants with one input.
 """
 
@@ -227,6 +228,23 @@ def causality_check(pf: PlantFraction, result: ControllerResult) -> CausalityRep
 # ---------------------------------------------------------------------------
 # minors and the module criterion
 # ---------------------------------------------------------------------------
+
+
+def cofactor_det(mat: Mat, rows: tuple[int, ...] | None = None,
+                 cols: tuple[int, ...] | None = None):
+    """det of the square matrix (or of its rows x cols submatrix), expanded
+    along the first row; it takes no division."""
+    if rows is None:
+        rows = cols = tuple(range(mat.rows))
+    if len(rows) == 1:
+        return mat[rows[0], cols[0]]
+    acc = None
+    for pos, j in enumerate(cols):
+        term = mat[rows[0], j] * cofactor_det(mat, rows[1:], cols[:pos] + cols[pos + 1:])
+        if pos % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def minor_ideal(mat: Mat, size: int) -> list[Polynomial]:

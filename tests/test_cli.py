@@ -703,10 +703,13 @@ class TestHostilePlants:
         # under the digit limit on input, past it in the report's products
         ("gef", RING23, "z^2/(1 - " + "3" * 2500 + "*z^2)"),
         ("synth", RING23, "z^2/(1 - " + "3" * 2500 + "*z^2)"),
+        # conductor (17 - 1)(18 - 1) = 272: dense gap systems of that size
+        ("check", {"kind": "monomial_subalgebra", "variable": "z",
+                   "generators": [17, 18]}, "z^17/(1 - z^17)"),
     ], ids=["deep_parentheses", "huge_generator", "numeral_past_the_digit_limit",
             "degree_past_the_bound", "terms_past_the_bound",
             "gef_coefficient_past_the_digit_limit",
-            "synth_coefficient_past_the_digit_limit"])
+            "synth_coefficient_past_the_digit_limit", "conductor_past_the_bound"])
     def test_rejected_as_input_error(self, tmp_path, capsys, command, ring, entry):
         path = tmp_path / "plant.json"
         write_json(path, {"ring": ring, "inputs": 1, "outputs": 1, "entries": [[entry]]})
@@ -719,3 +722,16 @@ class TestHostilePlants:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["gef", "check", "synth"])
+    def test_channels_past_the_bound(self, tmp_path, capsys, command):
+        # 8 outputs and 7 inputs: C(15, 7) = 6435 index sets of 7 x 7 minors;
+        # the bound is checked before any entry is parsed
+        path = tmp_path / "plant.json"
+        entries = [["z^2" if i == j else "0" for j in range(7)] for i in range(8)]
+        entries[7][6] = "(" * 3000
+        write_json(path, {"ring": RING23, "inputs": 7, "outputs": 8, "entries": entries})
+        assert main([command, str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err == "error: 'inputs' + 'outputs' must be at most 14, got 15\n"

@@ -8,19 +8,25 @@ presentation.  Both are ideals of the same presentation, so their reduced
 bases must be equal.
 """
 
+import importlib
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabring.gef import PlantFraction, _cofactor_columns, _gcd, gef
+from stabring.gef import PlantFraction, _cofactor_columns, _factor, _gcd, gef, running_gcd
 from stabring.linsolve import nullspace, solve_exact
 from stabring.matrixring import Mat, enumerate_index_sets
 from stabring.poly import Polynomial, divide_exact, parse_poly
 from stabring.ring import (ZERO_CONSTANT_TERM, ZERO_IDEAL, RingModel,
                            presentation)
+
+# the package exports the function `gef`, which hides the module of that name
+gef_module = importlib.import_module("stabring.gef")
 
 SEMIGROUPS = [(2, 3), (3, 5), (3, 4, 5), (4, 5, 6, 7), (1,)]
 
@@ -164,6 +170,52 @@ class TestMultivariateGcd:
                              for e, c in theirs.as_dict().items()}, variables)
         ratio = divide_exact(g, theirs)
         assert ratio.is_constant() and not ratio.is_zero()
+
+
+@st.composite
+def gcd_chains(draw):
+    """Nonzero polynomials over Q[z] or Q[x,y] sharing a drawn factor, one of
+    them possibly a nonzero constant at any position."""
+    variables = draw(st.sampled_from([("z",), ("x", "y")]))
+    exps = [e for e in combinations_with_replacement(range(3), len(variables))
+            if sum(e) <= 2] if len(variables) > 1 else [(e,) for e in range(3)]
+
+    def poly():
+        terms = {e: Fraction(draw(st.integers(-3, 3).filter(bool)))
+                 for e in draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3,
+                                        unique=True))}
+        return Polynomial(terms, variables)
+
+    common = poly()
+    polys = [common * poly() for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        constant = Polynomial.one(variables).scale(Fraction(draw(st.integers(1, 5))))
+        polys.insert(draw(st.integers(0, len(polys))), constant)
+    return polys
+
+
+class TestRunningGcd:
+    """`running_gcd` stops at the first constant; the full pairwise fold does not."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(gcd_chains())
+    def test_matches_the_full_fold(self, polys):
+        ratio = divide_exact(running_gcd(polys), reduce(_gcd, polys))
+        assert ratio.is_constant() and not ratio.is_zero()
+
+    @pytest.mark.parametrize("ring", [RingModel.polynomial(("x", "y"), ZERO_IDEAL),
+                                      RingModel.monomial_subalgebra("z", (2, 3))],
+                             ids=["xy", "z2z3"])
+    def test_no_gcd_after_a_constant(self, ring):
+        v = ring.variables[0]
+        p = lambda text: parse_poly(text.replace("v", v), ring.variables)
+        # gcd(v^2, 1 + v^2) is constant: the two targets after it take no gcd
+        delta, targets = p("v^2"), [p("1 + v^2"), p("v^3"), p("v^2 + v^3")]
+        with mock.patch.object(gef_module, "_gcd", wraps=_gcd) as spy:
+            _factor(ring, delta, targets)
+            assert spy.call_count == 1
+            assert running_gcd([p("3")] + targets).is_constant()
+            assert spy.call_count == 1
 
 
 class TestNullspace:

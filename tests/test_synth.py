@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 
 from stabring import groebner, synth
 from stabring.cli import main, synth_report
-from stabring.gef import PlantFraction, gef, scalar_denominator
+from stabring.gef import PlantFraction, gef, running_gcd, scalar_denominator
 from stabring.matrixring import IndexSet, Mat
 from stabring.poly import Polynomial, parse_poly
 from stabring.ring import (PolyFraction, RingModel, ZERO_IDEAL, fraction_in_ring,
                            in_Z, membership, presentation, z_nonsingular)
 from stabring.synth import (IllPosedError, NoNonsingularMinorError,
-                            NotStabilizableError, _closed_loop,
-                            _running_gcd, _scalar_fraction,
+                            NotStabilizableError, _closed_loop, _scalar_fraction,
                             closed_loop, local_factorization,
                             partition_powers, repair_nonsingular, row_factors,
                             stabilizable, synthesize, verify_stabilizing)
@@ -115,7 +114,7 @@ class TestGcdUnitTest:
             lams = [lam for e in result.entries for lam in e.generators]
             for _ in range(8):
                 subset = rng.sample(lams, rng.randint(1, len(lams)))
-                by_gcd = _running_gcd(subset).is_constant()
+                by_gcd = running_gcd(subset).is_constant()
                 ok, cert = pres.ideal([pres.lift(lam) for lam in subset]).is_unit()
                 assert by_gcd == ok, [str(lam) for lam in subset]
                 outcomes.append(ok)
@@ -374,7 +373,7 @@ class TestSynthesize:
         assert C * inv_o == num_frac
 
     def test_zero_plant(self, zero_plant):
-        result = synthesize(zero_plant)
+        result = synthesize(zero_plant, stabilizable(zero_plant))
         assert all(e.is_zero() for e in field(result.C).entries)
         expected = Mat.scalar_matrix(3, zp("1"), zp("0"))
         assert result.H == expected
@@ -386,7 +385,7 @@ class TestSynthesize:
 
     def test_not_stabilizable_raises(self, xy_plant):
         with pytest.raises(NotStabilizableError):
-            synthesize(xy_plant)
+            synthesize(xy_plant, stabilizable(xy_plant))
 
 
 class TestFourOutputDelayPlant:
@@ -395,7 +394,7 @@ class TestFourOutputDelayPlant:
                  for c in (1, 2, 3, 4)]
         with _Budget("4-output delay synth verifies", 30):
             pf = scalar_denominator(pairs, ring23)
-            result = synthesize(pf)
+            result = synthesize(pf, stabilizable(pf))
             assert result.report.ok
             assert transpose_duality_check(pf.P, result.C, ring23)
 
@@ -637,7 +636,7 @@ def _causal_plants(draw):
     return gens, rows
 
 
-def _synthesize_from_own_factors(pf, decision=None):
+def _synthesize_from_own_factors(pf, decision):
     """synthesize with synth.row_factors raising, so it cannot split its own fractions."""
     refuse = AssertionError("synthesize split its controller's fractions")
     with mock.patch.object(synth, "row_factors", side_effect=refuse):
@@ -656,7 +655,7 @@ class TestSynthesisVerifiesItsFactors:
                                                 ("zero_plant", False)])
     def test_file_route_gives_the_same_h(self, request, name, repaired):
         pf = request.getfixturevalue(name)
-        result = _synthesize_from_own_factors(pf)
+        result = _synthesize_from_own_factors(pf, stabilizable(pf))
         assert result.repair_applied == repaired
         assert result.report.H_ring == _file_route_h(pf, result)
 
@@ -671,7 +670,7 @@ class TestSynthesisVerifiesItsFactors:
             return H, det
 
         with mock.patch.object(synth, "_closed_loop", side_effect=spy):
-            synthesize(delay_plant)
+            synthesize(delay_plant, stabilizable(delay_plant))
         assert calls
         for N, d, det in calls:
             assert N == delay_plant.N and d == delay_plant.d
@@ -739,7 +738,7 @@ class TestCausality:
         assert all(all(row) for row in report.entry_causal)
 
     def test_zero_controller(self, zero_plant):
-        result = synthesize(zero_plant)
+        result = synthesize(zero_plant, stabilizable(zero_plant))
         report = causality_check(zero_plant, result)
         assert report.ok
 
@@ -751,7 +750,7 @@ class TestOtherShapes:
         pairs = [[(zp("z"), zp("1 - z")), (zp("1"), zp("1"))],
                  [(zp("0"), zp("1")), (zp("z^2"), zp("1 - 2*z"))]]
         pf = scalar_denominator(pairs, ring)
-        result = synthesize(pf)
+        result = synthesize(pf, stabilizable(pf))
         assert result.report.ok
         assert causality_check(pf, result).ok
         assert transpose_duality_check(pf.P, result.C, ring)
@@ -759,7 +758,7 @@ class TestOtherShapes:
     def test_wide_plant(self, ring23):
         pairs = [[(zp("z^2"), zp("1 - z^2")), (zp("z^3"), zp("1 - z^3"))]]
         pf = scalar_denominator(pairs, ring23)
-        result = synthesize(pf)
+        result = synthesize(pf, stabilizable(pf))
         assert result.report.ok
         assert z_nonsingular(result.Den, ring23)
         assert result.Den.rows == 2 and result.Num.cols == 1
