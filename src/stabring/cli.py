@@ -91,6 +91,11 @@ def ring_from_config(cfg: dict) -> RingModel:
             raise InputError("'generators' must be integers")
         if any(g > MAX_GENERATOR for g in gens):
             raise InputError(f"'generators' must be at most {MAX_GENERATOR}")
+        # every exponent below the least generator is a gap, so the conductor
+        # is at least that generator: refuse it before the semigroup table
+        if gens and min(gens) > MAX_CONDUCTOR:
+            raise InputError(f"the least generator {min(gens)} of generators {gens} "
+                             f"is past {MAX_CONDUCTOR}, and so is the conductor")
         ring = RingModel.monomial_subalgebra(var, tuple(gens), z_mode)
         if ring.conductor > MAX_CONDUCTOR:
             raise InputError(f"the conductor {ring.conductor} of generators {gens} "

@@ -12,8 +12,10 @@ is (h) over a ring without gaps (Q[x1..xn] or Q[z], a UFD, where each colon
 is (delta / gcd(delta, c))), and over Q[z^S] h times a space found by one
 exact linear system on the coefficients below the conductor.  The factor is
 handed on as an ideal of the ring's quotient presentation, whose reduced
-basis gives the reported generators, and each reported generator is
-post-verified by reconstructing its witness matrix K.
+basis gives the reported generators.  The gcd g is kept on the entry, and
+each reported generator lam is post-verified by its witness matrix
+K = (lam/h) * (C/g): one exact division, a ring-membership test per entry,
+and the identity lam*T = K * (rows_I T).
 """
 
 from __future__ import annotations
@@ -154,6 +156,7 @@ def _denominator_multiplier(targets, ring: RingModel) -> Polynomial | None:
 class GefEntry:
     index_set: IndexSet
     delta: Polynomial
+    gcd: Polynomial | None         # gcd of delta and T adj(rows_I T), None when singular
     generators: list[Polynomial]   # pushed down to the ring, zero ideal -> []
     handle: IdealHandle            # lifted ideal in the presentation ring
     singular: bool
@@ -171,6 +174,14 @@ class GefResult:
                 return e
         raise KeyError(f"no entry for {index_set}")
 
+    def quotients(self, index_set: IndexSet) -> tuple[Polynomial, Mat]:
+        """The (h, C/g) of `witness_matrix` for I, from the gcd g kept on its entry."""
+        entry = self.entry_for(index_set)
+        if entry.singular:
+            raise MembershipFailedError(f"rows {index_set} of T are singular")
+        _, C = _cofactor_columns(self.plant, index_set)
+        return _quotients(entry.delta, C, entry.gcd)
+
 
 def _cofactor_columns(pf: PlantFraction, index_set: IndexSet) -> tuple[Polynomial, Mat]:
     rows = index_set.zero_based()
@@ -181,31 +192,55 @@ def _cofactor_columns(pf: PlantFraction, index_set: IndexSet) -> tuple[Polynomia
     return delta, pf.T * M.adjugate()
 
 
+def _targets(delta: Polynomial, C: Mat) -> list[Polynomial]:
+    """The distinct entries of C other than 0 and delta, whose colons are proper."""
+    targets: list[Polynomial] = []
+    for c in C.entries:
+        if c.is_zero() or c == delta:
+            continue  # the colon ideal is the whole ring for these
+        if all(c != seen for seen in targets):
+            targets.append(c)
+    return targets
+
+
+def _quotients(delta: Polynomial, C: Mat, g: Polynomial) -> tuple[Polynomial, Mat]:
+    """h = delta/g and C/g, for g a gcd of delta and every entry of C."""
+    return divide_exact(delta, g), C.map(lambda c: divide_exact(c, g))
+
+
 def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
-                   cofactor_columns: tuple[Polynomial, Mat] | None = None) -> Mat:
+                   quotients: tuple[Polynomial, Mat] | None = None) -> Mat:
     """The K with lam*T = K * (rows_I T); raises MembershipFailedError otherwise.
 
-    `cofactor_columns` is `_cofactor_columns(pf, index_set)` when the caller
-    already has it; it is computed here otherwise.
+    With delta = det(rows_I T) nonzero and the cofactor columns
+    C = T adj(rows_I T), K = lam*C/delta.  Let g be a gcd of delta and every
+    entry of C, and h = delta/g, so that lam*c/delta = lam*(c/g)/h.  The
+    polynomial ring is a UFD and no prime divides h and every c/g, so h
+    divides every lam*(c/g) exactly when it divides lam: K = (lam/h)*(C/g)
+    takes one exact division.  Each entry must lie in the ring, and the
+    identity K * rows_I(T) = lam*T is checked before K is returned.
+
+    `quotients` is (h, C/g) when the caller already has it (`gef` per
+    index set, `synth.local_factorization` from the entry's gcd); it is
+    computed here otherwise.
     """
     index_set.validate(pf.m, pf.n)
-    if cofactor_columns is None:
-        cofactor_columns = _cofactor_columns(pf, index_set)
-    delta, C = cofactor_columns
-    if delta.is_zero():
-        raise MembershipFailedError(f"rows {index_set} of T are singular")
-    entries = []
-    for c in C.entries:
-        try:
-            k = divide_exact(lam * c, delta)
-        except NotDivisibleError:
-            raise MembershipFailedError(
-                f"{lam} is not in the factor for {index_set}: division failed")
+    if quotients is None:
+        delta, C = _cofactor_columns(pf, index_set)
+        if delta.is_zero():
+            raise MembershipFailedError(f"rows {index_set} of T are singular")
+        quotients = _quotients(delta, C, running_gcd([delta] + _targets(delta, C)))
+    h, C_g = quotients
+    try:
+        q = divide_exact(lam, h)
+    except NotDivisibleError:
+        raise MembershipFailedError(
+            f"{lam} is not in the factor for {index_set}: division failed")
+    K = C_g.map(lambda c: q * c)
+    for k in K.entries:
         if not membership(k, pf.ring):
             raise MembershipFailedError(
                 f"{lam} is not in the factor for {index_set}: witness leaves the ring")
-        entries.append(k)
-    K = Mat(C.rows, C.cols, entries)
     M = pf.T.take_rows(index_set.zero_based())
     if K * M != pf.T.map(lambda e: e * lam):
         raise GefInternalError("witness identity lam*T = K*(rows_I T) failed")
@@ -236,11 +271,11 @@ def running_gcd(polys: list[Polynomial]) -> Polynomial:
     return g
 
 
-def _factor(ring: RingModel, delta: Polynomial,
-            targets: list[Polynomial]) -> list[Polynomial]:
+def _factor(ring: RingModel, h: Polynomial, quotients: list[Polynomial]) -> list[Polynomial]:
     """Generators of the intersection of the colons (delta A : c) over the targets.
 
-    With g the gcd of delta and every target and h = delta/g, it is (h) over
+    Here g is the gcd of delta and every target, h = delta/g, and the
+    `quotients` are the targets divided by g.  The intersection is (h) over
     a ring without gaps.  Over A = Q[z^S], with conductor F+1 and least
     generator s1, it is h * (V + z^(F+1) Q[z]), where V is the space of q of
     degree at most F for which h*q and every (c/g)*q vanish at all gaps; its
@@ -248,14 +283,11 @@ def _factor(ring: RingModel, delta: Polynomial,
     A constant factor of g scales h and every row of the gap system alike,
     so it changes neither the ideal nor V.
     """
-    g = running_gcd([delta] + targets)
-    h = divide_exact(delta, g)
     if not ring.gaps():
         return [h]
-    factors = [h] + [divide_exact(c, g) for c in targets]
     n, z = ring.conductor, ring.delay_var
     gens = [h * Polynomial.from_univar_coeffs(v, z, ring.variables)
-            for v in nullspace(gap_rows(factors, ring, n), n)]
+            for v in nullspace(gap_rows([h] + quotients, ring, n), n)]
     zvar = Polynomial.var(z, ring.variables)
     gens += [h * zvar ** (n + j) for j in range(ring.generators[0])]
     return gens
@@ -270,25 +302,21 @@ def gef(pf: PlantFraction) -> GefResult:
         if delta.is_zero():
             # a nonzero lambda would force rank(rows_I T) = rank(T) = m,
             # impossible over a domain when delta vanishes
-            entries.append(GefEntry(index_set, delta, [],
+            entries.append(GefEntry(index_set, delta, None, [],
                                     pres.ideal([Polynomial.zero(pres.variables)]),
                                     singular=True))
             continue
-        targets: list[Polynomial] = []
-        for c in C.entries:
-            if c.is_zero() or c == delta:
-                continue  # the colon ideal is the whole ring for these
-            if all(c != seen for seen in targets):
-                targets.append(c)
-        handle = pres.ideal([pres.lift(g) for g in _factor(pf.ring, delta, targets)])
+        g = running_gcd([delta] + _targets(delta, C))
+        h, C_g = _quotients(delta, C, g)
+        handle = pres.ideal([pres.lift(f) for f in _factor(pf.ring, h, _targets(h, C_g))])
         generators = []
-        for g in handle.reduced_basis():
-            lam = pres.push(g)
+        for f in handle.reduced_basis():
+            lam = pres.push(f)
             if lam.is_zero():
                 continue
             if all(lam != seen for seen in generators):
                 generators.append(lam)
         for lam in generators:
-            witness_matrix(pf, index_set, lam, (delta, C))  # raises on failure
-        entries.append(GefEntry(index_set, delta, generators, handle, singular=False))
+            witness_matrix(pf, index_set, lam, (h, C_g))  # raises on failure
+        entries.append(GefEntry(index_set, delta, g, generators, handle, singular=False))
     return GefResult(pf, pres, entries)

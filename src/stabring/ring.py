@@ -196,17 +196,40 @@ class Presentation:
         self.variables = variables
         self.relations = relations
         self._lift_gb = lift_gb
+        # exponent e -> u-exponents of the normal form of z^e, None at a gap
+        self._lift_table: dict[int, tuple[int, ...] | None] = {}
         self.power_map = power_map  # presentation var -> exponent of the delay var
 
     def lift(self, a: Polynomial) -> Polynomial:
-        """Canonical preimage of a stable element in the presentation ring."""
+        """Canonical preimage of a stable element in the presentation ring.
+
+        The preimage is the normal form of a modulo the lift basis.  That
+        basis holds pure binomials, so the normal form of c*z^e is c times
+        one monomial: a monomial in the u when e lies in the semigroup, one
+        that still holds z when e is a gap.  Each exponent's monomial comes
+        from one `groebner.normal_form` of z^e, on first use, and the lift
+        is a term-by-term lookup; a term at a gap raises MembershipError.
+        """
         if self._kind == "polynomial":
             return a.with_variables(self.variables)
+        a = a.with_variables(self._ring_variables)
+        table = self._lift_table
+        terms: dict[tuple[int, ...], int] = {}
+        for (e,), c in a._terms.items():
+            if e not in table:
+                table[e] = self._standard_monomial(e)
+            exps = table[e]
+            if exps is None:
+                raise MembershipError(f"{a} is not in the monomial subalgebra")
+            terms[exps] = c  # distinct e have distinct u-monomials: weight e
+        return Polynomial._from_clean(terms, a._den, self.variables)
+
+    def _standard_monomial(self, e: int) -> tuple[int, ...] | None:
+        """The u-exponents of the normal form of z^e, or None when it holds z."""
         ext = self._lift_gb.variables  # (delay, u1, .., uk)
-        nf = groebner.normal_form(a.with_variables(ext), self._lift_gb)
-        if self._delay_var in nf.used_variables():
-            raise MembershipError(f"{a} is not in the monomial subalgebra")
-        return nf.with_variables(self.variables)
+        nf = groebner.normal_form(Polynomial.var(self._delay_var, ext) ** e, self._lift_gb)
+        ((exps, _),) = nf._terms.items()
+        return None if exps[0] else exps[1:]
 
     def push(self, q: Polynomial) -> Polynomial:
         """The image in the ring: each term c*u1^a1..uk^ak goes to c*z^(e1*a1+..+ek*ak)."""

@@ -236,13 +236,17 @@ class LocalFactorization:
         return self.Y * self.K_N + self.X * self.K_D == lam_e
 
 
-def local_factorization(pf: PlantFraction, index_set: IndexSet,
+def local_factorization(gr: GefResult, index_set: IndexSet,
                         lam: Polynomial) -> LocalFactorization:
-    """Factor P = K_N K_D^-1 with Y K_N + X K_D = lam E_m, all over the ring."""
+    """Factor P = K_N K_D^-1 with Y K_N + X K_D = lam E_m, all over the ring.
+
+    The witness K is built from the gcd that `gef` kept on the entry for I.
+    """
     if lam.is_zero():
         raise SynthError("a local factorization needs a nonzero lambda")
+    pf = gr.plant
     m, n, variables = pf.m, pf.n, pf.ring.variables
-    K = witness_matrix(pf, index_set, lam)
+    K = witness_matrix(pf, index_set, lam, gr.quotients(index_set))
     K_N = K.take_rows(range(n))
     K_D = K.take_rows(range(n, n + m))
     # rows_I(K) = lam E_m, so the row selector of I is [Y | X]
@@ -459,7 +463,8 @@ def synthesize(pf: PlantFraction, decision: StabilizabilityResult) -> Controller
     if not cert.verify():
         raise SynthesisInternalError("certificate failed verification")
     locals_: list[LocalFactorization] = [
-        local_factorization(pf, index_set, lam) for index_set, lam in cert.sharp]
+        local_factorization(decision.gef_result, index_set, lam)
+        for index_set, lam in cert.sharp]
 
     def build_den_num() -> tuple[Mat, Mat]:
         den = Mat.build(m, m, lambda i, j: zero)

@@ -14,7 +14,9 @@ run them:
     report of a synthesized controller;
   * the determinant by cofactor expansion, the reference for the library's
     fraction-free elimination, and the ideal of minors of a matrix;
-  * the paper's module criterion for plants with one input.
+  * the paper's module criterion for plants with one input;
+  * the lift into the ring's presentation as one normal form of the whole
+    element, and the witness matrix by one exact division per entry.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from stabring import groebner
 from stabring.gef import PlantFraction
-from stabring.matrixring import Mat, MatrixError
+from stabring.matrixring import IndexSet, Mat, MatrixError
 from stabring.poly import Polynomial, divide_exact
-from stabring.ring import (ZERO_IDEAL, PolyFraction, RingModel, causal,
-                           fraction_in_ring, membership, presentation,
-                           z_nonsingular)
+from stabring.ring import (ZERO_IDEAL, MembershipError, PolyFraction, Presentation,
+                           RingModel, causal, fraction_in_ring, membership,
+                           presentation, z_nonsingular)
 from stabring.sim import NotCausalTFError, SimulationUnsupportedError, simulate_loop
 from stabring.synth import ControllerResult, closed_loop
 
@@ -279,3 +282,29 @@ def module_criterion(pf: PlantFraction) -> bool:
     for t in gens[1:]:
         quotient = quotient.intersect(dA.colon(t))
     return pres.ideal([t * c for t in gens for c in quotient.gens]).contains(d)
+
+
+# ---------------------------------------------------------------------------
+# the lift and the witness, computed whole
+# ---------------------------------------------------------------------------
+
+
+def normal_form_lift(pres: Presentation, a: Polynomial) -> Polynomial:
+    """The preimage of a in the presentation: the normal form of the whole
+    element modulo the lift basis, which must be free of the delay variable;
+    MembershipError otherwise."""
+    if pres._lift_gb is None:
+        return a.with_variables(pres.variables)
+    ext = pres._lift_gb.variables  # (delay, u1, .., uk)
+    nf = groebner.normal_form(a.with_variables(ext), pres._lift_gb)
+    if ext[0] in nf.used_variables():
+        raise MembershipError(f"{a} is not in the monomial subalgebra")
+    return nf.with_variables(pres.variables)
+
+
+def entrywise_witness(pf: PlantFraction, index_set: IndexSet, lam: Polynomial) -> Mat:
+    """K = lam * T adj(rows_I T) / det(rows_I T), by one exact division per
+    entry; NotDivisibleError when one of them fails."""
+    M = pf.T.take_rows(index_set.zero_based())
+    delta = cofactor_det(M)
+    return (pf.T * M.adjugate()).map(lambda c: divide_exact(lam * c, delta))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stabring import ring as ring_module
 from stabring.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK,
                           MAX_STEPS, InputError, main, parse_fraction_text)
 from stabring.groebner import IdealHandle
@@ -722,6 +723,20 @@ class TestHostilePlants:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_least_generator_past_the_conductor_bound(self, tmp_path, capsys, monkeypatch):
+        # the conductor of (999, 1000) is at least 999: refused before the
+        # semigroup table, of about a million entries, is built
+        def no_table(gens):
+            raise AssertionError("the semigroup table was built")
+        monkeypatch.setattr(ring_module, "_semigroup_table", no_table)
+        path = tmp_path / "plant.json"
+        ring = {"kind": "monomial_subalgebra", "variable": "z", "generators": [999, 1000]}
+        write_json(path, {"ring": ring, "inputs": 1, "outputs": 1, "entries": [["1"]]})
+        assert main(["check", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the least generator 999 of generators [999, 1000] "
+                                "is past 200, and so is the conductor\n")
 
     @pytest.mark.parametrize("command", ["gef", "check", "synth"])
     def test_channels_past_the_bound(self, tmp_path, capsys, command):

@@ -6,6 +6,9 @@ one exact nullspace over Q[z^S].  The oracle is the factor's definition: a
 Groebner colon ideal per target and their intersection, in the quotient
 presentation.  Both are ideals of the same presentation, so their reduced
 bases must be equal.
+
+`witness_matrix` builds K = (lam/h) * (C/g) from one exact division; its
+oracle divides lam*c by delta for every entry c of C (`oracles.entrywise_witness`).
 """
 
 import importlib
@@ -18,12 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabring.gef import PlantFraction, _cofactor_columns, _factor, _gcd, gef, running_gcd
+from stabring.gef import (MembershipFailedError, PlantFraction, _cofactor_columns, _gcd,
+                          gef, running_gcd, witness_matrix)
 from stabring.linsolve import nullspace, solve_exact
-from stabring.matrixring import Mat, enumerate_index_sets
-from stabring.poly import Polynomial, divide_exact, parse_poly
-from stabring.ring import (ZERO_CONSTANT_TERM, ZERO_IDEAL, RingModel,
+from stabring.matrixring import IndexSet, Mat, enumerate_index_sets
+from stabring.poly import NotDivisibleError, Polynomial, divide_exact, parse_poly
+from stabring.ring import (ZERO_CONSTANT_TERM, ZERO_IDEAL, RingModel, membership,
                            presentation)
+
+from oracles import entrywise_witness
 
 # the package exports the function `gef`, which hides the module of that name
 gef_module = importlib.import_module("stabring.gef")
@@ -129,6 +135,87 @@ class TestPrincipalFactorAgainstGroebner:
         assert_factors_match(data.draw(causal_plants(POLYNOMIAL_RINGS[name])))
 
 
+def witness_outcome(pf: PlantFraction, index_set, lam):
+    """The oracle's K, or the reason `witness_matrix` must give for refusing lam."""
+    try:
+        K = entrywise_witness(pf, index_set, lam)
+    except NotDivisibleError:
+        return "division failed"
+    if not all(membership(k, pf.ring) for k in K.entries):
+        return "witness leaves the ring"
+    return K
+
+
+def library_outcome(pf: PlantFraction, index_set, lam, quotients=None):
+    try:
+        return witness_matrix(pf, index_set, lam, quotients)
+    except MembershipFailedError as exc:
+        return str(exc).rsplit(": ", 1)[1]
+
+
+def assert_witnesses_match(pf: PlantFraction):
+    """`witness_matrix`, alone and from the gcd kept on each entry, against one
+    exact division per entry.  The candidates are every generator g, which
+    the factor holds, and g + 1 and 1 + v, which most factors do not hold;
+    over Q[z^S] also g*z, whose witness may hold z."""
+    result = gef(pf)
+    ring = pf.ring
+    one = Polynomial.one(ring.variables)
+    v = Polynomial.var(ring.variables[0], ring.variables)
+    for entry in result.entries:
+        if entry.singular:
+            continue
+        quotients = result.quotients(entry.index_set)
+        candidates = [one + v]
+        for g in entry.generators:
+            assert isinstance(witness_outcome(pf, entry.index_set, g), Mat)
+            candidates += [g, g + one] + ([g * v] if ring.kind == "monomial" else [])
+        for lam in candidates:
+            expected = witness_outcome(pf, entry.index_set, lam)
+            assert library_outcome(pf, entry.index_set, lam) == expected
+            assert library_outcome(pf, entry.index_set, lam, quotients) == expected
+
+
+class TestWitnessAgainstEntrywiseDivision:
+    @pytest.mark.parametrize("name", ["delay_plant", "siso_plant", "xy_plant"])
+    def test_fixtures(self, name, request):
+        pf = request.getfixturevalue(name)
+        assert_witnesses_match(pf)
+
+    @pytest.mark.parametrize("gens", SEMIGROUPS, ids=str)
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_plants_over_semigroup_rings(self, gens, data):
+        ring = RingModel.monomial_subalgebra("z", gens)
+        assert_witnesses_match(data.draw(causal_plants(ring)))
+
+    @pytest.mark.parametrize("name", POLYNOMIAL_RINGS)
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_random_plants_over_polynomial_rings(self, name, data):
+        assert_witnesses_match(data.draw(causal_plants(POLYNOMIAL_RINGS[name])))
+
+    def test_division_failed(self, ring23):
+        # P = z^2: rows {1} give delta = z^2, C = (z^2, 1), g = 1 and h = z^2,
+        # which does not divide 1 + z^2
+        pf = PlantFraction.from_parts(ring23, Mat(1, 1, [parse_poly("z^2", ("z",))]),
+                                      Polynomial.one(("z",)))
+        lam = parse_poly("1 + z^2", ("z",))
+        assert witness_outcome(pf, IndexSet((1,)), lam) == "division failed"
+        with pytest.raises(MembershipFailedError, match="division failed$"):
+            witness_matrix(pf, IndexSet((1,)), lam)
+
+    def test_witness_leaves_the_ring(self, ring23):
+        # z^3 lies in the ring and h = z^2 divides it, but K = z*(z^2, 1)
+        # holds z
+        pf = PlantFraction.from_parts(ring23, Mat(1, 1, [parse_poly("z^2", ("z",))]),
+                                      Polynomial.one(("z",)))
+        lam = parse_poly("z^3", ("z",))
+        assert witness_outcome(pf, IndexSet((1,)), lam) == "witness leaves the ring"
+        with pytest.raises(MembershipFailedError, match="witness leaves the ring$"):
+            witness_matrix(pf, IndexSet((1,)), lam)
+
+
 class TestNoTargets:
     @pytest.mark.parametrize("ring", [RingModel.monomial_subalgebra("z", (2, 3)),
                                       POLYNOMIAL_RINGS["xy"]], ids=["z2z3", "xy"])
@@ -212,7 +299,7 @@ class TestRunningGcd:
         # gcd(v^2, 1 + v^2) is constant: the two targets after it take no gcd
         delta, targets = p("v^2"), [p("1 + v^2"), p("v^3"), p("v^2 + v^3")]
         with mock.patch.object(gef_module, "_gcd", wraps=_gcd) as spy:
-            _factor(ring, delta, targets)
+            running_gcd([delta] + targets)
             assert spy.call_count == 1
             assert running_gcd([p("3")] + targets).is_constant()
             assert spy.call_count == 1

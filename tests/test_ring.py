@@ -12,7 +12,7 @@ from stabring.ring import (MembershipError, PolyFraction, RingModel, RingError,
                            ZERO_CONSTANT_TERM, ZERO_IDEAL, causal, in_Z, membership,
                            presentation, residue, unit_multiplier, z_nonsingular)
 from stabring.matrixring import Mat
-from oracles import FieldFraction, strictly_causal
+from oracles import FieldFraction, normal_form_lift, strictly_causal
 
 Z = ("z",)
 
@@ -170,6 +170,56 @@ class TestPushExponentMap:
         u, v = pres.variables
         # u^3 and v^2 both map to z^6
         assert pres.push(parse_poly(f"{u}^3 - {v}^2 + 2", (u, v))) == zp("2")
+
+
+LIFT_SEMIGROUPS = [(2, 3), (3, 4, 5), (4, 5, 6, 7), (2, 5), (1,)]
+
+
+def _elements(ring):
+    """Elements of the ring with up to six terms of degree at most 30."""
+    exponent = st.integers(0, 30).filter(ring.semigroup_contains)
+    return st.dictionaries(
+        st.tuples(exponent),
+        st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=7)),
+        max_size=6).map(lambda terms: Polynomial(terms, ring.variables))
+
+
+# a fresh ring per example, so that its lift table starts empty
+_lift_rings = st.builds(lambda gens, z_mode: RingModel.monomial_subalgebra("z", gens, z_mode),
+                        st.sampled_from(LIFT_SEMIGROUPS),
+                        st.sampled_from([ZERO_CONSTANT_TERM, ZERO_IDEAL]))
+
+
+class TestLiftTable:
+    """`Presentation.lift` looks each exponent up in a table; the oracle
+    takes the normal form of the whole element."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_lift_rings, st.data())
+    def test_matches_normal_form(self, ring, data):
+        pres = presentation(ring)
+        a = data.draw(_elements(ring))
+        assert pres.lift(a) == normal_form_lift(pres, a)
+        # a second element over the same ring reads the table filled above
+        b = data.draw(_elements(ring))
+        assert pres.lift(a + b) == normal_form_lift(pres, a + b)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(_lift_rings, st.data())
+    def test_gap_raises_in_both(self, ring, data):
+        a = data.draw(_elements(ring))
+        if not ring.gaps():
+            return  # Q[z] has no gap
+        gap = data.draw(st.sampled_from(ring.gaps()))
+        bad = a + Polynomial({(gap,): data.draw(st.integers(1, 5))}, ring.variables)
+        pres = presentation(ring)
+        with pytest.raises(MembershipError):
+            normal_form_lift(pres, bad)
+        with pytest.raises(MembershipError):
+            pres.lift(bad)
+        # the gap is remembered: a second lift raises from the table
+        with pytest.raises(MembershipError):
+            pres.lift(bad)
 
 
 class TestCausalityIdeal:

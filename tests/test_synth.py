@@ -162,7 +162,7 @@ class TestLocalFactorization:
     # the witness column (lam1, k2, k3) and the 0/1 Bezout coefficients
 
     def test_published_values_first_selection(self, delay_plant, paper):
-        lf = local_factorization(delay_plant, IndexSet((1,)), paper.lam1)
+        lf = local_factorization(gef(delay_plant), IndexSet((1,)), paper.lam1)
         assert lf.K_N.entries == (paper.lam1, paper.k2)
         assert lf.K_D.entries == (paper.k3,)
         assert lf.Y.entries == (zp("1"), zp("0"))
@@ -170,13 +170,13 @@ class TestLocalFactorization:
         assert lf.bezout_holds()
 
     def test_published_values_second_selection(self, delay_plant, paper):
-        lf = local_factorization(delay_plant, IndexSet((2,)), paper.lam2)
+        lf = local_factorization(gef(delay_plant), IndexSet((2,)), paper.lam2)
         assert lf.Y.entries == (zp("0"), zp("1"))
         assert lf.X.entries == (zp("0"),)
         assert lf.bezout_holds()
 
     def test_zero_plant(self, zero_plant):
-        lf = local_factorization(zero_plant, zero_plant.denominator_rows(), zp("1"))
+        lf = local_factorization(gef(zero_plant), zero_plant.denominator_rows(), zp("1"))
         assert all(e.is_zero() for e in lf.K_N.entries)
         assert lf.K_D.entries == (zp("1"),)
         assert all(e.is_zero() for e in lf.Y.entries)
@@ -184,7 +184,7 @@ class TestLocalFactorization:
 
     def test_siso_bezout_by_substitution(self, siso_plant):
         lam = zp("1 - z^2")
-        lf = local_factorization(siso_plant, IndexSet((2,)), lam)
+        lf = local_factorization(gef(siso_plant), IndexSet((2,)), lam)
         lhs = lf.Y * lf.K_N + lf.X * lf.K_D
         assert lhs.entries == (lam,)
 
