@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from .groebner import IdealHandle
 from .linsolve import nullspace
 from .matrixring import IndexSet, Mat, enumerate_index_sets
-from .poly import (NotDivisibleError, Polynomial, common_denominator,
-                   divide_exact, gcd_univariate)
+from .poly import NotDivisibleError, Polynomial, common_denominator, divide_exact
 from .ring import (ZERO_IDEAL, NotCausalError, Presentation, PolyFraction,
-                   RingModel, causal, gap_rows, in_Z, membership, presentation,
+                   RingModel, causal, gap_rows, gcd, in_Z, membership, presentation,
                    unit_multiplier)
 
 
@@ -82,8 +81,9 @@ def scalar_denominator(entries, ring: RingModel) -> PlantFraction:
     taken as written, so denominators supplied by the plant file are used
     directly when they already live in the ring.  In the univariate case d is
     their least common multiple, adjusted by a unit-constant multiplier
-    search until d lies in A \\ Z and every numerator entry lies in A; in the
-    multivariate case d is the product of the distinct denominators.
+    search until d lies in A \\ Z and every numerator entry lies in A, and
+    failing that the same from the reduced pairs; in the multivariate case d
+    is the product of the distinct reduced denominators.
     """
     pairs = [[(num.with_variables(ring.variables), den.with_variables(ring.variables))
               for num, den in row] for row in entries]
@@ -92,28 +92,26 @@ def scalar_denominator(entries, ring: RingModel) -> PlantFraction:
     if n < 1 or m < 1 or any(len(r) != m for r in pairs):
         raise GefError("plant entries must form a nonempty rectangular array")
 
+    reduced = []
     for i, row in enumerate(pairs):
+        reduced.append([])
         for j, (num, den) in enumerate(row):
             if den.is_zero():
                 raise NotCausalError(f"entry ({i + 1},{j + 1}) has a zero denominator")
-            if not causal(PolyFraction(num, den), ring):
+            fr = PolyFraction(num, den)
+            if not causal(fr, ring):
                 raise NotCausalError(f"entry ({i + 1},{j + 1}) is not causal")
+            reduced[-1].append((fr.num, fr.den))
 
     if len(ring.variables) <= 1:
-        plant = _scalar_denominator_pairs(pairs, ring)
-        if plant is None:
-            # retry from the reduced fractions, which drop non-ring factors
-            reduced = [[(fr.num, fr.den) for fr in
-                        (PolyFraction(num, den) for num, den in row)]
-                       for row in pairs]
-            plant = _scalar_denominator_pairs(reduced, ring)
+        # failing the pairs as written, the reduced ones drop non-ring factors
+        plant = (_scalar_denominator_pairs(pairs, ring)
+                 or _scalar_denominator_pairs(reduced, ring))
         if plant is None:
             raise NotCausalError("no scalar denominator found within the search bound")
         return plant
 
-    nums, d = common_denominator((pair for row in pairs for pair in row), ring.variables)
-    if in_Z(d, ring):
-        raise NotCausalError(f"product denominator {d} lies in the causality ideal")
+    nums, d = common_denominator((pair for row in reduced for pair in row), ring.variables)
     return PlantFraction.from_parts(ring, Mat(n, m, nums), d)
 
 
@@ -247,16 +245,8 @@ def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
     return K
 
 
-def _gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """A gcd of a and b; over several variables a*b / lcm, the lcm from `intersect`."""
-    if len(a.variables) == 1:
-        return gcd_univariate(a, b)
-    (lcm,) = IdealHandle(a.variables, [a]).intersect(IdealHandle(a.variables, [b])).gens
-    return divide_exact(a * b, lcm)
-
-
 def running_gcd(polys: list[Polynomial]) -> Polynomial:
-    """A gcd of nonzero polynomials, folded pairwise with `_gcd`.
+    """A gcd of nonzero polynomials, folded pairwise with `ring.gcd`.
 
     The fold stops at the first constant, since every later gcd would be a
     nonzero constant too: the result is the full fold's up to a nonzero
@@ -267,7 +257,7 @@ def running_gcd(polys: list[Polynomial]) -> Polynomial:
     for p in polys[1:]:
         if g.is_constant():
             break
-        g = _gcd(g, p)
+        g = gcd(g, p)
     return g
 
 

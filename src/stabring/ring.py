@@ -10,9 +10,9 @@ prime ideal Z in one of two modes:
   * zero_ideal -- Z = {0}, the no-causality-constraint setting.
 
 The module also provides the quotient-ring presentation of a monomial
-subalgebra (toric relation ideal plus lift/push maps), the fractions that
-plant and controller files are read into, and the causality decision
-procedures.
+subalgebra (toric relation ideal plus lift/push maps), the one gcd of the
+package, the reduced fractions that plant and controller files are read
+into, and the causality decision.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class MembershipError(RingError):
 
 class NotCausalError(RingError):
     """A transfer function admits no causal representation."""
-
-
-class CausalityUndecidableError(RingError):
-    """Causality cannot be decided without multivariate fraction reduction."""
 
 
 class RingModel:
@@ -286,13 +282,25 @@ def presentation(ring: RingModel) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# fractions over the ring
+# gcd and fractions over the ring
 # ---------------------------------------------------------------------------
 
 
+def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """A gcd of nonzero a and b over the same variables: `gcd_univariate`
+    over at most one, a*b / lcm over several, the lcm from
+    `IdealHandle.intersect`."""
+    if len(a.variables) <= 1:
+        return gcd_univariate(a, b)
+    (lcm,) = groebner.IdealHandle(a.variables, [a]).intersect(
+        groebner.IdealHandle(a.variables, [b])).gens
+    return divide_exact(a * b, lcm)
+
+
 class PolyFraction:
-    """Quotient of two polynomials; reduced and monic-denominator when the
-    ambient variable set is univariate, stored as given otherwise.
+    """Quotient of two polynomials, reduced by their `gcd`.  Over one
+    variable the denominator is made monic; over several a reduced input is
+    kept as given.
 
     Fractions appear only at the file boundary, so there is no arithmetic
     on them here; the fraction-field oracle of the tests adds it.
@@ -312,11 +320,12 @@ class PolyFraction:
         den = den.with_variables(merged)
         if num.is_zero():
             den = Polynomial.one(merged)
-        elif len(merged) <= 1:
-            g = gcd_univariate(num, den)
+        else:
+            g = gcd(num, den)
             if g.total_degree() > 0:
                 num = divide_exact(num, g)
                 den = divide_exact(den, g)
+        if len(merged) <= 1:
             lead = den.univar_coeffs()[-1]
             if lead != 1:
                 scale = Fraction(1) / lead
@@ -332,11 +341,8 @@ class PolyFraction:
         return self.den.is_constant()
 
     def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            try:
-                return divide_exact(self.num, self.den)
-            except NotDivisibleError:
-                raise RingError(f"{self} is not a polynomial")
+        if not self.is_polynomial():  # reduced: den divides num only when constant
+            raise RingError(f"{self} is not a polynomial")
         return self.num.scale(Fraction(1) / self.den.constant_coeff())
 
     # the library never compares fractions; the tests compare what it returns
@@ -421,26 +427,19 @@ def unit_multiplier(targets: list[Polynomial], ring: RingModel) -> Polynomial | 
 
 
 def causal(x: PolyFraction, ring: RingModel) -> bool:
-    """Whether x admits a representation n/d with n in A and d in A \\ Z."""
+    """Whether x admits a representation n/d with n in A and d in A \\ Z.
+
+    x is reduced over a UFD (Q[x1..xn] or Q[z]), so every such d is a
+    multiple of x.den: x.den needs a nonzero constant term, which suffices
+    over a full polynomial ring; over Q[z^S] `unit_multiplier` decides.
+    """
     if ring.z_mode == ZERO_IDEAL:
         return True  # any nonzero denominator will do; A is a domain
-    if len(ring.variables) <= 1:
-        q = x.den.with_variables(ring.variables)
-        if q.constant_coeff() == 0:
-            return False
-        if ring.kind == "polynomial":
-            return True
-        p = x.num.with_variables(ring.variables)
-        return unit_multiplier([p, q], ring) is not None
-    # multivariate with a constant-term causality ideal
-    if x.den.constant_coeff() != 0:
+    q = x.den.with_variables(ring.variables)
+    if q.constant_coeff() == 0:
+        return False
+    if ring.kind == "polynomial":
         return True
-    try:
-        divide_exact(x.num, x.den)
-        return True
-    except NotDivisibleError:
-        raise CausalityUndecidableError(
-            "causality over a multivariate ring needs fraction reduction, "
-            "which is out of scope; rewrite the entry with an invertible "
-            "constant term in its denominator")
+    p = x.num.with_variables(ring.variables)
+    return unit_multiplier([p, q], ring) is not None
 

@@ -285,6 +285,46 @@ class TestGefCommand:
         assert report["plant"]["denominator"] == "1 - 5*z^2 + 4*z^4"
 
 
+class TestReducedMultivariateEntries:
+    """Over Q[x,y] each entry is reduced before its causality is decided."""
+
+    RING = {"kind": "polynomial_ring", "variables": ["x", "y"],
+            "z_mode": "zero_constant_term"}
+
+    def _plant(self, tmp_path, column, ring=RING):
+        path = tmp_path / "plant.json"
+        write_json(path, {"ring": ring, "inputs": 1, "outputs": len(column),
+                          "entries": [[e] for e in column]})
+        return str(path)
+
+    def test_check_decides_a_shared_factor(self, tmp_path, capsys):
+        plant = self._plant(tmp_path, ["x/(x + x*y)", "y/(1 + 2*x*y)"])
+        assert main(["check", plant]) == EXIT_NEGATIVE
+        assert capsys.readouterr().out == ("not stabilizable\n"
+                                           "  residual generator: 1 + y\n"
+                                           "  residual generator: -1/2 + x\n")
+
+    def test_gef_reports_the_reduced_entry(self, tmp_path):
+        out = tmp_path / "gef.json"
+        assert main(["gef", self._plant(tmp_path, ["(x*y)/(y + x*y)"]),
+                     "-o", str(out)]) == EXIT_OK
+        report = json.load(open(out))
+        assert report["plant"]["entries"] == [["(x)/(1 + x)"]]
+        assert report["plant"]["denominator"] == "1 + x"
+
+    def test_reduced_denominator_in_z_is_not_causal(self, tmp_path, capsys):
+        assert main(["gef", self._plant(tmp_path, ["(x*y + x)/(y + x*y)"])]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: entry (1,1) is not causal\n"
+
+    def test_synth_prints_a_reduced_controller(self, tmp_path, capsys):
+        ring = dict(self.RING, z_mode="zero_ideal")
+        plant = self._plant(tmp_path, ["x/(1 + 2*x*y)", "y/(1 + 2*x*y)"], ring)
+        out = tmp_path / "controller.json"
+        assert main(["synth", plant, "-o", str(out)]) == EXIT_OK
+        assert json.load(open(out))["controller"]["entries"][0][0] == "-2*y"
+        assert main(["verify", plant, str(out)]) == EXIT_OK
+
+
 class TestSimulateCommand:
     def test_csv_trace(self, tmp_path):
         ctl = tmp_path / "controller.json"

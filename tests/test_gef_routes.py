@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabring.gef import (MembershipFailedError, PlantFraction, _cofactor_columns, _gcd,
-                          gef, running_gcd, witness_matrix)
+from stabring.gef import (MembershipFailedError, PlantFraction, _cofactor_columns, gef,
+                          running_gcd, witness_matrix)
 from stabring.linsolve import nullspace, solve_exact
 from stabring.matrixring import IndexSet, Mat, enumerate_index_sets
 from stabring.poly import NotDivisibleError, Polynomial, divide_exact, parse_poly
-from stabring.ring import (ZERO_CONSTANT_TERM, ZERO_IDEAL, RingModel, membership,
+from stabring.ring import (ZERO_CONSTANT_TERM, ZERO_IDEAL, RingModel, gcd, membership,
                            presentation)
 
 from oracles import entrywise_witness
@@ -246,7 +246,7 @@ class TestMultivariateGcd:
         sympy = pytest.importorskip("sympy")
         variables = ("x", "y", "w")
         p, q = parse_poly(a, variables), parse_poly(b, variables)
-        g = _gcd(p, q)
+        g = gcd(p, q)
         # each division raises unless g divides
         divide_exact(p, g)
         divide_exact(q, g)
@@ -287,7 +287,7 @@ class TestRunningGcd:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(gcd_chains())
     def test_matches_the_full_fold(self, polys):
-        ratio = divide_exact(running_gcd(polys), reduce(_gcd, polys))
+        ratio = divide_exact(running_gcd(polys), reduce(gcd, polys))
         assert ratio.is_constant() and not ratio.is_zero()
 
     @pytest.mark.parametrize("ring", [RingModel.polynomial(("x", "y"), ZERO_IDEAL),
@@ -298,7 +298,7 @@ class TestRunningGcd:
         p = lambda text: parse_poly(text.replace("v", v), ring.variables)
         # gcd(v^2, 1 + v^2) is constant: the two targets after it take no gcd
         delta, targets = p("v^2"), [p("1 + v^2"), p("v^3"), p("v^2 + v^3")]
-        with mock.patch.object(gef_module, "_gcd", wraps=_gcd) as spy:
+        with mock.patch.object(gef_module, "gcd", wraps=gcd) as spy:
             running_gcd([delta] + targets)
             assert spy.call_count == 1
             assert running_gcd([p("3")] + targets).is_constant()

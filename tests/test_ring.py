@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -299,6 +300,26 @@ class TestResidue:
         assert z_nonsingular(mat, ring) == (not in_Z(mat.det(), ring))
 
 
+@st.composite
+def _reduction_cases(draw):
+    """(n, d, f), nonzero, over Q[x,y] or Q[x,y,w] with total degree at most
+    2 before f is shifted by 4 (a nonzero constant term) or multiplied by x
+    (none)."""
+    variables = draw(st.sampled_from([("x", "y"), ("x", "y", "w")]))
+    exps = [e for e in product(range(3), repeat=len(variables)) if sum(e) <= 2]
+
+    def poly():
+        terms = {e: Fraction(draw(st.integers(-3, 3).filter(bool)))
+                 for e in draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3,
+                                        unique=True))}
+        return Polynomial(terms, variables)
+
+    n, d, f = poly(), poly(), poly()
+    if draw(st.booleans()):
+        return n, d, f + Polynomial.const(4, variables)
+    return n, d, f * Polynomial.var("x", variables)
+
+
 class TestCausal:
     def test_plant_entry_causal(self, ring23):
         x = PolyFraction(zp("1 - z^3"), zp("1 - z^2"))
@@ -323,6 +344,21 @@ class TestCausal:
         ring = RingModel.polynomial(("z",), "zero_constant_term")
         assert causal(PolyFraction(zp("z"), zp("1 - z")), ring)
         assert not causal(PolyFraction(zp("1"), zp("z")), ring)
+
+    def test_multivariate_common_factor(self):
+        ring = RingModel.polynomial(("x", "y"), ZERO_CONSTANT_TERM)
+        xy = lambda text: parse_poly(text, ring.variables)
+        # x/(x + x*y) is x/(x*(1 + y)) = 1/(1 + y)
+        assert causal(PolyFraction(xy("x"), xy("x + x*y")), ring)
+        # (x*y + x)/(y + x*y) = x*(1 + y)/(y*(1 + x)) is reduced, with den in Z
+        assert not causal(PolyFraction(xy("x*y + x"), xy("y + x*y")), ring)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_reduction_cases())
+    def test_common_factor_keeps_causality(self, case):
+        n, d, f = case
+        ring = RingModel.polynomial(n.variables, ZERO_CONSTANT_TERM)
+        assert causal(PolyFraction(n * f, d * f), ring) == causal(PolyFraction(n, d), ring)
 
     def test_unit_multiplier_witness(self, ring23):
         # the search must actually produce a multiplier that works
@@ -352,7 +388,39 @@ class TestFraction:
     def test_multivariate_unreduced(self):
         xy = ("x", "y")
         x = PolyFraction(parse_poly("x*y", xy), parse_poly("y^2", xy))
-        assert x.num == parse_poly("x*y", xy)  # kept as given
+        assert x.num == parse_poly("x", xy) and x.den == parse_poly("y", xy)
+
+    def test_multivariate_reduced_input_kept(self):
+        xy = ("x", "y")
+        num, den = parse_poly("4 + 2*x*y", xy), parse_poly("6*x - 3*y^2", xy)
+        x = PolyFraction(num, den)
+        assert x.num._terms == num._terms and x.num._den == num._den
+        assert x.den._terms == den._terms and x.den._den == den._den
+
+    def test_multivariate_as_polynomial(self):
+        xy = lambda text: parse_poly(text, ("x", "y"))
+        assert PolyFraction(xy("x*y"), xy("y")).as_polynomial() == xy("x")
+        with pytest.raises(RingError):
+            PolyFraction(xy("x"), xy("y")).as_polynomial()
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(_reduction_cases())
+    def test_multivariate_reduction_matches_sympy(self, case):
+        sympy = pytest.importorskip("sympy")
+        n, d, f = case
+        gens = sympy.symbols(n.variables)
+
+        def to_sympy(p):
+            return sum(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.prod([g ** e for g, e in zip(gens, exps)])
+                       for exps, c in p.items())
+
+        x = PolyFraction(n * f, d * f)
+        num, den = sympy.fraction(sympy.cancel(to_sympy(n) / to_sympy(d)))
+        # one rational factor c with x.num = c*num and x.den = c*den
+        c = sympy.cancel(to_sympy(x.num) / num)
+        assert c.is_Rational and c != 0
+        assert sympy.expand(to_sympy(x.den) - c * den) == 0
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):

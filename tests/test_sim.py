@@ -251,8 +251,8 @@ def _causal_poly(draw, variables, max_degree=3):
 def _row(draw, cols, variables):
     """One row of causal fractions whose denominators are shared, pairwise
     coprime or dividing each other, with numerator and denominator optionally
-    multiplied by a common factor.  Over the ambient variables (z, w) a
-    PolyFraction is stored as given, so such fractions stay unreduced."""
+    multiplied by a common factor, which a FieldFraction cancels again over
+    the ambient variables (z,) and (z, w) alike."""
     kind = draw(st.sampled_from(["shared", "coprime", "dividing"]))
     base = draw(_causal_poly(variables))
     if kind == "shared":

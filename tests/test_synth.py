@@ -503,8 +503,8 @@ class TestClosedLoopOracle:
         return PolyFraction(_random_causal_poly(rng), zp(rng.choice(self.DELAY_DENS)))
 
     def _xy_entry(self, rng, den):
-        # numerators share a factor with their denominator; multivariate
-        # fractions are stored unreduced
+        # numerators carry the factor 1 + x, which PolyFraction cancels
+        # wherever the denominator shares it
         terms = ["1", "x", "y", "x*y", "x^2"]
         num = parse_poly(" + ".join(rng.sample(terms, rng.randint(1, 3))), self.XY)
         den = parse_poly(den, self.XY)
