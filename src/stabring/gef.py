@@ -12,15 +12,18 @@ is (h) over a ring without gaps (Q[x1..xn] or Q[z], a UFD, where each colon
 is (delta / gcd(delta, c))), and over Q[z^S] h times a space found by one
 exact linear system on the coefficients below the conductor.  The factor is
 handed on as an ideal of the ring's quotient presentation, whose reduced
-basis gives the reported generators.  The gcd g is kept on the entry, and
-each reported generator lam is post-verified by its witness matrix
-K = (lam/h) * (C/g): one exact division, a ring-membership test per entry,
-and the identity lam*T = K * (rows_I T).
+basis gives the reported generators.  The identity (C/g) * rows_I(T) = h*T
+is checked once per index set, and (h, C/g) is kept on the entry.  Each
+reported generator lam is post-verified by its witness matrix
+K = (lam/h) * (C/g): one exact division and a ring-membership test per entry.
+The identity lam*T = K * (rows_I T) then holds without a product of its own,
+since K * rows_I(T) = (lam/h) * h*T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groebner import IdealHandle
 from .linsolve import nullspace
@@ -36,7 +39,7 @@ class GefError(Exception):
 
 
 class GefInternalError(GefError):
-    """A computed generator failed its witness verification (engine bug)."""
+    """The exact bookkeeping of a factor failed its check (engine bug)."""
 
 
 class MembershipFailedError(GefError):
@@ -50,10 +53,15 @@ class PlantFraction:
     ring: RingModel
     m: int
     n: int
-    P: Mat   # n x m over PolyFraction
     N: Mat   # n x m over the ring
     d: Polynomial
     T: Mat   # (m+n) x m over the ring
+
+    @cached_property
+    def P(self) -> Mat:
+        """The plant N * d^-1 as an n x m matrix over PolyFraction, each entry
+        reduced; built on first use, since deciding needs only N, d and T."""
+        return self.N.map(lambda e: PolyFraction(e, self.d))
 
     @staticmethod
     def from_parts(ring: RingModel, N: Mat, d: Polynomial) -> "PlantFraction":
@@ -66,9 +74,8 @@ class PlantFraction:
             if not membership(entry, ring):
                 raise NotCausalError(f"numerator entry {entry} is not in the ring")
         n, m = N.rows, N.cols
-        P = N.map(lambda e: PolyFraction(e, d))
         T = N.vstack(Mat.scalar_matrix(m, d, Polynomial.zero(ring.variables)))
-        return PlantFraction(ring, m, n, P, N, d, T)
+        return PlantFraction(ring, m, n, N, d, T)
 
     def denominator_rows(self) -> IndexSet:
         return IndexSet(tuple(range(self.n + 1, self.n + self.m + 1)))
@@ -154,7 +161,8 @@ def _denominator_multiplier(targets, ring: RingModel) -> Polynomial | None:
 class GefEntry:
     index_set: IndexSet
     delta: Polynomial
-    gcd: Polynomial | None         # gcd of delta and T adj(rows_I T), None when singular
+    # (h, C/g) of `_quotients`, identity checked; None when singular
+    quotients: tuple[Polynomial, Mat] | None
     generators: list[Polynomial]   # pushed down to the ring, zero ideal -> []
     handle: IdealHandle            # lifted ideal in the presentation ring
     singular: bool
@@ -173,12 +181,11 @@ class GefResult:
         raise KeyError(f"no entry for {index_set}")
 
     def quotients(self, index_set: IndexSet) -> tuple[Polynomial, Mat]:
-        """The (h, C/g) of `witness_matrix` for I, from the gcd g kept on its entry."""
+        """The (h, C/g) of `witness_matrix` for I, as kept on its entry."""
         entry = self.entry_for(index_set)
         if entry.singular:
             raise MembershipFailedError(f"rows {index_set} of T are singular")
-        _, C = _cofactor_columns(self.plant, index_set)
-        return _quotients(entry.delta, C, entry.gcd)
+        return entry.quotients
 
 
 def _cofactor_columns(pf: PlantFraction, index_set: IndexSet) -> tuple[Polynomial, Mat]:
@@ -201,9 +208,18 @@ def _targets(delta: Polynomial, C: Mat) -> list[Polynomial]:
     return targets
 
 
-def _quotients(delta: Polynomial, C: Mat, g: Polynomial) -> tuple[Polynomial, Mat]:
-    """h = delta/g and C/g, for g a gcd of delta and every entry of C."""
-    return divide_exact(delta, g), C.map(lambda c: divide_exact(c, g))
+def _quotients(pf: PlantFraction, index_set: IndexSet, delta: Polynomial, C: Mat,
+               g: Polynomial) -> tuple[Polynomial, Mat]:
+    """h = delta/g and C/g, for g a gcd of delta and every entry of C.
+
+    C = T adj(rows_I T), so C * rows_I(T) = delta*T and (C/g) * rows_I(T) =
+    h*T.  That identity is checked here, once per index set; it raises
+    GefInternalError when it fails.
+    """
+    h, C_g = divide_exact(delta, g), C.map(lambda c: divide_exact(c, g))
+    if C_g * pf.T.take_rows(index_set.zero_based()) != pf.T.map(lambda e: e * h):
+        raise GefInternalError(f"identity (C/g) * rows_I(T) = h*T failed for {index_set}")
+    return h, C_g
 
 
 def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
@@ -215,19 +231,23 @@ def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
     entry of C, and h = delta/g, so that lam*c/delta = lam*(c/g)/h.  The
     polynomial ring is a UFD and no prime divides h and every c/g, so h
     divides every lam*(c/g) exactly when it divides lam: K = (lam/h)*(C/g)
-    takes one exact division.  Each entry must lie in the ring, and the
-    identity K * rows_I(T) = lam*T is checked before K is returned.
+    takes one exact division.  Each entry must lie in the ring.
+
+    The identity K * rows_I(T) = lam*T needs no product here: `_quotients`
+    checked (C/g) * rows_I(T) = h*T, and q = lam/h is exact, so
+    K * rows_I(T) = q * (C/g) * rows_I(T) = q*h*T = lam*T.
 
     `quotients` is (h, C/g) when the caller already has it (`gef` per
-    index set, `synth.local_factorization` from the entry's gcd); it is
-    computed here otherwise.
+    index set, `synth.local_factorization` from the entry); it is computed
+    and checked here otherwise.
     """
     index_set.validate(pf.m, pf.n)
     if quotients is None:
         delta, C = _cofactor_columns(pf, index_set)
         if delta.is_zero():
             raise MembershipFailedError(f"rows {index_set} of T are singular")
-        quotients = _quotients(delta, C, running_gcd([delta] + _targets(delta, C)))
+        quotients = _quotients(pf, index_set, delta, C,
+                               running_gcd([delta] + _targets(delta, C)))
     h, C_g = quotients
     try:
         q = divide_exact(lam, h)
@@ -239,9 +259,6 @@ def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
         if not membership(k, pf.ring):
             raise MembershipFailedError(
                 f"{lam} is not in the factor for {index_set}: witness leaves the ring")
-    M = pf.T.take_rows(index_set.zero_based())
-    if K * M != pf.T.map(lambda e: e * lam):
-        raise GefInternalError("witness identity lam*T = K*(rows_I T) failed")
     return K
 
 
@@ -265,7 +282,8 @@ def _factor(ring: RingModel, h: Polynomial, quotients: list[Polynomial]) -> list
     """Generators of the intersection of the colons (delta A : c) over the targets.
 
     Here g is the gcd of delta and every target, h = delta/g, and the
-    `quotients` are the targets divided by g.  The intersection is (h) over
+    `quotients` are the targets divided by g: `gef` passes the h and C/g
+    that `_quotients` checked.  The intersection is (h) over
     a ring without gaps.  Over A = Q[z^S], with conductor F+1 and least
     generator s1, it is h * (V + z^(F+1) Q[z]), where V is the space of q of
     degree at most F for which h*q and every (c/g)*q vanish at all gaps; its
@@ -296,8 +314,7 @@ def gef(pf: PlantFraction) -> GefResult:
                                     pres.ideal([Polynomial.zero(pres.variables)]),
                                     singular=True))
             continue
-        g = running_gcd([delta] + _targets(delta, C))
-        h, C_g = _quotients(delta, C, g)
+        h, C_g = _quotients(pf, index_set, delta, C, running_gcd([delta] + _targets(delta, C)))
         handle = pres.ideal([pres.lift(f) for f in _factor(pf.ring, h, _targets(h, C_g))])
         generators = []
         for f in handle.reduced_basis():
@@ -308,5 +325,6 @@ def gef(pf: PlantFraction) -> GefResult:
                 generators.append(lam)
         for lam in generators:
             witness_matrix(pf, index_set, lam, (h, C_g))  # raises on failure
-        entries.append(GefEntry(index_set, delta, g, generators, handle, singular=False))
+        entries.append(GefEntry(index_set, delta, (h, C_g), generators, handle,
+                                singular=False))
     return GefResult(pf, pres, entries)

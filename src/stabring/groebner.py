@@ -17,6 +17,15 @@ integers over the scale of the remainder, are formed only when cofactors are
 tracked (`track_cofactors`, witnesses, Bezout certificates); colon,
 intersection and elimination never ask for them.
 
+Tracked cofactors are sparse while the basis is built: each maps the index of
+a generator to a nonzero polynomial, all in integer form over one common
+denominator (`_cofactor_sum`), so the scaling of a new element, the S-pair
+update x^si c_i - x^sj c_j and each a - q*b touch only the generators that
+an element depends on.  The dense lists of `GroebnerBasis.cofactors` are
+built once at the end and the identity they state is verified once there
+(`check_cofactors`); `IdealHandle.is_unit` adds only the check that the one
+basis element is 1.
+
 Determinism: the selection strategy is sugar with a fixed tie-break by
 (order of the pair lcm, input index), reducers are chosen by basis index,
 and the reduced basis is sorted by leading monomial.  Each reduction step is
@@ -85,13 +94,6 @@ def _lead(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fraction]:
     return exps, p.coeff(exps)
 
 
-def _mul_term(p: Polynomial, shift: Exponents, coeff: Fraction | int) -> Polynomial:
-    """p * coeff * x^shift for a nonzero coeff."""
-    return Polynomial._from_clean(
-        {tuple(map(add, exps, shift)): c * coeff.numerator for exps, c in p._terms.items()},
-        p._den * coeff.denominator, p.variables)
-
-
 def _exp_divides(a: Exponents, b: Exponents) -> bool:
     return all(map(le, a, b))
 
@@ -124,6 +126,46 @@ def _s_polynomial(di: _Divisor, dj: _Divisor, si: Exponents, sj: Exponents):
 
 
 # ---------------------------------------------------------------------------
+# sparse cofactors
+# ---------------------------------------------------------------------------
+
+# A tracked cofactor is (terms, den): generator i enters with the polynomial
+# terms[i] / den in integer form, and a generator outside `terms` with 0.
+_Cofactor = tuple[dict[int, dict[Exponents, int]], int]
+
+
+def _cofactor_sum(parts: list[tuple[dict[Exponents, int], int, _Cofactor]]) -> _Cofactor:
+    """sum (mult / s) * cof over the parts (mult, s, cof), where mult / s is
+    a polynomial in integer form over the positive s; only the support of
+    each cof is touched, and the result is reduced by the gcd of its numbers."""
+    den = math.lcm(*(s * d for _, s, (_, d) in parts))
+    acc: dict[int, dict[Exponents, int]] = {}
+    for mult, s, (terms, d) in parts:
+        f = den // (s * d)
+        for i, t in terms.items():
+            out = acc.setdefault(i, {})
+            get = out.get
+            for e1, c1 in mult.items():
+                c1 *= f
+                for e2, c2 in t.items():
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+    acc = {i: nz for i, t in acc.items() if (nz := {e: c for e, c in t.items() if c})}
+    g = math.gcd(den, *(c for t in acc.values() for c in t.values()))
+    if g != 1:
+        den //= g
+        acc = {i: {e: c // g for e, c in t.items()} for i, t in acc.items()}
+    return acc, den
+
+
+def _cofactor_list(cof: _Cofactor, count: int, variables: tuple[str, ...]) -> list[Polynomial]:
+    """The dense list of `count` polynomials that the sparse cofactor stands for."""
+    terms, den = cof
+    return [Polynomial._from_clean(terms[i], den, variables) if i in terms
+            else Polynomial.zero(variables) for i in range(count)]
+
+
+# ---------------------------------------------------------------------------
 # Buchberger with cofactors
 # ---------------------------------------------------------------------------
 
@@ -149,7 +191,8 @@ class GroebnerBasis:
         for g, cof in zip(self.basis, self.cofactors):
             acc = Polynomial.zero(self.variables)
             for c, gen in zip(cof, self.generators):
-                acc = acc + c * gen
+                if c:
+                    acc = acc + c * gen
             if acc != g:
                 raise AssertionError("cofactor bookkeeping is inconsistent")
 
@@ -160,21 +203,26 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
     """Reduced Groebner basis of the given generators.
 
     With track_cofactors=True every basis element g carries polynomials c_i
-    with g = sum c_i * generators[i]; the bookkeeping is re-verified before
-    returning.
+    with g = sum c_i * generators[i].  They are kept sparse while the basis
+    is built (`_cofactor_sum`), turned into dense lists once at the end, and
+    the bookkeeping is re-verified before returning.
     """
     variables = tuple(variables)
     gens = [g.with_variables(variables) for g in generators]
     track = track_cofactors
+    one = (0,) * len(variables)
 
-    divs: list[_Divisor] = []          # current basis, monic
-    cofs: list[list[Polynomial]] = []  # over gens
+    divs: list[_Divisor] = []    # current basis, monic
+    cofs: list[_Cofactor] = []   # over gens
     sugars: list[int] = []
     pairs: dict[tuple[int, int], tuple] = {}  # pair -> selection key
 
-    def unit_cof(i: int) -> list[Polynomial]:
-        return [Polynomial.one(variables) if j == i else Polynomial.zero(variables)
-                for j in range(len(gens))]
+    def reduced_cof(heads, quots, scale: int) -> _Cofactor:
+        """sum mult * cofs[k] over the heads (mult, k), minus (q / scale) * cofs[k]
+        over the division quotients (k, q) that are nonzero."""
+        parts = [(mult, 1, cofs[k]) for mult, k in heads]
+        parts += [({e: -w for e, w in q.items()}, scale, cofs[k]) for k, q in quots if q]
+        return _cofactor_sum(parts)
 
     def pair_key(i: int, j: int) -> tuple:
         li, lj = divs[i].lead, divs[j].lead
@@ -183,11 +231,12 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         return (sugar, tuple(-k for k in order.descending_key(lcm)), i, j)
 
     def add_element(terms: dict[Exponents, int], scale: int, lexp: Exponents,
-                    cof: list[Polynomial] | None, sugar: int):
+                    cof: _Cofactor | None, sugar: int):
         """Gebauer-Moeller pair update, then append terms / scale, made monic."""
         nonlocal pairs
-        if track and terms[lexp] != scale:
-            cof = [c.scale(Fraction(scale, terms[lexp])) for c in cof]
+        lc = terms[lexp]
+        if track and lc != scale:
+            cof = _cofactor_sum([({one: scale if lc > 0 else -scale}, abs(lc), cof)])
         leads = [d.lead for d in divs]
         t = len(divs)
         kept = {}
@@ -218,8 +267,8 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        add_element(g._terms, g._den, _lead(g, order)[0], unit_cof(i) if track else None,
-                    g.total_degree())
+        add_element(g._terms, g._den, _lead(g, order)[0],
+                    ({i: {one: 1}}, 1) if track else None, g.total_degree())
 
     while pairs:
         i, j = min(pairs, key=pairs.__getitem__)
@@ -238,13 +287,10 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         if not track:
             add_element(rem, scale, lexp, None, sugar)
             continue
-        scof = [_mul_term(a, si, 1) - _mul_term(b, sj, 1)
-                for a, b in zip(cofs[i], cofs[j])]
-        for q, cof_k in zip(quot, cofs):
-            if q:
-                q = Polynomial._from_clean(q, scale, variables)
-                scof = [a - q * b for a, b in zip(scof, cof_k)]
-        add_element(rem, scale, lexp, scof, sugar)
+        # rem / scale = x^si g_i - x^sj g_j - sum (q_k / scale) g_k
+        add_element(rem, scale, lexp,
+                    reduced_cof([({si: 1}, i), ({sj: -1}, j)], enumerate(quot), scale),
+                    sugar)
 
     # minimal basis in ascending lead order; reducing an element by the others
     # keeps its lead (no other lead divides it) and its lead coefficient 1
@@ -255,7 +301,7 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
             minimal_idx.append(k)
 
     basis: list[Polynomial] = []
-    basis_cofs: list[list[Polynomial]] = []
+    basis_cofs: list[list[Polynomial]] = []  # dense, built once per element
     for k in minimal_idx:
         others = [j for j in minimal_idx if j != k]
         work, scale = divs[k].terms()
@@ -264,12 +310,8 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
                                         want_quotients=track)
         basis.append(Polynomial._from_clean(rem, scale, variables))
         if track:
-            cof = cofs[k]
-            for q, j in zip(quot, others):
-                if q:
-                    q = Polynomial._from_clean(q, scale, variables)
-                    cof = [a - q * b for a, b in zip(cof, cofs[j])]
-            basis_cofs.append(cof)
+            cof = reduced_cof([({one: 1}, k)], zip(others, quot), scale)
+            basis_cofs.append(_cofactor_list(cof, len(gens), variables))
 
     out = GroebnerBasis(variables, order, gens, basis, basis_cofs if track else None)
     if track:
@@ -353,15 +395,17 @@ class IdealHandle:
         gb = self.groebner(track_cofactors=True)
         if len(gb.basis) != 1 or not gb.basis[0].is_constant():
             return False, None
-        # the reduced basis is monic, so it is [1]; `cert.verify` checks it
+        # `buchberger` verified basis[0] = sum cof[i] * all_gens()[i], so the
+        # cofactors are a Bezout certificate once basis[0] is 1, as a reduced
+        # (monic) basis must make it
+        if gb.basis[0] != Polynomial.one(self.variables):
+            raise AssertionError("the reduced basis of a unit ideal is not [1]")
         cof = gb.cofactors[0]
         ngens = len(self.gens)
         cert = BezoutCertificate(
             coefficients={i: cof[i] for i in range(ngens) if not cof[i].is_zero()},
             relation_coefficients={i - ngens: cof[i] for i in range(ngens, len(cof))
                                    if not cof[i].is_zero()})
-        if not cert.verify(self):
-            raise AssertionError("Bezout certificate failed verification")
         return True, cert
 
     # the library does not call it; the tests' oracles and perfbench/layers.py do

@@ -16,7 +16,9 @@ run them:
     fraction-free elimination, and the ideal of minors of a matrix;
   * the paper's module criterion for plants with one input;
   * the lift into the ring's presentation as one normal form of the whole
-    element, and the witness matrix by one exact division per entry.
+    element, and the witness matrix by one exact division per entry;
+  * Buchberger's algorithm with dense cofactor lists of `Polynomial`s, the
+    reference for the library's sparse cofactor bookkeeping.
 """
 
 from __future__ import annotations
@@ -24,11 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
+from typing import Iterable, Sequence
 
 from stabring import groebner
 from stabring.gef import PlantFraction
 from stabring.matrixring import IndexSet, Mat, MatrixError
-from stabring.poly import Polynomial, divide_exact
+from stabring.groebner import (GroebnerBasis, MonomialOrder, _exp_add, _exp_divides,
+                               _exp_lcm, _exp_sub, _lead, _s_polynomial)
+from stabring.poly import Exponents, Polynomial, _Divisor, _reduce_full, divide_exact
 from stabring.ring import (ZERO_IDEAL, MembershipError, PolyFraction, Presentation,
                            RingModel, causal, fraction_in_ring, membership,
                            presentation, z_nonsingular)
@@ -308,3 +314,113 @@ def entrywise_witness(pf: PlantFraction, index_set: IndexSet, lam: Polynomial) -
     M = pf.T.take_rows(index_set.zero_based())
     delta = cofactor_det(M)
     return (pf.T * M.adjugate()).map(lambda c: divide_exact(lam * c, delta))
+
+
+# ---------------------------------------------------------------------------
+# Buchberger with dense cofactors
+# ---------------------------------------------------------------------------
+
+
+def mul_term(p: Polynomial, shift: Exponents, coeff: Fraction | int) -> Polynomial:
+    """p * coeff * x^shift for a nonzero coeff."""
+    return Polynomial._from_clean(
+        {tuple(map(add, exps, shift)): c * coeff.numerator for exps, c in p._terms.items()},
+        p._den * coeff.denominator, p.variables)
+
+
+def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
+                              order: MonomialOrder) -> GroebnerBasis:
+    """`groebner.buchberger(track_cofactors=True)` with each cofactor a dense
+    list of `Polynomial`s over the generators, zeros included, updated by
+    whole-polynomial arithmetic (`a - q * b` for every entry).  The pair
+    selection, reductions and interreduction are the library's, so the basis
+    and the cofactor lists must come out equal."""
+    variables = tuple(variables)
+    gens = [g.with_variables(variables) for g in generators]
+    zero, one = Polynomial.zero(variables), Polynomial.one(variables)
+    divs: list[_Divisor] = []
+    cofs: list[list[Polynomial]] = []
+    sugars: list[int] = []
+    pairs: dict[tuple[int, int], tuple] = {}
+
+    def pair_key(i: int, j: int) -> tuple:
+        li, lj = divs[i].lead, divs[j].lead
+        lcm = _exp_lcm(li, lj)
+        sugar = max(sugars[i] + sum(_exp_sub(lcm, li)), sugars[j] + sum(_exp_sub(lcm, lj)))
+        return (sugar, tuple(-k for k in order.descending_key(lcm)), i, j)
+
+    def add_element(terms, scale, lexp, cof, sugar):
+        nonlocal pairs
+        if terms[lexp] != scale:
+            cof = [c.scale(Fraction(scale, terms[lexp])) for c in cof]
+        leads = [d.lead for d in divs]
+        t = len(divs)
+        kept = {}
+        for (i, j), k in pairs.items():
+            lcm_ij = _exp_lcm(leads[i], leads[j])
+            if (not _exp_divides(lexp, lcm_ij)
+                    or _exp_lcm(leads[i], lexp) == lcm_ij
+                    or _exp_lcm(leads[j], lexp) == lcm_ij):
+                kept[i, j] = k
+        lcm_groups: dict[Exponents, list[int]] = {}
+        for i in range(t):
+            lcm_groups.setdefault(_exp_lcm(leads[i], lexp), []).append(i)
+        minimal: list[Exponents] = []
+        for lcm in sorted(lcm_groups, key=order.descending_key, reverse=True):
+            if all(not _exp_divides(prev, lcm) for prev in minimal):
+                minimal.append(lcm)
+        divs.append(_Divisor(terms, lexp))
+        cofs.append(cof)
+        sugars.append(sugar)
+        for lcm in minimal:
+            members = lcm_groups[lcm]
+            if any(_exp_lcm(leads[i], lexp) == _exp_add(leads[i], lexp) for i in members):
+                continue
+            kept[min(members), t] = pair_key(min(members), t)
+        pairs = kept
+
+    for i, g in enumerate(gens):
+        if not g.is_zero():
+            add_element(g._terms, g._den, _lead(g, order)[0],
+                        [one if j == i else zero for j in range(len(gens))],
+                        g.total_degree())
+
+    while pairs:
+        i, j = min(pairs, key=pairs.__getitem__)
+        sugar = pairs.pop((i, j))[0]
+        li, lj = divs[i].lead, divs[j].lead
+        lcm = _exp_lcm(li, lj)
+        si, sj = _exp_sub(lcm, li), _exp_sub(lcm, lj)
+        work, scale = _s_polynomial(divs[i], divs[j], si, sj)
+        if not work:
+            continue
+        rem, scale, quot = _reduce_full(work, scale, divs, order.descending_key,
+                                        want_quotients=True)
+        if not rem:
+            continue
+        scof = [mul_term(a, si, 1) - mul_term(b, sj, 1) for a, b in zip(cofs[i], cofs[j])]
+        for q, cof_k in zip(quot, cofs):
+            if q:
+                q = Polynomial._from_clean(q, scale, variables)
+                scof = [a - q * b for a, b in zip(scof, cof_k)]
+        add_element(rem, scale, next(iter(rem)), scof, sugar)
+
+    minimal_idx: list[int] = []
+    for k in sorted(range(len(divs)), key=lambda k: order.descending_key(divs[k].lead),
+                    reverse=True):
+        if all(not _exp_divides(divs[j].lead, divs[k].lead) for j in minimal_idx):
+            minimal_idx.append(k)
+    basis, basis_cofs = [], []
+    for k in minimal_idx:
+        others = [j for j in minimal_idx if j != k]
+        work, scale = divs[k].terms()
+        rem, scale, quot = _reduce_full(work, scale, [divs[j] for j in others],
+                                        order.descending_key, want_quotients=True)
+        basis.append(Polynomial._from_clean(rem, scale, variables))
+        cof = cofs[k]
+        for q, j in zip(quot, others):
+            if q:
+                q = Polynomial._from_clean(q, scale, variables)
+                cof = [a - q * b for a, b in zip(cof, cofs[j])]
+        basis_cofs.append(cof)
+    return GroebnerBasis(variables, order, gens, basis, basis_cofs)

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from stabring import ring as ring_module
 from stabring.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK,
                           MAX_STEPS, InputError, main, parse_fraction_text)
+from stabring.gef import PlantFraction
 from stabring.groebner import IdealHandle
 from stabring.poly import ParseError, Polynomial, parse_poly
 from stabring.ring import RingModel
@@ -234,6 +236,21 @@ class TestSynthVerify:
         assert report["repair"]["applied"] is True
         assert report["repair"]["selector"] == [["1", "0"]]
         assert all(all(row) for row in report["verification"]["entries_in_ring"])
+
+    def test_plant_matrix_built_only_where_written(self, tmp_path, capsys):
+        # `PlantFraction.P` reduces every entry; check and verify never read it
+        out = tmp_path / "controller.json"
+        builds = []
+        build = PlantFraction.P.func
+        with mock.patch.object(PlantFraction.P, "func",
+                               lambda pf: builds.append(pf) or build(pf)):
+            for argv, count in [(["check", DELAY], 0), (["gef", DELAY], 1),
+                                (["synth", DELAY, "-o", str(out)], 1),
+                                (["verify", DELAY, str(out)], 0),
+                                (["simulate", DELAY, str(out), "--steps", "3"], 1)]:
+                builds.clear()
+                assert main(argv) == EXIT_OK
+                assert len(builds) == count, argv
 
     def test_verify_zero_controller_fails(self, tmp_path, capsys):
         ctl = tmp_path / "zero.json"

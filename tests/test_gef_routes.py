@@ -21,13 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabring.gef import (MembershipFailedError, PlantFraction, _cofactor_columns, gef,
-                          running_gcd, witness_matrix)
+from stabring.gef import (GefInternalError, MembershipFailedError, PlantFraction,
+                          _cofactor_columns, gef, running_gcd, witness_matrix)
 from stabring.linsolve import nullspace, solve_exact
 from stabring.matrixring import IndexSet, Mat, enumerate_index_sets
 from stabring.poly import NotDivisibleError, Polynomial, divide_exact, parse_poly
 from stabring.ring import (ZERO_CONSTANT_TERM, ZERO_IDEAL, RingModel, gcd, membership,
                            presentation)
+from stabring.synth import local_factorization
 
 from oracles import entrywise_witness
 
@@ -330,3 +331,59 @@ class TestNullspace:
         else:
             columns = [[x[k] for x in basis] for k in range(n)]
             assert solve_exact(columns, diff) is not None
+
+
+class TestOneIdentityPerIndexSet:
+    """`_quotients` checks (C/g) * rows_I(T) = h*T once per index set; the
+    witnesses of the generators form no product of their own."""
+
+    @staticmethod
+    def corrupted_columns(pf, index_set):
+        # c + delta keeps gcd(delta, c), so every division stays exact
+        delta, C = _cofactor_columns(pf, index_set)
+        if C is None:
+            return delta, C
+        return delta, Mat(C.rows, C.cols, [C.entries[0] + delta] + list(C.entries[1:]))
+
+    def test_corrupted_quotients_raise(self, delay_plant):
+        index_set = IndexSet((1,))
+        delta, C = self.corrupted_columns(delay_plant, index_set)
+        g = running_gcd([delta] + gef_module._targets(delta, C))
+        with pytest.raises(GefInternalError, match="rows_I"):
+            gef_module._quotients(delay_plant, index_set, delta, C, g)
+        with mock.patch.object(gef_module, "_cofactor_columns", self.corrupted_columns):
+            with pytest.raises(GefInternalError):
+                gef(delay_plant)
+            with pytest.raises(GefInternalError):
+                witness_matrix(delay_plant, index_set, delta)
+
+    @pytest.mark.parametrize("name", ["delay_plant", "siso_plant", "xy_plant"])
+    def test_one_product_per_index_set(self, name, request):
+        pf = request.getfixturevalue(name)
+        with mock.patch.object(Mat, "__mul__", autospec=True,
+                               side_effect=Mat.__mul__) as spy:
+            result = gef(pf)
+        nonsingular = [e for e in result.entries if not e.singular]
+        for entry in nonsingular:
+            C_g = entry.quotients[1]
+            calls = [c.args for c in spy.call_args_list if c.args[0] is C_g]
+            assert len(calls) == 1
+            assert calls[0][1] == pf.T.take_rows(entry.index_set.zero_based())
+        # T * adj(rows_I T) and the identity, however many generators
+        assert spy.call_count == 2 * len(nonsingular)
+
+    def test_generators_outnumber_the_index_sets(self, delay_plant):
+        # so the count above would see one product per generator
+        result = gef(delay_plant)
+        nonsingular = [e for e in result.entries if not e.singular]
+        assert sum(len(e.generators) for e in nonsingular) > len(nonsingular)
+
+    def test_local_factorization_takes_no_determinant(self, delay_plant):
+        result = gef(delay_plant)
+        with mock.patch.object(Mat, "det", autospec=True, side_effect=Mat.det) as det, \
+                mock.patch.object(Mat, "adjugate", autospec=True,
+                                  side_effect=Mat.adjugate) as adj:
+            for entry in result.entries:
+                for lam in entry.generators:
+                    assert local_factorization(result, entry.index_set, lam).bezout_holds()
+        assert det.call_count == 0 and adj.call_count == 0

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stabring.groebner import (GREVLEX, IdealHandle, LEX, buchberger,
-                               elimination_order, _lead, _exp_lcm, _exp_sub,
-                               _mul_term)
+from stabring import groebner
+from stabring.groebner import (GREVLEX, GroebnerBasis, IdealHandle, LEX, buchberger,
+                               elimination_order, _lead, _exp_lcm, _exp_sub)
 from stabring.linsolve import solve_exact
 from stabring.poly import Polynomial, _Divisor, _reduce_full, parse_poly
+
+from oracles import dense_cofactor_buchberger, mul_term
 
 XY = ("x", "y")
 UV = ("u", "v")
@@ -25,8 +27,8 @@ def xy(text):
 def _spoly(f, g, order):
     (lf, cf), (lg, cg) = _lead(f, order), _lead(g, order)
     lcm = _exp_lcm(lf, lg)
-    return (_mul_term(f, _exp_sub(lcm, lf), Fraction(1) / cf)
-            - _mul_term(g, _exp_sub(lcm, lg), Fraction(1) / cg))
+    return (mul_term(f, _exp_sub(lcm, lf), Fraction(1) / cf)
+            - mul_term(g, _exp_sub(lcm, lg), Fraction(1) / cg))
 
 
 def _reduces_to_zero(p, basis, order):
@@ -37,7 +39,7 @@ def _reduces_to_zero(p, basis, order):
         lexp, lcoeff = _lead(work, order)
         for (le, lc), g in zip(leads, basis):
             if all(a <= b for a, b in zip(le, lexp)):
-                work = work - _mul_term(g, _exp_sub(lexp, le), lcoeff / lc)
+                work = work - mul_term(g, _exp_sub(lexp, le), lcoeff / lc)
                 break
         else:
             return False
@@ -141,7 +143,7 @@ def _membership_oracle(p, gens, variables, degree_bound):
     columns = []
     for g in gens:
         for mono in monomials:
-            columns.append(_mul_term(g, mono, Fraction(1)))
+            columns.append(mul_term(g, mono, Fraction(1)))
     rows_index = {}
     for poly in columns + [p]:
         for exps, _ in poly.items():
@@ -220,6 +222,19 @@ class TestUnitIdeal:
         handle = IdealHandle(UV, [parse_poly("u", UV), parse_poly("1 - u", UV)], [rel])
         ok, cert = handle.is_unit()
         assert ok and cert.verify(handle)
+
+    def test_basis_other_than_one_is_refused(self, monkeypatch):
+        # `buchberger` checks the cofactors, so is_unit only checks that the
+        # one basis element is 1; a constant 2 must not pass as a certificate
+        handle = IdealHandle(XY, [xy("x + 1"), xy("x - 1")])
+
+        def two(gens, variables, order, track_cofactors=False):
+            zero = Polynomial.zero(variables)
+            return GroebnerBasis(tuple(variables), order, list(gens), [xy("2")],
+                                 [[zero] * len(gens)])
+        monkeypatch.setattr(groebner, "buchberger", two)
+        with pytest.raises(AssertionError, match="not \\[1\\]"):
+            handle.is_unit()
 
 
 class TestColonIntersect:
@@ -353,3 +368,41 @@ class TestHeapReductionOracle:
             dict(p._terms), p._den, [_Divisor.of(g, key) for g in basis], key)
         assert none is None
         assert Polynomial._from_clean(rem_only, scale, _XYW) == want_rem
+
+
+_RELATIONS = [[], ["w^2 - x^3"], ["x*y - w"]]
+
+
+@st.composite
+def _tracked_ideal(draw):
+    """Generators, relations and kind: "unit" holds a and 1 - a*b; "proper"
+    has no constant term anywhere, so it lies in (x, y, w); "any" is as drawn."""
+    gens = draw(st.lists(_random_poly(max_terms=3, max_exp=2), min_size=1, max_size=3))
+    relations = [parse_poly(r, _XYW) for r in draw(st.sampled_from(_RELATIONS))]
+    kind = draw(st.sampled_from(["any", "unit", "proper"]))
+    if kind == "unit":
+        b = draw(_random_poly(max_terms=2, max_exp=1))
+        gens.append(Polynomial.one(_XYW) - gens[0] * b)
+    elif kind == "proper":
+        gens = [g - g.constant_coeff() for g in gens]
+    return gens, relations, kind
+
+
+class TestSparseCofactors:
+    """Tracked Buchberger keeps sparse integer cofactors; the dense oracle
+    updates whole lists of `Polynomial`s.  Same pairs, same reductions, so
+    the same basis and the same cofactor lists."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(ideal=_tracked_ideal(), order=st.sampled_from(_ORDERS))
+    def test_same_basis_and_cofactors_as_dense_oracle(self, ideal, order):
+        gens, relations, kind = ideal
+        gb = buchberger(gens + relations, _XYW, order, track_cofactors=True)
+        want = dense_cofactor_buchberger(gens + relations, _XYW, order)
+        assert gb.basis == want.basis
+        assert gb.cofactors == want.cofactors
+        unit = gb.basis == [Polynomial.one(_XYW)]
+        if kind == "unit":
+            assert unit
+        elif kind == "proper":
+            assert not unit
