@@ -7,8 +7,7 @@ from .ring import (PolyFraction, Presentation, RingModel, ZERO_CONSTANT_TERM,
                    ZERO_IDEAL, causal, in_Z, membership, presentation,
                    z_nonsingular)
 from .matrixring import IndexSet, Mat, enumerate_index_sets, selection
-from .groebner import (BezoutCertificate, GroebnerBasis, GREVLEX, IdealHandle,
-                       LEX, MonomialOrder, buchberger, elimination_order,
+from .groebner import (BezoutCertificate, GroebnerBasis, IdealHandle, buchberger,
                        normal_form)
 from .gef import GefResult, PlantFraction, gef, scalar_denominator, witness_matrix
 from .synth import (ControllerResult, LocalFactorization,

@@ -11,21 +11,19 @@ ideals (delta_I A : c_rs) over the entries of C.  One formula gives it
 is (h) over a ring without gaps (Q[x1..xn] or Q[z], a UFD, where each colon
 is (delta / gcd(delta, c))), and over Q[z^S] h times a space found by one
 exact linear system on the coefficients below the conductor.  The factor is
-handed on as an ideal of the ring's quotient presentation, whose reduced
-basis gives the reported generators.  The identity (C/g) * rows_I(T) = h*T
-is checked once per index set, and (h, C/g) is kept on the entry.  Each
-reported generator lam is post-verified by its witness matrix
-K = (lam/h) * (C/g): one exact division and a ring-membership test per entry.
-The identity lam*T = K * (rows_I T) then holds without a product of its own,
-since K * rows_I(T) = (lam/h) * h*T.
+lifted into the ring's quotient presentation, and its reduced basis there,
+pushed back down, gives the reported generators; the entry keeps those and
+no ideal.  The identity (C/g) * rows_I(T) = h*T is checked once per index
+set, and (h, C/g) is kept on the entry.  Each reported generator lam is
+post-verified by its witness matrix K = (lam/h) * (C/g): one exact division
+and a ring-membership test per entry.  The identity lam*T = K * (rows_I T)
+then holds without a product of its own, since K * rows_I(T) = (lam/h) * h*T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .groebner import IdealHandle
 from .linsolve import nullspace
 from .matrixring import IndexSet, Mat, enumerate_index_sets
 from .poly import NotDivisibleError, Polynomial, common_denominator, divide_exact
@@ -56,16 +54,12 @@ class PlantFraction:
     N: Mat   # n x m over the ring
     d: Polynomial
     T: Mat   # (m+n) x m over the ring
-
-    @cached_property
-    def P(self) -> Mat:
-        """The plant N * d^-1 as an n x m matrix over PolyFraction, each entry
-        reduced; built on first use, since deciding needs only N, d and T."""
-        return self.N.map(lambda e: PolyFraction(e, self.d))
+    P: Mat   # n x m over PolyFraction, each entry N[i,j]/d reduced
 
     @staticmethod
-    def from_parts(ring: RingModel, N: Mat, d: Polynomial) -> "PlantFraction":
-        """Build the plant directly from numerator matrix and scalar denominator."""
+    def from_parts(ring: RingModel, N: Mat, d: Polynomial, P: Mat) -> "PlantFraction":
+        """The plant of numerator matrix N and scalar denominator d, whose
+        reduced entries N[i,j]/d the caller gives as P."""
         if in_Z(d, ring):
             raise NotCausalError(f"denominator {d} lies in the causality ideal")
         if not membership(d, ring):
@@ -75,7 +69,7 @@ class PlantFraction:
                 raise NotCausalError(f"numerator entry {entry} is not in the ring")
         n, m = N.rows, N.cols
         T = N.vstack(Mat.scalar_matrix(m, d, Polynomial.zero(ring.variables)))
-        return PlantFraction(ring, m, n, N, d, T)
+        return PlantFraction(ring, m, n, N, d, T, P)
 
     def denominator_rows(self) -> IndexSet:
         return IndexSet(tuple(range(self.n + 1, self.n + self.m + 1)))
@@ -90,7 +84,8 @@ def scalar_denominator(entries, ring: RingModel) -> PlantFraction:
     their least common multiple, adjusted by a unit-constant multiplier
     search until d lies in A \\ Z and every numerator entry lies in A, and
     failing that the same from the reduced pairs; in the multivariate case d
-    is the product of the distinct reduced denominators.
+    is the product of the distinct reduced denominators.  The reduced entries
+    are the plant matrix P as well, so no entry is reduced twice.
     """
     pairs = [[(num.with_variables(ring.variables), den.with_variables(ring.variables))
               for num, den in row] for row in entries]
@@ -99,37 +94,39 @@ def scalar_denominator(entries, ring: RingModel) -> PlantFraction:
     if n < 1 or m < 1 or any(len(r) != m for r in pairs):
         raise GefError("plant entries must form a nonempty rectangular array")
 
-    reduced = []
+    fractions = []
     for i, row in enumerate(pairs):
-        reduced.append([])
         for j, (num, den) in enumerate(row):
             if den.is_zero():
                 raise NotCausalError(f"entry ({i + 1},{j + 1}) has a zero denominator")
             fr = PolyFraction(num, den)
             if not causal(fr, ring):
                 raise NotCausalError(f"entry ({i + 1},{j + 1}) is not causal")
-            reduced[-1].append((fr.num, fr.den))
+            fractions.append(fr)
+    P = Mat(n, m, fractions)
+    reduced = [[(fr.num, fr.den) for fr in fractions[i * m:(i + 1) * m]] for i in range(n)]
 
     if len(ring.variables) <= 1:
-        # failing the pairs as written, the reduced ones drop non-ring factors
-        plant = (_scalar_denominator_pairs(pairs, ring)
-                 or _scalar_denominator_pairs(reduced, ring))
+        # failing the pairs as written, the reduced ones drop non-ring factors;
+        # a reduced fraction over one variable is unique, so P is N[i,j]/d
+        plant = (_scalar_denominator_pairs(pairs, P, ring)
+                 or _scalar_denominator_pairs(reduced, P, ring))
         if plant is None:
             raise NotCausalError("no scalar denominator found within the search bound")
         return plant
 
     nums, d = common_denominator((pair for row in reduced for pair in row), ring.variables)
-    return PlantFraction.from_parts(ring, Mat(n, m, nums), d)
+    return PlantFraction.from_parts(ring, Mat(n, m, nums), d, P)
 
 
-def _scalar_denominator_pairs(pairs, ring: RingModel) -> PlantFraction | None:
+def _scalar_denominator_pairs(pairs, P: Mat, ring: RingModel) -> PlantFraction | None:
     base, lcm = common_denominator((pair for row in pairs for pair in row), ring.variables)
     s = _denominator_multiplier([lcm] + base, ring)
     if s is None:
         return None
     try:
         return PlantFraction.from_parts(ring, Mat(len(pairs), len(pairs[0]),
-                                                  [e * s for e in base]), lcm * s)
+                                                  [e * s for e in base]), lcm * s, P)
     except NotCausalError:
         return None
 
@@ -164,7 +161,6 @@ class GefEntry:
     # (h, C/g) of `_quotients`, identity checked; None when singular
     quotients: tuple[Polynomial, Mat] | None
     generators: list[Polynomial]   # pushed down to the ring, zero ideal -> []
-    handle: IdealHandle            # lifted ideal in the presentation ring
     singular: bool
 
 
@@ -223,7 +219,7 @@ def _quotients(pf: PlantFraction, index_set: IndexSet, delta: Polynomial, C: Mat
 
 
 def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
-                   quotients: tuple[Polynomial, Mat] | None = None) -> Mat:
+                   quotients: tuple[Polynomial, Mat]) -> Mat:
     """The K with lam*T = K * (rows_I T); raises MembershipFailedError otherwise.
 
     With delta = det(rows_I T) nonzero and the cofactor columns
@@ -233,21 +229,13 @@ def witness_matrix(pf: PlantFraction, index_set: IndexSet, lam: Polynomial,
     divides every lam*(c/g) exactly when it divides lam: K = (lam/h)*(C/g)
     takes one exact division.  Each entry must lie in the ring.
 
-    The identity K * rows_I(T) = lam*T needs no product here: `_quotients`
-    checked (C/g) * rows_I(T) = h*T, and q = lam/h is exact, so
+    `quotients` is the (h, C/g) of I that `_quotients` checked: `gef` passes
+    it per index set, and `synth.local_factorization` takes it from the entry
+    (`GefResult.quotients`).  So the identity K * rows_I(T) = lam*T needs no
+    product here: (C/g) * rows_I(T) = h*T, and q = lam/h is exact, so
     K * rows_I(T) = q * (C/g) * rows_I(T) = q*h*T = lam*T.
-
-    `quotients` is (h, C/g) when the caller already has it (`gef` per
-    index set, `synth.local_factorization` from the entry); it is computed
-    and checked here otherwise.
     """
     index_set.validate(pf.m, pf.n)
-    if quotients is None:
-        delta, C = _cofactor_columns(pf, index_set)
-        if delta.is_zero():
-            raise MembershipFailedError(f"rows {index_set} of T are singular")
-        quotients = _quotients(pf, index_set, delta, C,
-                               running_gcd([delta] + _targets(delta, C)))
     h, C_g = quotients
     try:
         q = divide_exact(lam, h)
@@ -310,9 +298,7 @@ def gef(pf: PlantFraction) -> GefResult:
         if delta.is_zero():
             # a nonzero lambda would force rank(rows_I T) = rank(T) = m,
             # impossible over a domain when delta vanishes
-            entries.append(GefEntry(index_set, delta, None, [],
-                                    pres.ideal([Polynomial.zero(pres.variables)]),
-                                    singular=True))
+            entries.append(GefEntry(index_set, delta, None, [], singular=True))
             continue
         h, C_g = _quotients(pf, index_set, delta, C, running_gcd([delta] + _targets(delta, C)))
         handle = pres.ideal([pres.lift(f) for f in _factor(pf.ring, h, _targets(h, C_g))])
@@ -325,6 +311,5 @@ def gef(pf: PlantFraction) -> GefResult:
                 generators.append(lam)
         for lam in generators:
             witness_matrix(pf, index_set, lam, (h, C_g))  # raises on failure
-        entries.append(GefEntry(index_set, delta, (h, C_g), generators, handle,
-                                singular=False))
+        entries.append(GefEntry(index_set, delta, (h, C_g), generators, singular=False))
     return GefResult(pf, pres, entries)

@@ -1,20 +1,26 @@
 """Buchberger Groebner-basis engine over Q[x1..xk] with cofactor tracking.
 
-Supports ideal membership with witnesses, unit-ideal tests with Bezout
-certificates, and intersections; colon ideals serve only the tests.  Every
-ideal handle carries a list of relation generators that are implicitly
-adjoined to all computations, which makes the engine operate modulo a
-quotient-ring presentation while staying inside an ordinary polynomial ring.
+Supports unit-ideal tests with Bezout certificates, normal forms and
+intersections; colon ideals serve only the tests.  Every ideal handle
+carries a list of relation generators that are implicitly adjoined to all
+computations, which makes the engine operate modulo a quotient-ring
+presentation while staying inside an ordinary polynomial ring.
+
+A monomial order is its flat descending key, a tuple that sorts ascending
+exactly when monomials sort descending.  There are two: grevlex
+(`poly._grevlex_descending_key`), in which every ideal is reduced, and the
+elimination order of the first variable (`_elimination_descending_key`),
+which the ring presentation and the intersection of two ideals use.
 
 Reduction is the kernel of the polynomial module, `poly._reduce_full`, which
 `poly.divide_exact` runs with one divisor over two or more variables.  It
 works on the stored form of a polynomial, integer numerators over one common
-denominator, and keeps the pending monomials in a heap keyed on the order's
-`descending_key`, so each step pops the greatest pending term instead of
-rescanning them all.  Basis elements are kept monic, each with its lead and
-an integer tail computed once (`poly._Divisor`).  Division quotients,
-integers over the scale of the remainder, are formed only when cofactors are
-tracked (`track_cofactors`, witnesses, Bezout certificates); colon,
+denominator, and keeps the pending monomials in a heap on the order's key,
+so each step pops the greatest pending term instead of rescanning them all.
+Basis elements are kept monic, each with its lead and an integer tail
+computed once (`poly._Divisor`).  Division quotients, integers over the
+scale of the remainder, are formed only when cofactors are tracked
+(`track_cofactors`, for Bezout certificates); normal forms, colon,
 intersection and elimination never ask for them.
 
 Tracked cofactors are sparse while the basis is built: each maps the index of
@@ -40,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, le, sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .poly import Exponents, Polynomial, _Divisor, _grevlex_descending_key, _reduce_full
 
@@ -48,40 +54,14 @@ from .poly import Exponents, Polynomial, _Divisor, _grevlex_descending_key, _red
 # monomial orders
 # ---------------------------------------------------------------------------
 
-
-class MonomialOrder:
-    """Total multiplicative monomial order: lex, grevlex, or block elimination."""
-
-    __slots__ = ("kind", "front")
-
-    def __init__(self, kind: str, front: int = 0):
-        if kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-        self.front = front
-
-    def descending_key(self, exps: Exponents) -> tuple[int, ...]:
-        """Flat tuple that sorts ascending exactly when monomials sort descending."""
-        if self.kind == "lex":
-            return tuple(-e for e in exps)
-        if self.kind == "grevlex":
-            return _grevlex_descending_key(exps)
-        front, back = exps[:self.front], exps[self.front:]
-        return (-sum(front),) + front[::-1] + (-sum(back),) + back[::-1]
-
-    def __repr__(self):
-        if self.kind == "block":
-            return f"MonomialOrder('block', front={self.front})"
-        return f"MonomialOrder({self.kind!r})"
+# an order's flat descending key (see the module docstring)
+DescendingKey = Callable[[Exponents], tuple[int, ...]]
 
 
-LEX = MonomialOrder("lex")
-GREVLEX = MonomialOrder("grevlex")
-
-
-def elimination_order(front_count: int) -> MonomialOrder:
-    """Block order making the first `front_count` variables greatest."""
-    return MonomialOrder("block", front_count)
+def _elimination_descending_key(exps: Exponents) -> tuple[int, ...]:
+    """Elimination order of the first variable: its degree decides first,
+    grevlex on the other variables breaks ties."""
+    return (-exps[0],) + _grevlex_descending_key(exps[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +69,8 @@ def elimination_order(front_count: int) -> MonomialOrder:
 # ---------------------------------------------------------------------------
 
 
-def _lead(p: Polynomial, order: MonomialOrder) -> tuple[Exponents, Fraction]:
-    exps = min(p._terms, key=order.descending_key)
+def _lead(p: Polynomial, key: DescendingKey) -> tuple[Exponents, Fraction]:
+    exps = min(p._terms, key=key)
     return exps, p.coeff(exps)
 
 
@@ -175,14 +155,14 @@ class GroebnerBasis:
     """Reduced Groebner basis, optionally with exact cofactors over the inputs."""
 
     variables: tuple[str, ...]
-    order: MonomialOrder
+    key: DescendingKey
     generators: list[Polynomial]
     basis: list[Polynomial]
     cofactors: list[list[Polynomial]] | None = None
     _divisors: list[_Divisor] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._divisors = [_Divisor.of(g, self.order.descending_key) for g in self.basis]
+        self._divisors = [_Divisor.of(g, self.key) for g in self.basis]
 
     def check_cofactors(self):
         """Assert basis[i] = sum_j cofactors[i][j] * generators[j] exactly."""
@@ -198,8 +178,8 @@ class GroebnerBasis:
 
 
 def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
-               order: MonomialOrder = GREVLEX, track_cofactors: bool = False,
-               ) -> GroebnerBasis:
+               key: DescendingKey = _grevlex_descending_key,
+               track_cofactors: bool = False) -> GroebnerBasis:
     """Reduced Groebner basis of the given generators.
 
     With track_cofactors=True every basis element g carries polynomials c_i
@@ -228,7 +208,7 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         li, lj = divs[i].lead, divs[j].lead
         lcm = _exp_lcm(li, lj)
         sugar = max(sugars[i] + sum(_exp_sub(lcm, li)), sugars[j] + sum(_exp_sub(lcm, lj)))
-        return (sugar, tuple(-k for k in order.descending_key(lcm)), i, j)
+        return (sugar, tuple(-k for k in key(lcm)), i, j)
 
     def add_element(terms: dict[Exponents, int], scale: int, lexp: Exponents,
                     cof: _Cofactor | None, sugar: int):
@@ -250,7 +230,7 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         for i in range(t):
             lcm_groups.setdefault(_exp_lcm(leads[i], lexp), []).append(i)
         minimal: list[Exponents] = []
-        for lcm in sorted(lcm_groups, key=order.descending_key, reverse=True):
+        for lcm in sorted(lcm_groups, key=key, reverse=True):
             if all(not _exp_divides(prev, lcm) for prev in minimal):
                 minimal.append(lcm)
         divs.append(_Divisor(terms, lexp))
@@ -267,7 +247,7 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        add_element(g._terms, g._den, _lead(g, order)[0],
+        add_element(g._terms, g._den, _lead(g, key)[0],
                     ({i: {one: 1}}, 1) if track else None, g.total_degree())
 
     while pairs:
@@ -279,7 +259,7 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         work, scale = _s_polynomial(divs[i], divs[j], si, sj)
         if not work:
             continue
-        rem, scale, quot = _reduce_full(work, scale, divs, order.descending_key,
+        rem, scale, quot = _reduce_full(work, scale, divs, key,
                                         want_quotients=track)
         if not rem:
             continue
@@ -295,7 +275,7 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
     # minimal basis in ascending lead order; reducing an element by the others
     # keeps its lead (no other lead divides it) and its lead coefficient 1
     minimal_idx: list[int] = []
-    for k in sorted(range(len(divs)), key=lambda k: order.descending_key(divs[k].lead),
+    for k in sorted(range(len(divs)), key=lambda k: key(divs[k].lead),
                     reverse=True):
         if all(not _exp_divides(divs[j].lead, divs[k].lead) for j in minimal_idx):
             minimal_idx.append(k)
@@ -306,35 +286,24 @@ def buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
         others = [j for j in minimal_idx if j != k]
         work, scale = divs[k].terms()
         rem, scale, quot = _reduce_full(work, scale, [divs[j] for j in others],
-                                        order.descending_key,
+                                        key,
                                         want_quotients=track)
         basis.append(Polynomial._from_clean(rem, scale, variables))
         if track:
             cof = reduced_cof([({one: 1}, k)], zip(others, quot), scale)
             basis_cofs.append(_cofactor_list(cof, len(gens), variables))
 
-    out = GroebnerBasis(variables, order, gens, basis, basis_cofs if track else None)
+    out = GroebnerBasis(variables, key, gens, basis, basis_cofs if track else None)
     if track:
         out.check_cofactors()
     return out
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis, witness: bool = False):
-    """Normal form of p modulo gb; optionally with cofactors over gb.generators."""
+def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
+    """Normal form of p modulo gb."""
     p = p.with_variables(gb.variables)
-    if witness and gb.cofactors is None:
-        raise ValueError("witness requested but basis lacks cofactors")
-    rem, scale, quot = _reduce_full(dict(p._terms), p._den, gb._divisors,
-                                    gb.order.descending_key, want_quotients=witness)
-    rem = Polynomial._from_clean(rem, scale, gb.variables)
-    if not witness:
-        return rem
-    coeffs = [Polynomial.zero(gb.variables) for _ in gb.generators]
-    for q, cof in zip(quot, gb.cofactors):
-        if q:
-            q = Polynomial._from_clean(q, scale, gb.variables)
-            coeffs = [a + q * b for a, b in zip(coeffs, cof)]
-    return rem, coeffs
+    rem, scale, _ = _reduce_full(dict(p._terms), p._den, gb._divisors, gb.key)
+    return Polynomial._from_clean(rem, scale, gb.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +345,9 @@ class IdealHandle:
         an untracked basis is recomputed once when cofactors are asked for."""
         gb = self._basis
         if gb is None or (track_cofactors and gb.cofactors is None):
-            gb = self._basis = buchberger(self.all_gens(), self.variables, GREVLEX,
-                                          track_cofactors)
+            gb = self._basis = buchberger(self.all_gens(), self.variables,
+                                          track_cofactors=track_cofactors)
         return gb
-
-    def contains(self, p: Polynomial, witness: bool = False):
-        """Membership of p; with witness=True also the cofactor expression."""
-        gb = self.groebner(track_cofactors=witness)
-        if not witness:
-            return normal_form(p, gb).is_zero()
-        rem, coeffs = normal_form(p, gb, witness=True)
-        if not rem.is_zero():
-            return False, None
-        return True, coeffs
 
     def is_unit(self) -> tuple[bool, BezoutCertificate | None]:
         """Whether the ideal is all of the ring, with a Bezout certificate."""
@@ -451,6 +410,6 @@ def _intersect_gens(gens_a: list[Polynomial], gens_b: list[Polynomial],
     one_minus_t = Polynomial.one(ext) - tpoly
     aux = [tpoly * g.with_variables(ext) for g in gens_a]
     aux += [one_minus_t * g.with_variables(ext) for g in gens_b]
-    gb = buchberger(aux, ext, elimination_order(1))
+    gb = buchberger(aux, ext, _elimination_descending_key)
     return [g.with_variables(variables) for g in gb.basis
             if all(v != t for v in g.used_variables())]

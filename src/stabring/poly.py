@@ -478,11 +478,11 @@ def _reduce_full(work: dict[Exponents, int], scale: int, divisors: list[_Divisor
     """Full normal form of work / scale modulo the divisors.
 
     `work` maps monomials to nonzero integers over the positive `scale`, and
-    `key` is the flat descending key of the monomial order (`_grevlex_descending_key`,
-    `groebner.MonomialOrder.descending_key`).  Returns (remainder, scale,
-    quotients): integers over the returned scale, the remainder in descending
-    monomial order and with want_quotients one dict per divisor (else None).
-    `work` is consumed.
+    `key` is the flat descending key of the monomial order
+    (`_grevlex_descending_key`, `groebner._elimination_descending_key`).
+    Returns (remainder, scale, quotients): integers over the returned scale,
+    the remainder in descending monomial order and with want_quotients one
+    dict per divisor (else None).  `work` is consumed.
 
     Each step takes the greatest pending term and reduces it by the first
     divisor whose lead divides it, else moves it to the remainder.  Pending

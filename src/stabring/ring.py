@@ -272,7 +272,7 @@ def presentation(ring: RingModel) -> Presentation:
         for name, e in zip(names, ring.generators):
             gens.append(Polynomial.var(name, ext)
                         - Polynomial.var(z, ext) ** e)
-        gb = groebner.buchberger(gens, ext, groebner.elimination_order(1))
+        gb = groebner.buchberger(gens, ext, groebner._elimination_descending_key)
         relations = [g.with_variables(names) for g in gb.basis
                      if z not in g.used_variables()]
         pres = Presentation(ring, names, relations, gb,

@@ -240,7 +240,7 @@ def local_factorization(gr: GefResult, index_set: IndexSet,
                         lam: Polynomial) -> LocalFactorization:
     """Factor P = K_N K_D^-1 with Y K_N + X K_D = lam E_m, all over the ring.
 
-    The witness K is built from the gcd that `gef` kept on the entry for I.
+    The witness K is built from the (h, C/g) that `gef` kept on the entry for I.
     """
     if lam.is_zero():
         raise SynthError("a local factorization needs a nonzero lambda")

@@ -12,9 +12,16 @@ run them:
     simulates the loop and compares it with the algebraic closed loop;
   * matrix transposition, the transpose-duality check, and the causality
     report of a synthesized controller;
-  * the determinant by cofactor expansion, the reference for the library's
-    fraction-free elimination, and the ideal of minors of a matrix;
-  * the paper's module criterion for plants with one input;
+  * the determinant and the adjugate by cofactor expansion, the reference
+    for the library's fraction-free elimination, and the ideal of minors of
+    a matrix;
+  * the paper's module criterion for plants with one input, and the local
+    criterion at z = 0 for plants of any shape over Q[z^S];
+  * ideal membership by a normal form, with or without a witness over the
+    generators (`contains`, `membership_witness`), and the ideal of a
+    factor rebuilt from its generators (`factor_ideal`);
+  * a plant from its numerator matrix and denominator, each entry of P
+    reduced from N[i,j]/d (`plant_from_parts`);
   * the lift into the ring's presentation as one normal form of the whole
     element, and the witness matrix by one exact division per entry;
   * Buchberger's algorithm with dense cofactor lists of `Polynomial`s, the
@@ -30,10 +37,10 @@ from operator import add
 from typing import Iterable, Sequence
 
 from stabring import groebner
-from stabring.gef import PlantFraction
-from stabring.matrixring import IndexSet, Mat, MatrixError
-from stabring.groebner import (GroebnerBasis, MonomialOrder, _exp_add, _exp_divides,
-                               _exp_lcm, _exp_sub, _lead, _s_polynomial)
+from stabring.gef import GefEntry, GefResult, PlantFraction
+from stabring.matrixring import IndexSet, Mat, MatrixError, enumerate_index_sets
+from stabring.groebner import (DescendingKey, GroebnerBasis, IdealHandle, _exp_add,
+                               _exp_divides, _exp_lcm, _exp_sub, _lead, _s_polynomial)
 from stabring.poly import Exponents, Polynomial, _Divisor, _reduce_full, divide_exact
 from stabring.ring import (ZERO_IDEAL, MembershipError, PolyFraction, Presentation,
                            RingModel, causal, fraction_in_ring, membership,
@@ -256,6 +263,19 @@ def cofactor_det(mat: Mat, rows: tuple[int, ...] | None = None,
     return acc
 
 
+def cofactor_adjugate(mat: Mat) -> Mat:
+    """adj(mat) from the signed minors, each by `cofactor_det`."""
+    n = mat.rows
+    if n == 1:
+        return Mat(1, 1, [mat[0, 0].one_like()])
+    idx = tuple(range(n))
+
+    def entry(i, j):
+        minor = cofactor_det(mat, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:])
+        return minor if (i + j) % 2 == 0 else -minor
+    return Mat.build(n, n, entry)
+
+
 def minor_ideal(mat: Mat, size: int) -> list[Polynomial]:
     """All size-m minors, ordered by (row combination, column combination)."""
     if size < 1 or size > min(mat.rows, mat.cols):
@@ -287,7 +307,92 @@ def module_criterion(pf: PlantFraction) -> bool:
     quotient = dA.colon(gens[0])  # (dA : J) = the intersection of the (dA : t)
     for t in gens[1:]:
         quotient = quotient.intersect(dA.colon(t))
-    return pres.ideal([t * c for t in gens for c in quotient.gens]).contains(d)
+    return contains(pres.ideal([t * c for t in gens for c in quotient.gens]), d)
+
+
+def _in_local_ring_at_zero(num: Polynomial, den: Polynomial, ring: RingModel) -> bool:
+    """Whether num/den lies in Q(z) ∩ Q[[z^S]]: its Taylor series at 0 has no
+    negative power and no term at a gap of S.  With den = z^v u, u(0) != 0,
+    the series of num/u must vanish below v and at v + gap for every gap."""
+    dc, nc = den.univar_coeffs(), num.univar_coeffs()
+    v = next(k for k, c in enumerate(dc) if c)
+    u = dc[v:]
+    series: list[Fraction] = []
+    for k in range(v + ring.conductor):
+        acc = nc[k] if k < len(nc) else Fraction(0)
+        acc -= sum(u[j] * series[k - j] for j in range(1, min(k, len(u) - 1) + 1))
+        series.append(acc / u[0])
+    return not any(series[:v]) and not any(series[v + gap] for gap in ring.gaps())
+
+
+def local_criterion_at_zero(pf: PlantFraction) -> bool:
+    """Stabilizability over Q[z^S] from the local ring at z = 0 alone.
+
+    Q[z^S] contains z^c Q[z], c its conductor, so at every maximal ideal but
+    m0 = (z^s : s in S) it is locally Q[z], a PID, where every plant is
+    stabilizable.  The factors commute with localization, so their sum is
+    the unit ideal unless it lies in m0; A_m0 is local, so there the sum is
+    the unit ideal only when one factor is.  The plant is stabilizable
+    exactly when, for some I, every entry of [P; E] rows_I([P; E])^-1 =
+    T adj(rows_I T) / det(rows_I T) lies in A_m0 = Q(z) ∩ Q[[z^S]].  One
+    determinant and adjugate per index set, by cofactor expansion, and a
+    series division up to the conductor; no gap nullspace, gcd or Groebner
+    basis.
+    """
+    ring = pf.ring
+    for index_set in enumerate_index_sets(pf.m, pf.n):
+        M = pf.T.take_rows(index_set.zero_based())
+        delta = cofactor_det(M)
+        if delta.is_zero():
+            continue
+        if all(_in_local_ring_at_zero(c, delta, ring)
+               for c in (pf.T * cofactor_adjugate(M)).entries):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# ideal membership, the factor's ideal, and a plant from its parts
+# ---------------------------------------------------------------------------
+
+
+def contains(handle: IdealHandle, p: Polynomial) -> bool:
+    """Whether p lies in the ideal: its normal form modulo the reduced basis is 0."""
+    return groebner.normal_form(p, handle.groebner()).is_zero()
+
+
+def membership_witness(handle: IdealHandle,
+                       p: Polynomial) -> tuple[bool, list[Polynomial] | None]:
+    """(True, c) with p = sum c[i] * handle.all_gens()[i], or (False, None).
+
+    The division quotients of p by the basis, combined with the basis
+    cofactors over the generators, give c."""
+    gb = handle.groebner(track_cofactors=True)
+    p = p.with_variables(gb.variables)
+    rem, scale, quot = _reduce_full(dict(p._terms), p._den, gb._divisors, gb.key,
+                                    want_quotients=True)
+    if rem:
+        return False, None
+    coeffs = [Polynomial.zero(gb.variables) for _ in gb.generators]
+    for q, cof in zip(quot, gb.cofactors):
+        if q:
+            q = Polynomial._from_clean(q, scale, gb.variables)
+            coeffs = [a + q * b for a, b in zip(coeffs, cof)]
+    return True, coeffs
+
+
+def factor_ideal(result: GefResult, entry: GefEntry) -> IdealHandle:
+    """The factor of the entry as an ideal of the presentation, from its
+    generators.  `gef` lifted the factor, took its reduced basis and pushed it
+    down; lifting again gives the same ideal, since lift(push(f)) = f modulo
+    the relations and an element that pushes to 0 lies in the relations."""
+    pres = result.pres
+    return pres.ideal([pres.lift(g) for g in entry.generators])
+
+
+def plant_from_parts(ring: RingModel, N: Mat, d: Polynomial) -> PlantFraction:
+    """`PlantFraction.from_parts` with each entry of P reduced from N[i,j]/d."""
+    return PlantFraction.from_parts(ring, N, d, N.map(lambda e: PolyFraction(e, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +434,7 @@ def mul_term(p: Polynomial, shift: Exponents, coeff: Fraction | int) -> Polynomi
 
 
 def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Iterable[str],
-                              order: MonomialOrder) -> GroebnerBasis:
+                              key: DescendingKey) -> GroebnerBasis:
     """`groebner.buchberger(track_cofactors=True)` with each cofactor a dense
     list of `Polynomial`s over the generators, zeros included, updated by
     whole-polynomial arithmetic (`a - q * b` for every entry).  The pair
@@ -347,7 +452,7 @@ def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Itera
         li, lj = divs[i].lead, divs[j].lead
         lcm = _exp_lcm(li, lj)
         sugar = max(sugars[i] + sum(_exp_sub(lcm, li)), sugars[j] + sum(_exp_sub(lcm, lj)))
-        return (sugar, tuple(-k for k in order.descending_key(lcm)), i, j)
+        return (sugar, tuple(-k for k in key(lcm)), i, j)
 
     def add_element(terms, scale, lexp, cof, sugar):
         nonlocal pairs
@@ -366,7 +471,7 @@ def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Itera
         for i in range(t):
             lcm_groups.setdefault(_exp_lcm(leads[i], lexp), []).append(i)
         minimal: list[Exponents] = []
-        for lcm in sorted(lcm_groups, key=order.descending_key, reverse=True):
+        for lcm in sorted(lcm_groups, key=key, reverse=True):
             if all(not _exp_divides(prev, lcm) for prev in minimal):
                 minimal.append(lcm)
         divs.append(_Divisor(terms, lexp))
@@ -381,7 +486,7 @@ def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Itera
 
     for i, g in enumerate(gens):
         if not g.is_zero():
-            add_element(g._terms, g._den, _lead(g, order)[0],
+            add_element(g._terms, g._den, _lead(g, key)[0],
                         [one if j == i else zero for j in range(len(gens))],
                         g.total_degree())
 
@@ -394,7 +499,7 @@ def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Itera
         work, scale = _s_polynomial(divs[i], divs[j], si, sj)
         if not work:
             continue
-        rem, scale, quot = _reduce_full(work, scale, divs, order.descending_key,
+        rem, scale, quot = _reduce_full(work, scale, divs, key,
                                         want_quotients=True)
         if not rem:
             continue
@@ -406,7 +511,7 @@ def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Itera
         add_element(rem, scale, next(iter(rem)), scof, sugar)
 
     minimal_idx: list[int] = []
-    for k in sorted(range(len(divs)), key=lambda k: order.descending_key(divs[k].lead),
+    for k in sorted(range(len(divs)), key=lambda k: key(divs[k].lead),
                     reverse=True):
         if all(not _exp_divides(divs[j].lead, divs[k].lead) for j in minimal_idx):
             minimal_idx.append(k)
@@ -415,7 +520,7 @@ def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Itera
         others = [j for j in minimal_idx if j != k]
         work, scale = divs[k].terms()
         rem, scale, quot = _reduce_full(work, scale, [divs[j] for j in others],
-                                        order.descending_key, want_quotients=True)
+                                        key, want_quotients=True)
         basis.append(Polynomial._from_clean(rem, scale, variables))
         cof = cofs[k]
         for q, j in zip(quot, others):
@@ -423,4 +528,4 @@ def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Itera
                 q = Polynomial._from_clean(q, scale, variables)
                 cof = [a - q * b for a, b in zip(cof, cofs[j])]
         basis_cofs.append(cof)
-    return GroebnerBasis(variables, order, gens, basis, basis_cofs)
+    return GroebnerBasis(variables, key, gens, basis, basis_cofs)

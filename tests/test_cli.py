@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from stabring import ring as ring_module
 from stabring.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK,
                           MAX_STEPS, InputError, main, parse_fraction_text)
-from stabring.gef import PlantFraction
 from stabring.groebner import IdealHandle
 from stabring.poly import ParseError, Polynomial, parse_poly
 from stabring.ring import RingModel
@@ -237,21 +236,6 @@ class TestSynthVerify:
         assert report["repair"]["selector"] == [["1", "0"]]
         assert all(all(row) for row in report["verification"]["entries_in_ring"])
 
-    def test_plant_matrix_built_only_where_written(self, tmp_path, capsys):
-        # `PlantFraction.P` reduces every entry; check and verify never read it
-        out = tmp_path / "controller.json"
-        builds = []
-        build = PlantFraction.P.func
-        with mock.patch.object(PlantFraction.P, "func",
-                               lambda pf: builds.append(pf) or build(pf)):
-            for argv, count in [(["check", DELAY], 0), (["gef", DELAY], 1),
-                                (["synth", DELAY, "-o", str(out)], 1),
-                                (["verify", DELAY, str(out)], 0),
-                                (["simulate", DELAY, str(out), "--steps", "3"], 1)]:
-                builds.clear()
-                assert main(argv) == EXIT_OK
-                assert len(builds) == count, argv
-
     def test_verify_zero_controller_fails(self, tmp_path, capsys):
         ctl = tmp_path / "zero.json"
         write_json(ctl, {"entries": [["0", "0"]]})
@@ -332,6 +316,27 @@ class TestReducedMultivariateEntries:
     def test_reduced_denominator_in_z_is_not_causal(self, tmp_path, capsys):
         assert main(["gef", self._plant(tmp_path, ["(x*y + x)/(y + x*y)"])]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: entry (1,1) is not causal\n"
+
+    def test_gef_reports_each_entry_as_written_reduced(self, tmp_path):
+        # the report's entries are the fractions parsed and reduced once, not
+        # N[i,j]/d reduced again, which over Q[x,y] keeps d's scaling
+        path = tmp_path / "row.json"
+        write_json(path, {"ring": self.RING, "inputs": 2, "outputs": 1,
+                          "entries": [["2*x/(3*y + 1)", "x/(5 + 7*x)"]]})
+        out = tmp_path / "gef.json"
+        assert main(["gef", str(path), "-o", str(out)]) == EXIT_OK
+        plant = json.load(open(out))["plant"]
+        assert plant["entries"] == [["(2*x)/(1 + 3*y)", "(x)/(5 + 7*x)"]]
+        assert plant["denominator"] == "5 + 7*x + 15*y + 21*x*y"
+
+    def test_each_entry_reduced_once(self, tmp_path, capsys):
+        # one `ring.gcd` per plant entry while parsing, none for the plant
+        # matrix P; each is a Groebner intersection over Q[x,y]
+        plant = self._plant(tmp_path, ["x/(1 + 2*x*y)", "y/(1 + 2*x*y)"])
+        for command in ("check", "gef"):
+            with mock.patch.object(ring_module, "gcd", wraps=ring_module.gcd) as spy:
+                assert main([command, plant]) == EXIT_OK
+            assert spy.call_count == 2, command
 
     def test_synth_prints_a_reduced_controller(self, tmp_path, capsys):
         ring = dict(self.RING, z_mode="zero_ideal")

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from stabring import groebner, synth
 from stabring.cli import main, synth_report
-from stabring.gef import PlantFraction, gef, running_gcd, scalar_denominator
+from stabring.gef import gef, running_gcd, scalar_denominator
 from stabring.matrixring import IndexSet, Mat
-from stabring.poly import Polynomial, parse_poly
+from stabring.poly import Polynomial, _grevlex_descending_key, parse_poly
 from stabring.ring import (PolyFraction, RingModel, ZERO_IDEAL, fraction_in_ring,
                            in_Z, membership, presentation, z_nonsingular)
 from stabring.synth import (IllPosedError, NoNonsingularMinorError,
@@ -25,8 +25,9 @@ from stabring.synth import (IllPosedError, NoNonsingularMinorError,
                             closed_loop, local_factorization,
                             partition_powers, repair_nonsingular, row_factors,
                             stabilizable, synthesize, verify_stabilizing)
-from oracles import (FieldFraction, causality_check, compare_to_H, field,
-                     minor_ideal, transpose_duality_check)
+from oracles import (FieldFraction, causality_check, compare_to_H, contains,
+                     factor_ideal, field, minor_ideal, plant_from_parts,
+                     transpose_duality_check)
 from test_acceptance import _Budget
 
 Z = ("z",)
@@ -51,7 +52,7 @@ class TestStabilizable:
         pres = result.pres
         for index_set, lam in delay_decision.certificate.sharp:
             entry = result.entry_for(index_set)
-            assert entry.handle.contains(pres.lift(lam))
+            assert contains(factor_ideal(result, entry), pres.lift(lam))
 
     def test_nine_generators_contain_one(self, delay_plant, paper):
         # the nine published factor generators, lifted, generate the unit ideal
@@ -110,7 +111,7 @@ class TestGcdUnitTest:
             if in_Z(d, ring):
                 continue
             N = Mat.from_rows([[_random_ring_poly(rng, ring)], [_random_ring_poly(rng, ring)]])
-            result = gef(PlantFraction.from_parts(ring, N, d))
+            result = gef(plant_from_parts(ring, N, d))
             lams = [lam for e in result.entries for lam in e.generators]
             for _ in range(8):
                 subset = rng.sample(lams, rng.randint(1, len(lams)))
@@ -128,16 +129,15 @@ class TestPolynomialRingUnitTest:
 
     def _decide(self, monkeypatch, rows, den):
         N = Mat.from_rows([[parse_poly(r, self.XY)] for r in rows])
-        pf = PlantFraction.from_parts(RingModel.polynomial(self.XY), N,
-                                      parse_poly(den, self.XY))
+        pf = plant_from_parts(RingModel.polynomial(self.XY), N, parse_poly(den, self.XY))
         gr = gef(pf)
         monkeypatch.setattr(synth, "gef", lambda _: gr)
         tracked = []  # track_cofactors of each Buchberger run after the GEFs
         buchberger = groebner.buchberger
 
-        def counting(gens, variables, order, track_cofactors=False):
+        def counting(gens, variables, key=_grevlex_descending_key, track_cofactors=False):
             tracked.append(track_cofactors)
-            return buchberger(gens, variables, order, track_cofactors)
+            return buchberger(gens, variables, key, track_cofactors)
         monkeypatch.setattr(groebner, "buchberger", counting)
         decision = stabilizable(pf)
         assert decision.stabilizable and decision.certificate.verify()
@@ -155,6 +155,38 @@ class TestPolynomialRingUnitTest:
         assert [i for i, _ in decision.certificate.sharp] == [IndexSet((1,)),
                                                                IndexSet((3,))]
         assert tracked.count(True) == 2 and tracked[0] and tracked[-1]
+
+
+class TestSubsetSearchBudget:
+    """`stabilizable` tries at most `_SUBSET_SEARCH_BUDGET` subsets of index
+    sets; with none tried, the certificate comes from the full set."""
+
+    @staticmethod
+    def _decide(monkeypatch, pf, budget):
+        monkeypatch.setattr(synth, "_SUBSET_SEARCH_BUDGET", budget)
+        with mock.patch.object(groebner.IdealHandle, "is_unit", autospec=True,
+                               side_effect=groebner.IdealHandle.is_unit) as is_unit:
+            decision = stabilizable(pf)
+        assert decision.stabilizable and decision.certificate.verify()
+        assert synthesize(pf, decision).report.ok
+        return [i.members for i, _ in decision.certificate.sharp], is_unit.call_count
+
+    @pytest.mark.parametrize("budget, spans", [(0, [(1,), (2,), (3,)]),
+                                               (200, [(1,), (2,)])])
+    def test_delay_plant(self, monkeypatch, delay_plant, budget, spans):
+        # no subset tried: all three factors; within the budget: {1}, {2}
+        assert self._decide(monkeypatch, delay_plant, budget) == (spans, 1)
+
+    @pytest.mark.parametrize("budget, unit_tests", [(0, 1), (200, 2)])
+    def test_polynomial_ring_reuses_the_full_certificate(self, monkeypatch, budget,
+                                                         unit_tests):
+        # [x; y]/(1 + 2xy) over Q[x,y]: at budget 0 the full set's tracked
+        # `is_unit` is the certificate, and no second one runs
+        xy = ("x", "y")
+        pf = scalar_denominator([[(parse_poly("x", xy), parse_poly("1 + 2*x*y", xy))],
+                                 [(parse_poly("y", xy), parse_poly("1 + 2*x*y", xy))]],
+                                RingModel.polynomial(xy))
+        assert self._decide(monkeypatch, pf, budget) == ([(1,), (3,)], unit_tests)
 
 
 class TestLocalFactorization:
@@ -790,6 +822,6 @@ class TestMinorIdealRelations:
                     for g in entry.generators]
         sum_handle = pres.ideal(all_gens)
         for minor in minors:
-            assert sum_handle.contains(pres.lift(minor))
+            assert contains(sum_handle, pres.lift(minor))
         minor_handle = pres.ideal([pres.lift(m) for m in minors])
-        assert minor_handle.contains(pres.lift(f ** 2))
+        assert contains(minor_handle, pres.lift(f ** 2))
