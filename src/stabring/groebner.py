@@ -118,7 +118,7 @@ def _cofactor_sum(parts: list[tuple[dict[Exponents, int], int, _Cofactor]]) -> _
     """sum (mult / s) * cof over the parts (mult, s, cof), where mult / s is
     a polynomial in integer form over the positive s; only the support of
     each cof is touched, and the result is reduced by the gcd of its numbers."""
-    den = math.lcm(*(s * d for _, s, (_, d) in parts))
+    den = math.lcm(*[s * d for _, s, (_, d) in parts])
     acc: dict[int, dict[Exponents, int]] = {}
     for mult, s, (terms, d) in parts:
         f = den // (s * d)
@@ -131,7 +131,7 @@ def _cofactor_sum(parts: list[tuple[dict[Exponents, int], int, _Cofactor]]) -> _
                     e = tuple(map(add, e1, e2))
                     out[e] = get(e, 0) + c1 * c2
     acc = {i: nz for i, t in acc.items() if (nz := {e: c for e, c in t.items() if c})}
-    g = math.gcd(den, *(c for t in acc.values() for c in t.values()))
+    g = math.gcd(den, *[c for t in acc.values() for c in t.values()])
     if g != 1:
         den //= g
         acc = {i: {e: c // g for e, c in t.items()} for i, t in acc.items()}

@@ -103,7 +103,7 @@ class Polynomial:
                     raise PolyError(f"bad exponent vector {exps!r} for variables {variables!r}")
                 clean[exps] = c
         # the lcm of reduced denominators shares no factor with all the numerators
-        den = math.lcm(*(c.denominator for c in clean.values()))
+        den = math.lcm(*[c.denominator for c in clean.values()])
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_terms", {e: c.numerator * (den // c.denominator)
                                             for e, c in clean.items()})
@@ -833,7 +833,7 @@ class _Parser:
         have more than `MAX_TERMS`: in v variables it has at most C(degree + v, v)."""
         if count <= MAX_TERMS:
             return
-        v = len(set().union(*(p.used_variables() for p in operands)))
+        v = len(set().union(*[p.used_variables() for p in operands]))
         if math.comb(degree + v, v) > MAX_TERMS:
             self.error(f"{what} of more than {MAX_TERMS} terms")
 
@@ -878,7 +878,7 @@ def _sum_terms(terms: list[tuple[int, Polynomial]], variables: tuple[str, ...]) 
     over their numerators put over the lcm of their denominators."""
     if len(terms) == 1:  # the first term has sign 1
         return terms[0][1]
-    den = math.lcm(*(p._den for _, p in terms))
+    den = math.lcm(*[p._den for _, p in terms])
     acc: dict[Exponents, int] = {}
     get = acc.get
     for sign, p in terms:

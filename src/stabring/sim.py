@@ -17,23 +17,35 @@ horizon with exact zeros.  A stabilizing controller over a delay ring makes
 every closed-loop entry a polynomial, so under a finite input the work ends
 with the transient, whatever the horizon.
 
+The pushes are integer arithmetic.  Each row's d and n_j are scaled by one
+integer, so every tap is an int; a pending sum is an integer numerator over
+the lcm of the denominators of the samples pushed into its step; and each
+row makes one Fraction per step, when the sum is popped and divided by the
+integer d(0).  A synthesized controller has coefficients with denominators
+of 60 to 90 bits while the loop signals stay small, so a tap costs an
+integer product and sum instead of the gcds of a Fraction product and sum.
+
 The loop's instantaneous algebraic constraint is solved exactly at each
 computed step, so every signal is a sequence of Fractions.  Its inverse is
 the closed loop of the feedthrough matrices, whose numerators and det(Delta)
 `synth._closed_loop` gives as constant polynomials.  The tests cross-check
 time-domain traces against the algebraic closed-loop map, impulse response
 by impulse response and bit for bit (`compare_to_H` in tests/oracles.py).
+A loop that is not stable grows without bound; it stops with a
+DigitLimitError at the first sample that trace_to_csv could not print.
 Multivariate rings, and loops whose entries together use more than one
 variable, have no canonical time axis and are rejected.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .matrixring import Mat
-from .poly import Polynomial, _fmt_rational
+from .poly import DigitLimitError, Polynomial, _fmt_rational
 from .synth import IllPosedError, _closed_loop, _scalar_fraction
 
 
@@ -56,44 +68,58 @@ class SimulationUnsupportedError(SimError):
 _ZERO = Fraction(0)
 
 
-def _taps(coeffs: list[Fraction], d0: Fraction) -> list[tuple[int, Fraction]]:
-    """The nonzero coefficients past the constant term, as (delay, c / d0)."""
-    return [(k, c / d0) for k, c in enumerate(coeffs) if k and c]
+def _int_coeffs(p: Polynomial, scale: int) -> list[int]:
+    """The ascending coefficients of scale * p, which must all be integers."""
+    return [c.numerator * (scale // c.denominator) for c in p.univar_coeffs()]
+
+
+def _taps(coeffs: list[int]) -> list[tuple[int, int]]:
+    """The nonzero coefficients past the constant term, as (delay, c)."""
+    return [(k, c) for k, c in enumerate(coeffs) if k and c]
 
 
 class _Row:
     """One output channel as one difference equation, d(z) y = sum_j n_j(z) u_j.
 
     d is the common denominator of the row's entries and n_j = num_j d/den_j,
-    both scaled so that d(0) = 1; the feedthrough n_j(0)/d(0) equals
-    num_j(0)/den_j(0).  d is the lcm of the den_j, so d(0) = 0, which raises
-    NotCausalTFError, exactly when some den_j(0) = 0.
+    both scaled by one integer so that every coefficient is an integer; the
+    feedthrough n_j(0)/d(0) equals num_j(0)/den_j(0).  d is the lcm of the
+    den_j, so d(0) = 0, which raises NotCausalTFError, exactly when some
+    den_j(0) = 0.
 
     The history is the loop signals themselves, pushed forward as they are
-    made: a nonzero input sample v of channel j at step t adds c*v to
-    pending[t + k] for each tap (k, c) of n_j, and a nonzero output sample
-    adds its copies through the negated taps of d.  pending holds only the
-    steps before `steps`, and a step whose sum cancels to 0 is dropped, so
-    an empty pending means that no past sample reaches a later output.
+    made: a nonzero input sample v of channel j at step t adds c*v to the
+    sum pending for step t + k for each integer tap (k, c) of n_j, and a
+    nonzero output sample adds its copies through the negated taps of d.
+    A pending sum is one integer numerator over the lcm of the denominators
+    of the samples pushed into its step, so a tap costs an integer product
+    and sum; memory(t) makes the one Fraction of the step, dividing the sum
+    by d(0).  pending holds only the steps before `steps`, and a step whose
+    sum cancels to 0 is dropped, so an empty pending means that no past
+    sample reaches a later output.
     """
 
-    __slots__ = ("feed", "num_taps", "den_taps", "steps", "pending", "outputs")
+    __slots__ = ("feed", "num_taps", "den_taps", "d0", "steps", "pending", "outputs")
 
     def __init__(self, row: Mat, variables: tuple[str, ...], steps: int):
         N, d = _scalar_fraction(row, variables)
-        den = d.univar_coeffs()
+        scale = lcm(*[c.denominator for p in (d, *N.entries) for c in p.univar_coeffs()])
+        den = _int_coeffs(d, scale)
         if den[0] == 0:
             raise NotCausalTFError("denominator needs a nonzero constant term")
-        self.feed = [n.constant_coeff() / den[0] for n in N.entries]
-        self.num_taps = [_taps(n.univar_coeffs(), den[0]) for n in N.entries]
-        self.den_taps = [(k, -c) for k, c in _taps(den, den[0])]
+        nums = [_int_coeffs(n, scale) for n in N.entries]
+        self.d0 = den[0]
+        self.feed = [Fraction(c[0], self.d0) if c else _ZERO for c in nums]
+        self.num_taps = [_taps(c) for c in nums]
+        self.den_taps = [(k, -c) for k, c in _taps(den)]
         self.steps = steps
-        self.pending: dict[int, Fraction] = {}
+        self.pending: dict[int, list[int]] = {}  # step -> [numerator, denominator]
         self.outputs: list[Fraction] = []
 
     def memory(self, t: int) -> Fraction:
         """Contribution of past samples to the output of step t."""
-        return self.pending.pop(t, _ZERO)
+        acc = self.pending.pop(t, None)
+        return _ZERO if acc is None else Fraction(acc[0], acc[1] * self.d0)
 
     def advance(self, t: int, u: list[Fraction], memory: Fraction):
         """Append the output of step t for the inputs `u`, whose memory() is given."""
@@ -107,21 +133,29 @@ class _Row:
             self._push(t, y, self.den_taps)
         self.outputs.append(y)
 
-    def _push(self, t: int, v: Fraction, taps: list[tuple[int, Fraction]]):
+    def _push(self, t: int, v: Fraction, taps: list[tuple[int, int]]):
         pending, steps = self.pending, self.steps
+        p, q = v.numerator, v.denominator
         for k, c in taps:  # in increasing delay
             s = t + k
             if s >= steps:
                 break
             acc = pending.get(s)
             if acc is None:
-                pending[s] = c * v
+                pending[s] = [c * p, q]
+                continue
+            num, den = acc
+            f, r = divmod(den, q)
+            if not r:  # q divides the lcm so far, as it mostly does
+                num += c * p * f
             else:
-                acc += c * v
-                if acc:
-                    pending[s] = acc
-                else:
-                    del pending[s]
+                g = gcd(den, q)
+                num = num * (q // g) + c * p * (den // g)
+                acc[1] = den // g * q
+            if num:
+                acc[0] = num
+            else:
+                del pending[s]
 
 
 @dataclass
@@ -185,6 +219,11 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
     y2 = [row.outputs for row in plant]
     rows = plant + ctrl
     last_input = max((t for ch in u1 + u2 for t in range(steps) if ch[t]), default=-1)
+    # trace_to_csv cannot print a sample past the interpreter's digit limit
+    # (0 means no limit; Python before 3.10.7 has none), so an unstable
+    # loop stops at its first such sample instead of running on
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    too_long = 10 ** limit if limit else None
     for t in range(steps):
         if t > last_input and not any(row.pending for row in rows):
             # zero state and zero input from t on: every later sample is 0,
@@ -214,6 +253,11 @@ def simulate_loop(P: Mat, C: Mat, u1: list[list[Fraction]],
         for i in range(m):
             if e2[i][t] != u2[i][t] + y1[i][t]:
                 raise SimError("loop equation e2 = u2 + y1 violated")
+        if too_long is not None:
+            for v in sol + [row.outputs[t] for row in rows]:
+                if v and (abs(v.numerator) >= too_long or v.denominator >= too_long):
+                    raise DigitLimitError(f"cannot print a number: a sample of step {t} "
+                                          f"has more than {limit} digits")
     return SignalTrace(u1, u2, e1, e2, y1, y2)
 
 
@@ -228,7 +272,9 @@ def trace_to_csv(trace: SignalTrace) -> str:
     for t in range(trace.steps()):
         row = [str(t)]
         for _, channels in groups:
-            row += [_fmt_rational(ch[t].numerator, ch[t].denominator)
-                    for ch in channels]
+            for ch in channels:
+                v = ch[t]
+                # past the transient nearly every sample is 0
+                row.append(_fmt_rational(v.numerator, v.denominator) if v else "0")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -409,6 +409,22 @@ class TestSimulateCommand:
         assert captured.err.startswith("error: cannot print a number")
         assert captured.err.count("\n") == 1
 
+    def test_unstable_loop_stops_at_the_digit_limit(self, tmp_path, capsys):
+        # the loop's pole at z = 1/99 is never cancelled; the run stops at
+        # the first sample past 4300 digits, not after MAX_STEPS steps
+        ctl = tmp_path / "controller.json"
+        write_json(ctl, {"entries": [["(1+z)/(1-99*z)"]]})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["simulate", SISO, str(ctl), "--steps", str(MAX_STEPS)]) == EXIT_INPUT
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot print a number: a sample of step 2155 "
+                                "has more than 4300 digits\n")
+
     def test_negative_steps(self, tmp_path, capsys):
         ctl = tmp_path / "controller.json"
         assert main(["synth", SISO, "-o", str(ctl)]) == EXIT_OK

@@ -1,5 +1,6 @@
 """Exact time-domain simulation against the algebraic closed loop."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabring.matrixring import Mat
-from stabring.poly import Polynomial, parse_poly
+from stabring.poly import DigitLimitError, Polynomial, _fmt_rational, parse_poly
 from stabring.ring import PolyFraction
 from stabring.sim import (AlgebraicLoopSingularError, NotCausalTFError,
                           SignalTrace, SimError, SimulationUnsupportedError,
@@ -137,6 +138,37 @@ class TestCompareToH:
         assert trace.e1[0] == expected
 
 
+class TestDigitLimit:
+    """An unstable loop stops at its first sample that trace_to_csv could
+    not print, instead of computing samples to the last step."""
+
+    P = Mat.from_rows([[frac("z^2", "1 - z^2")]])
+    # the pole of 1/(1 - 99 z) is never cancelled: samples grow by about two
+    # digits a step, and the first past 4300 digits is made at step 2155
+    C = Mat.from_rows([[frac("1 + z", "1 - 99*z")]])
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_raises_past_the_limit(self):
+        with pytest.raises(DigitLimitError, match="step 2155 has more than 4300 digits"):
+            simulate_loop(self.P, self.C, [[Fraction(1)]], [[]], 3000)
+
+    def test_printable_horizon_returns(self):
+        trace = simulate_loop(self.P, self.C, [[Fraction(1)]], [[]], 2155)
+        for ch in trace.e1 + trace.e2 + trace.y1 + trace.y2:
+            _fmt_rational(ch[-1].numerator, ch[-1].denominator)
+
+    def test_no_limit(self):
+        sys.set_int_max_str_digits(0)
+        trace = simulate_loop(self.P, self.C, [[Fraction(1)]], [[]], 2300)
+        assert len(str(trace.e1[0][-1].numerator)) > 4300
+
+
 class TestCsv:
     def test_header_and_rationals(self):
         P = Mat.from_rows([[frac("z^2", "1 - z^2")]])
@@ -147,6 +179,16 @@ class TestCsv:
         assert lines[0] == "step,u1_1,u2_1,e1_1,e2_1,y1_1,y2_1"
         assert lines[1].startswith("0,1/2,")
         assert len(lines) == 4
+
+    def test_zero_samples(self):
+        # computed zeros, the zero padding of the inputs and the zero tail
+        # after the loop comes to rest are all written as 0
+        P = Mat.from_rows([[frac("z^2")]])
+        C = Mat.from_rows([[frac("0")]])
+        trace = simulate_loop(P, C, [[]], [[Fraction(-3, 2), Fraction(0)]], 5)
+        assert trace_to_csv(trace).split("\n")[1:] == [
+            "0,0,-3/2,0,-3/2,0,0", "1,0,0,0,0,0,0", "2,0,0,3/2,0,0,-3/2",
+            "3,0,0,0,0,0,0", "4,0,0,0,0,0,0", ""]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +274,10 @@ def _reference_simulate_loop(P, C, u1, u2, steps):
 
 _SMALL = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 2, 3)]
                          + [Fraction(1, 2), Fraction(-3, 4)])
-_COEFF = st.one_of(_SMALL, st.just(Fraction(0)))
+# like the coefficients of a synthesized controller: 60- to 90-bit
+# denominators, a different one for each coefficient
+_WIDE = st.builds(Fraction, st.integers(-2 ** 30, 2 ** 30).filter(bool),
+                  st.integers(2 ** 59, 2 ** 90 - 1))
 
 
 def _upoly(coeffs, variables):
@@ -242,45 +287,49 @@ def _upoly(coeffs, variables):
 
 
 @st.composite
-def _causal_poly(draw, variables, max_degree=3):
-    """A polynomial with a nonzero constant term."""
-    return _upoly([draw(_SMALL)] + draw(st.lists(_COEFF, max_size=max_degree)), variables)
+def _causal_poly(draw, variables, max_degree=3, coeff=_SMALL):
+    """A polynomial with a nonzero constant term; its nonzero coefficients
+    are drawn from `coeff`."""
+    rest = st.lists(st.one_of(coeff, st.just(Fraction(0))), max_size=max_degree)
+    return _upoly([draw(coeff)] + draw(rest), variables)
 
 
 @st.composite
-def _row(draw, cols, variables):
+def _row(draw, cols, variables, coeff=_SMALL):
     """One row of causal fractions whose denominators are shared, pairwise
     coprime or dividing each other, with numerator and denominator optionally
     multiplied by a common factor, which a FieldFraction cancels again over
-    the ambient variables (z,) and (z, w) alike."""
+    the ambient variables (z,) and (z, w) alike.  Nonzero coefficients are
+    drawn from `coeff`."""
     kind = draw(st.sampled_from(["shared", "coprime", "dividing"]))
-    base = draw(_causal_poly(variables))
+    base = draw(_causal_poly(variables, coeff=coeff))
     if kind == "shared":
         dens = [base] * cols
     elif kind == "dividing":
         dens = [base]
         for _ in range(cols - 1):
-            dens.append(dens[-1] * draw(_causal_poly(variables, max_degree=2)))
+            dens.append(dens[-1] * draw(_causal_poly(variables, max_degree=2, coeff=coeff)))
         dens = draw(st.permutations(dens))
     else:
-        roots = draw(st.lists(_SMALL, min_size=cols, max_size=cols, unique=True))
+        roots = draw(st.lists(coeff, min_size=cols, max_size=cols, unique=True))
         dens = [_upoly([Fraction(1), -r], variables) for r in roots]
     out = []
     for den in dens:
-        num = _upoly(draw(st.lists(_COEFF, min_size=1, max_size=4)), variables)
+        num = _upoly(draw(st.lists(st.one_of(coeff, st.just(Fraction(0))),
+                                   min_size=1, max_size=4)), variables)
         if draw(st.booleans()):
-            common = draw(_causal_poly(variables, max_degree=2))
+            common = draw(_causal_poly(variables, max_degree=2, coeff=coeff))
             num, den = num * common, den * common
         out.append(FieldFraction(num, den))
     return out
 
 
 @st.composite
-def _loop(draw):
+def _loop(draw, coeff=_SMALL):
     n, m = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
     variables = draw(st.sampled_from([("z",), ("z", "w")]))
-    P = Mat.from_rows([draw(_row(m, variables)) for _ in range(n)])
-    C = Mat.from_rows([draw(_row(n, variables)) for _ in range(m)])
+    P = Mat.from_rows([draw(_row(m, variables, coeff)) for _ in range(n)])
+    C = Mat.from_rows([draw(_row(n, variables, coeff)) for _ in range(m)])
     z = _upoly([Fraction(0), Fraction(1)], variables)
     case = draw(st.sampled_from(["causal"] * 3 + ["not_causal", "singular"]))
     entries = [e * FieldFraction(z) for e in C.entries] if case == "singular" else list(C.entries)
@@ -318,6 +367,16 @@ class TestRowRealizationOracle:
         want = _outcome(_reference_simulate_loop, P, C, u1, u2, steps)
         assert _outcome(simulate_loop, P, C, u1, u2, steps) == want
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(loop=_loop(coeff=_WIDE))
+    def test_wide_denominators(self, loop):
+        # every tap of a row is an integer only after scaling by the lcm of
+        # many unrelated denominators, and the pending sums merge samples
+        # whose denominators differ
+        P, C, u1, u2, steps = loop
+        want = _outcome(_reference_simulate_loop, P, C, u1, u2, steps)
+        assert _outcome(simulate_loop, P, C, u1, u2, steps) == want
+
 
 # ---------------------------------------------------------------------------
 # the zero-state stop: loops that come to rest, are excited again after a
@@ -333,21 +392,23 @@ def _tap_bound(M: Mat) -> int:
 
 
 @st.composite
-def _poly_row(draw, cols, variables):
-    """Polynomial entries, some written over a common factor."""
+def _poly_row(draw, cols, variables, coeff=_SMALL):
+    """Polynomial entries, some written over a common factor; nonzero
+    coefficients are drawn from `coeff`."""
     out = []
     for _ in range(cols):
-        num = _upoly(draw(st.lists(_COEFF, min_size=1, max_size=4)), variables)
+        num = _upoly(draw(st.lists(st.one_of(coeff, st.just(Fraction(0))),
+                                   min_size=1, max_size=4)), variables)
         den = Polynomial.one(variables)
         if draw(st.booleans()):
-            common = draw(_causal_poly(variables, max_degree=2))
+            common = draw(_causal_poly(variables, max_degree=2, coeff=coeff))
             num, den = num * common, den * common
         out.append(FieldFraction(num, den))
     return out
 
 
 @st.composite
-def _gap_loop(draw):
+def _gap_loop(draw, coeff=_SMALL):
     """A causal loop and inputs that fall quiet for longer than any tap
     reaches, then start again.
 
@@ -360,16 +421,16 @@ def _gap_loop(draw):
     variables = draw(st.sampled_from([("z",), ("z", "w")]))
     if kind == "nilpotent":
         n, m = 2, 1
-        (a,), (b,) = draw(_poly_row(1, variables)), draw(_poly_row(1, variables))
-        (r,) = draw(_poly_row(1, variables))
+        (a,), (b,) = draw(_poly_row(1, variables, coeff)), draw(_poly_row(1, variables, coeff))
+        (r,) = draw(_poly_row(1, variables, coeff))
         P = Mat.from_rows([[a], [b]])
         C = Mat.from_rows([[b * r, -(a * r)]])
     else:
         n, m = draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2)]))
         row = _row if kind == "iir" else _poly_row
-        P = Mat.from_rows([draw(row(m, variables)) for _ in range(n)])
+        P = Mat.from_rows([draw(row(m, variables, coeff)) for _ in range(n)])
         zero = PolyFraction(Polynomial.zero(variables), Polynomial.one(variables))
-        C = (Mat.from_rows([draw(_row(n, variables)) for _ in range(m)]) if kind == "iir"
+        C = (Mat.from_rows([draw(_row(n, variables, coeff)) for _ in range(m)]) if kind == "iir"
              else Mat(m, n, [zero] * (m * n)))
     gap = max(_tap_bound(P), _tap_bound(C)) + 1 + draw(st.integers(0, 6))
     sample = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -393,6 +454,16 @@ class TestZeroStateStop:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(loop=_gap_loop())
     def test_matches_per_entry_simulation(self, loop):
+        P, C, u1, u2, steps = loop
+        want = _outcome(_reference_simulate_loop, P, C, u1, u2, steps)
+        assert _outcome(simulate_loop, P, C, u1, u2, steps) == want
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(loop=_gap_loop(coeff=_WIDE))
+    def test_wide_denominators(self, loop):
+        # IIR loops that never rest and finite-impulse-response loops that
+        # rest after each burst, over coefficients with 60- to 90-bit
+        # denominators
         P, C, u1, u2, steps = loop
         want = _outcome(_reference_simulate_loop, P, C, u1, u2, steps)
         assert _outcome(simulate_loop, P, C, u1, u2, steps) == want
