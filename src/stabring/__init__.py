@@ -12,8 +12,8 @@ from .groebner import (BezoutCertificate, GroebnerBasis, IdealHandle, buchberger
 from .gef import GefResult, PlantFraction, gef, scalar_denominator, witness_matrix
 from .synth import (ControllerResult, LocalFactorization,
                     StabilizabilityCertificate, StabilizabilityResult,
-                    local_factorization, repair_nonsingular, row_factors,
-                    stabilizable, synthesize, verify_stabilizing)
+                    local_factorization, partition_of_unity, repair_nonsingular,
+                    row_factors, stabilizable, synthesize, verify_stabilizing)
 from .sim import SignalTrace, simulate_loop, trace_to_csv
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ so each step pops the greatest pending term instead of rescanning them all.
 Basis elements are kept monic, each with its lead and an integer tail
 computed once (`poly._Divisor`).  Division quotients, integers over the
 scale of the remainder, are formed only when cofactors are tracked
-(`track_cofactors`, for Bezout certificates); normal forms, colon,
-intersection and elimination never ask for them.
+(`buchberger(track_cofactors=True)`, which only `IdealHandle.is_unit` asks
+for); normal forms, colon, intersection and elimination never do.
 
 Tracked cofactors are sparse while the basis is built: each maps the index of
 a generator to a nonzero polynomial, all in integer form over one common
@@ -318,14 +318,6 @@ class BezoutCertificate:
     coefficients: dict[int, Polynomial]           # over IdealHandle.gens
     relation_coefficients: dict[int, Polynomial]  # over IdealHandle.relations
 
-    def verify(self, handle: "IdealHandle") -> bool:
-        acc = Polynomial.zero(handle.variables)
-        for idx, h in self.coefficients.items():
-            acc = acc + h * handle.gens[idx]
-        for idx, h in self.relation_coefficients.items():
-            acc = acc + h * handle.relations[idx]
-        return acc == Polynomial.one(handle.variables)
-
 
 class IdealHandle:
     """An ideal of a presented ring: generators plus implicit relations."""
@@ -340,18 +332,15 @@ class IdealHandle:
     def all_gens(self) -> list[Polynomial]:
         return self.gens + self.relations
 
-    def groebner(self, track_cofactors: bool = False) -> GroebnerBasis:
-        """The grevlex reduced basis of all generators, kept for later calls;
-        an untracked basis is recomputed once when cofactors are asked for."""
-        gb = self._basis
-        if gb is None or (track_cofactors and gb.cofactors is None):
-            gb = self._basis = buchberger(self.all_gens(), self.variables,
-                                          track_cofactors=track_cofactors)
-        return gb
+    def groebner(self) -> GroebnerBasis:
+        """The grevlex reduced basis of all generators, kept for later calls."""
+        if self._basis is None:
+            self._basis = buchberger(self.all_gens(), self.variables)
+        return self._basis
 
     def is_unit(self) -> tuple[bool, BezoutCertificate | None]:
         """Whether the ideal is all of the ring, with a Bezout certificate."""
-        gb = self.groebner(track_cofactors=True)
+        gb = buchberger(self.all_gens(), self.variables, track_cofactors=True)
         if len(gb.basis) != 1 or not gb.basis[0].is_constant():
             return False, None
         # `buchberger` verified basis[0] = sum cof[i] * all_gens()[i], so the

@@ -1,13 +1,13 @@
 """Stabilizability decision, controller synthesis, and closed-loop verification.
 
-The decision asks whether the generalized-elementary-factor generators
-together generate the unit ideal.  Over Q[z^S] that is one univariate gcd
-(see `stabilizable`); over Q[x1..xn] it is a reduced Groebner basis, without
-cofactors for the subsets tried.  The same test picks the smallest subset of
-factors that still generates A; only that set's lifts into the ring
-presentation go through one cofactor-tracked Buchberger (over Q[x1..xn] the
-full set's, when no smaller subset is chosen), whose verified Bezout
-certificate is grouped per index set into a partition of unity
+The decision (`stabilizable`) asks whether the generalized-elementary-factor
+generators together generate the unit ideal, and builds no certificate: over
+Q[z^S] it is one univariate gcd, over Q[x1..xn] an untracked reduced
+Groebner basis equal to [1].  The certificate is built by `synthesize`
+alone (`partition_of_unity`): the same test picks the smallest subset of
+factors that still generates A, only that set's lifts into the ring
+presentation go through one cofactor-tracked Buchberger, and its verified
+Bezout certificate is grouped per index set into a partition of unity
 sum(lambda_I) = 1 with lambda_I in the factor for I.
 
 Synthesis follows the constructive sufficiency argument with every matrix
@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .gef import GefResult, PlantFraction, gef, running_gcd, witness_matrix
+from .groebner import IdealHandle
 from .matrixring import IndexSet, Mat, selection
 from .poly import NotDivisibleError, Polynomial, common_denominator, divide_exact
 from .ring import PolyFraction, RingModel, in_Z, membership, z_nonsingular
@@ -115,64 +116,80 @@ class StabilizabilityCertificate:
 @dataclass
 class StabilizabilityResult:
     stabilizable: bool
-    certificate: StabilizabilityCertificate | None
     gef_result: GefResult
     evidence_basis: list[Polynomial]  # pushed reduced basis when not stabilizable
+    # kept for `partition_of_unity`, keyed by the index sets that have GEF
+    # generators, in GEF order: the generators lifted into the presentation,
+    # and over Q[z^S] their running gcd (None over Q[x1..xn])
+    lifts: dict[IndexSet, list[Polynomial]]
+    gcds: dict[IndexSet, Polynomial] | None
+
+    def ideal(self, combo) -> IdealHandle:
+        """The ideal of the lifted generators of the index sets in combo."""
+        return self.gef_result.pres.ideal([g for i in combo for g in self.lifts[i]])
+
+    def generates(self, combo) -> bool:
+        """Whether the generators of the index sets in combo generate A, with
+        no cofactors: over Q[z^S] the gcd of their running gcds is constant,
+        over Q[x1..xn] their untracked reduced basis is [1]."""
+        if self.gcds is not None:
+            return running_gcd([self.gcds[i] for i in combo]).is_constant()
+        one = Polynomial.one(self.gef_result.pres.variables)
+        return self.ideal(combo).reduced_basis() == [one]
 
 
 def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
-    """Decide stabilizability and produce a partition-of-unity certificate.
+    """Decide stabilizability: whether the GEF generators generate A.
 
-    Whether a set of GEF generators generates A is decided without
-    cofactors.  Over A = Q[z^S] it is one univariate gcd: Q[z] is integral
-    over A, so by lying-over an ideal J of A is proper exactly when J*Q[z]
-    is, that is, when its generators have a nonconstant gcd.  The running gcd
-    g_I of each index set's generators is computed once; the full set and
-    each subset of index sets are tested by the gcd of their g_I.  Over
-    Q[x1..xn] the full set is decided by its cofactor-tracked `is_unit`, and
-    each subset by an untracked reduced basis equal to [1].  The Bezout
-    certificate comes from one cofactor-tracked `is_unit` on the set chosen:
-    the smallest subset of index sets that generates A within the search
-    budget, else all of them, whose certificate over Q[x1..xn] is the one
-    already computed.
+    The test builds no certificate.  Over A = Q[z^S] it is one univariate
+    gcd: Q[z] is integral over A, so by lying-over an ideal J of A is proper
+    exactly when J*Q[z] is, that is, when its generators have a nonconstant
+    gcd.  The running gcd g_I of each index set's generators is computed
+    once, and a set of index sets generates A when the gcd of their g_I is
+    constant.  Over Q[x1..xn] it is an untracked reduced basis equal to [1].
+    When the plant is not stabilizable, the reduced basis of all generators,
+    pushed into A, is the evidence.  The lifts and the g_I are kept for
+    `partition_of_unity`, which `synthesize` calls.
     """
     gr = gef(pf)
     pres = gr.pres
-    tagged: list[tuple[IndexSet, Polynomial]] = []  # (I, lifted generator)
-    for entry in gr.entries:
-        for lam in entry.generators:
-            tagged.append((entry.index_set, pres.lift(lam)))
-    if not tagged:
-        return StabilizabilityResult(False, None, gr, [])
-    index_sets = []
-    for index_set, _ in tagged:
-        if index_set not in index_sets:
-            index_sets.append(index_set)
-
-    one = Polynomial.one(pres.variables)
-
-    def ideal(combo):
-        return pres.ideal([lift for i, lift in tagged if i in combo])
-
-    full = ideal(index_sets)
-    full_cert = None
+    entries = [e for e in gr.entries if e.generators]
+    lifts = {e.index_set: [pres.lift(lam) for lam in e.generators] for e in entries}
+    gcds = None
     if pf.ring.kind == "monomial":
-        gcds = {e.index_set: running_gcd(e.generators) for e in gr.entries if e.generators}
-
-        def generates(combo) -> bool:
-            return running_gcd([gcds[i] for i in combo]).is_constant()
-        ok = generates(index_sets)
-        if not ok and full.reduced_basis() == [one]:
-            raise SynthesisInternalError("the gcd test and the Groebner basis disagree")
+        gcds = {e.index_set: running_gcd(e.generators) for e in entries}
+    result = StabilizabilityResult(False, gr, [], lifts, gcds)
+    if not lifts:
+        return result
+    full = result.ideal(lifts)
+    one = Polynomial.one(pres.variables)
+    if gcds is None:
+        # `generates` on the full set, keeping the basis for the evidence
+        result.stabilizable = full.reduced_basis() == [one]
     else:
-        def generates(combo) -> bool:
-            return ideal(combo).reduced_basis() == [one]
-        ok, full_cert = full.is_unit()
-    if not ok:
+        result.stabilizable = result.generates(lifts)
+        if not result.stabilizable and full.reduced_basis() == [one]:
+            raise SynthesisInternalError("the gcd test and the Groebner basis disagree")
+    if not result.stabilizable:
         evidence = [pres.push(g) for g in full.reduced_basis()]
-        evidence = [g for g in evidence if not g.is_zero()]
-        return StabilizabilityResult(False, None, gr, evidence)
+        result.evidence_basis = [g for g in evidence if not g.is_zero()]
+    return result
 
+
+def partition_of_unity(decision: StabilizabilityResult) -> StabilizabilityCertificate:
+    """The partition of unity sum(lambda_I) = 1 behind a positive decision.
+
+    The set of index sets certified is the smallest that generates A by the
+    decision's own test (`StabilizabilityResult.generates`), within the
+    search budget, else all of them.  Its lifted generators go through one
+    cofactor-tracked `is_unit`, whose Bezout coefficients times the lifts,
+    summed per index set and pushed into A, are the lambda_I.
+    `StabilizabilityCertificate.verify` checks that they sum to 1.
+    """
+    if not decision.stabilizable:
+        raise NotStabilizableError("the generalized elementary factors are not coprime")
+    pres = decision.gef_result.pres
+    index_sets = list(decision.lifts)
     chosen = index_sets
     budget = _SUBSET_SEARCH_BUDGET
     for size in range(1, len(index_sets)):
@@ -180,33 +197,24 @@ def stabilizable(pf: PlantFraction) -> StabilizabilityResult:
             budget -= 1
             if budget < 0:
                 break
-            if generates(combo):
+            if decision.generates(combo):
                 chosen = combo
                 break
         if chosen is not index_sets or budget < 0:
             break
-    chosen_tagged = [(i, lift) for i, lift in tagged if i in chosen]
-    if chosen is index_sets and full_cert is not None:
-        chosen_cert = full_cert
-    else:
-        ok, chosen_cert = ideal(chosen).is_unit()
-        if not ok:
-            raise SynthesisInternalError("the unit test and the Bezout certificate disagree")
-
+    ok, cert = decision.ideal(chosen).is_unit()
+    if not ok:
+        raise SynthesisInternalError("the unit test and the Bezout certificate disagree")
     acc: dict[IndexSet, Polynomial] = {}
-    for pos, (index_set, lift) in enumerate(chosen_tagged):
-        h = chosen_cert.coefficients.get(pos)
-        if h is None:
-            continue
-        prev = acc.get(index_set, Polynomial.zero(pres.variables))
-        acc[index_set] = prev + h * lift
-    lambdas = {i: pres.push(p) for i, p in acc.items()}
-    variables = pf.ring.variables
-    if sum(lambdas.values(), Polynomial.zero(variables)) != Polynomial.one(variables):
-        raise SynthesisInternalError("partition of unity does not sum to 1")
-    sharp = sorted(((i, lam) for i, lam in lambdas.items() if not lam.is_zero()),
+    tagged = [(i, lift) for i in chosen for lift in decision.lifts[i]]
+    for pos, (index_set, lift) in enumerate(tagged):
+        h = cert.coefficients.get(pos)
+        if h is not None:
+            acc[index_set] = acc.get(index_set, Polynomial.zero(pres.variables)) + h * lift
+    lambdas = ((i, pres.push(p)) for i, p in acc.items())
+    sharp = sorted(((i, lam) for i, lam in lambdas if not lam.is_zero()),
                    key=lambda pair: pair[0])
-    return StabilizabilityResult(True, StabilizabilityCertificate(pf.ring, sharp), gr, [])
+    return StabilizabilityCertificate(decision.gef_result.plant.ring, sharp)
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +461,12 @@ class ControllerResult:
 
 
 def synthesize(pf: PlantFraction, decision: StabilizabilityResult) -> ControllerResult:
-    """Construct and verify a stabilizing controller from `stabilizable(pf)`'s decision."""
+    """Construct and verify a stabilizing controller from `stabilizable(pf)`'s decision,
+    on the partition of unity that `partition_of_unity` builds from it."""
     ring = pf.ring
     m, n = pf.m, pf.n
     zero = Polynomial.zero(ring.variables)
-    if not decision.stabilizable:
-        raise NotStabilizableError("the generalized elementary factors are not coprime")
-    cert = decision.certificate
+    cert = partition_of_unity(decision)
     if not cert.verify():
         raise SynthesisInternalError("certificate failed verification")
     locals_: list[LocalFactorization] = [

@@ -119,6 +119,12 @@ def delay_decision(delay_plant):
 
 
 @pytest.fixture(scope="session")
+def delay_certificate(delay_decision):
+    from stabring.synth import partition_of_unity
+    return partition_of_unity(delay_decision)
+
+
+@pytest.fixture(scope="session")
 def delay_controller(delay_plant, delay_decision):
     from stabring.synth import synthesize
     return synthesize(delay_plant, delay_decision)

@@ -18,8 +18,9 @@ run them:
   * the paper's module criterion for plants with one input, and the local
     criterion at z = 0 for plants of any shape over Q[z^S];
   * ideal membership by a normal form, with or without a witness over the
-    generators (`contains`, `membership_witness`), and the ideal of a
-    factor rebuilt from its generators (`factor_ideal`);
+    generators (`contains`, `membership_witness`), the Bezout identity of
+    a unit-ideal certificate (`bezout_holds`), and the ideal of a factor
+    rebuilt from its generators (`factor_ideal`);
   * a plant from its numerator matrix and denominator, each entry of P
     reduced from N[i,j]/d (`plant_from_parts`);
   * the lift into the ring's presentation as one normal form of the whole
@@ -39,8 +40,9 @@ from typing import Iterable, Sequence
 from stabring import groebner
 from stabring.gef import GefEntry, GefResult, PlantFraction
 from stabring.matrixring import IndexSet, Mat, MatrixError, enumerate_index_sets
-from stabring.groebner import (DescendingKey, GroebnerBasis, IdealHandle, _exp_add,
-                               _exp_divides, _exp_lcm, _exp_sub, _lead, _s_polynomial)
+from stabring.groebner import (BezoutCertificate, DescendingKey, GroebnerBasis,
+                               IdealHandle, _exp_add, _exp_divides, _exp_lcm, _exp_sub,
+                               _lead, _s_polynomial)
 from stabring.poly import Exponents, Polynomial, _Divisor, _reduce_full, divide_exact
 from stabring.ring import (ZERO_IDEAL, MembershipError, PolyFraction, Presentation,
                            RingModel, causal, fraction_in_ring, membership,
@@ -367,7 +369,7 @@ def membership_witness(handle: IdealHandle,
 
     The division quotients of p by the basis, combined with the basis
     cofactors over the generators, give c."""
-    gb = handle.groebner(track_cofactors=True)
+    gb = groebner.buchberger(handle.all_gens(), handle.variables, track_cofactors=True)
     p = p.with_variables(gb.variables)
     rem, scale, quot = _reduce_full(dict(p._terms), p._den, gb._divisors, gb.key,
                                     want_quotients=True)
@@ -379,6 +381,16 @@ def membership_witness(handle: IdealHandle,
             q = Polynomial._from_clean(q, scale, gb.variables)
             coeffs = [a + q * b for a, b in zip(coeffs, cof)]
     return True, coeffs
+
+
+def bezout_holds(cert: BezoutCertificate, handle: IdealHandle) -> bool:
+    """sum h_g * g over the generators and the relations of the handle is 1."""
+    acc = Polynomial.zero(handle.variables)
+    for idx, h in cert.coefficients.items():
+        acc = acc + h * handle.gens[idx]
+    for idx, h in cert.relation_coefficients.items():
+        acc = acc + h * handle.relations[idx]
+    return acc == Polynomial.one(handle.variables)
 
 
 def factor_ideal(result: GefResult, entry: GefEntry) -> IdealHandle:

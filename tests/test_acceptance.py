@@ -68,10 +68,10 @@ def test_criterion_02_bezout_identity(paper):
 
 
 def test_criterion_03_stabilizability_verdicts(delay_plant, delay_decision,
-                                               xy_plant):
+                                               delay_certificate, xy_plant):
     with _Budget("criterion 03a: delay plant stabilizable", 10):
         assert delay_decision.stabilizable
-        assert delay_decision.certificate.verify()
+        assert delay_certificate.verify()
     with _Budget("criterion 03b: x/y plant not stabilizable", 10):
         assert not stabilizable(xy_plant).stabilizable
 

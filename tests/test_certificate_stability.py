@@ -21,6 +21,7 @@ import sys
 
 from stabring.cli import load_plant, main
 from stabring.gef import gef
+from stabring.groebner import buchberger
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "..", "fixtures")
@@ -37,11 +38,12 @@ def _report(command: str, path: str) -> dict:
 
 
 def _groebner_record(path: str) -> dict:
-    """The ideal `synth.stabilizable` tests for the unit, with its cofactors."""
+    """The ideal of all lifted GEF generators, which `synth.stabilizable`
+    decides, with its cofactors from a tracked run."""
     gr = gef(load_plant(path))
     lifts = [gr.pres.lift(lam) for entry in gr.entries for lam in entry.generators]
     handle = gr.pres.ideal(lifts)
-    gb = handle.groebner(track_cofactors=True)
+    gb = buchberger(handle.all_gens(), handle.variables, track_cofactors=True)
     ok, cert = handle.is_unit()
     return {
         "basis": [str(g) for g in gb.basis],

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stabring import groebner
 from stabring import ring as ring_module
 from stabring.cli import (EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK,
                           MAX_STEPS, InputError, main, parse_fraction_text)
@@ -206,9 +207,31 @@ class TestExitCodes:
         assert captured.out == "" and captured.err == line + "\n"
 
     def test_unit_test_disagreeing_with_is_unit_exits_3(self, capsys, monkeypatch):
+        # only synth builds the certificate, so only synth can meet the fault
         monkeypatch.setattr(IdealHandle, "is_unit", lambda handle: (False, None))
-        assert main(["check", DELAY]) == EXIT_INTERNAL
+        assert main(["synth", DELAY]) == EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal error:")
+
+    def test_check_builds_no_certificate(self, tmp_path, capsys, monkeypatch):
+        # check decides by the gcd test over Q[z^S] and an untracked reduced
+        # basis over Q[x,y]: no `is_unit` and no cofactor-tracked Buchberger
+        xy = tmp_path / "xy.json"
+        write_json(xy, {"ring": {"kind": "polynomial_ring", "variables": ["x", "y"],
+                                 "z_mode": "zero_ideal"}, "inputs": 1, "outputs": 2,
+                        "entries": [["x/(1 + 2*x*y)"], ["y/(1 + 2*x*y)"]]})
+        buchberger = groebner.buchberger
+
+        def untracked(*args, track_cofactors=False):
+            assert not track_cofactors, "a cofactor-tracked Buchberger run"
+            return buchberger(*args)
+
+        def no_is_unit(handle):
+            raise AssertionError("is_unit called")
+        monkeypatch.setattr(groebner, "buchberger", untracked)
+        monkeypatch.setattr(IdealHandle, "is_unit", no_is_unit)
+        assert main(["check", DELAY]) == EXIT_OK
+        assert main(["check", str(xy)]) == EXIT_OK
+        assert capsys.readouterr().out == "stabilizable\nstabilizable\n"
 
     def test_no_parser_left_to_the_cyclic_collector(self, capsys):
         main(["check", DELAY])

@@ -4,31 +4,35 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from stabring import groebner, synth
-from stabring.cli import main, synth_report
-from stabring.gef import gef, running_gcd, scalar_denominator
+from stabring.cli import main, plant_block, synth_report
+from stabring.gef import gef, running_gcd, scalar_denominator, witness_matrix
 from stabring.matrixring import IndexSet, Mat
 from stabring.poly import Polynomial, _grevlex_descending_key, parse_poly
 from stabring.ring import (PolyFraction, RingModel, ZERO_IDEAL, fraction_in_ring,
                            in_Z, membership, presentation, z_nonsingular)
 from stabring.synth import (IllPosedError, NoNonsingularMinorError,
                             NotStabilizableError, _closed_loop, _scalar_fraction,
-                            closed_loop, local_factorization,
+                            closed_loop, local_factorization, partition_of_unity,
                             partition_powers, repair_nonsingular, row_factors,
                             stabilizable, synthesize, verify_stabilizing)
-from oracles import (FieldFraction, causality_check, compare_to_H, contains,
+from oracles import (FieldFraction, bezout_holds, causality_check, compare_to_H, contains,
                      factor_ideal, field, minor_ideal, plant_from_parts,
                      transpose_duality_check)
 from test_acceptance import _Budget
+from test_gef_routes import causal_plants
+from test_module_criterion import _one_input_plants as one_input_plants
 
 Z = ("z",)
 
@@ -38,19 +42,20 @@ def zp(text):
 
 
 class TestStabilizable:
-    def test_delay_plant(self, delay_plant, delay_decision):
+    def test_delay_plant(self, delay_plant, delay_decision, delay_certificate):
         assert delay_decision.stabilizable
-        cert = delay_decision.certificate
+        cert = delay_certificate
         assert cert.verify()
         total = Polynomial.zero(Z)
         for _, lam in cert.sharp:
             total = total + lam
         assert total == zp("1")
 
-    def test_certificate_lambdas_in_factors(self, delay_plant, delay_decision):
+    def test_certificate_lambdas_in_factors(self, delay_plant, delay_decision,
+                                            delay_certificate):
         result = delay_decision.gef_result
         pres = result.pres
-        for index_set, lam in delay_decision.certificate.sharp:
+        for index_set, lam in delay_certificate.sharp:
             entry = result.entry_for(index_set)
             assert contains(factor_ideal(result, entry), pres.lift(lam))
 
@@ -62,7 +67,7 @@ class TestStabilizable:
         assert len(lifted) == 9
         handle = pres.ideal(lifted)
         ok, cert = handle.is_unit()
-        assert ok and cert.verify(handle)
+        assert ok and bezout_holds(cert, handle)
 
     def test_xy_not_stabilizable(self, xy_plant):
         decision = stabilizable(xy_plant)
@@ -74,7 +79,7 @@ class TestStabilizable:
     def test_zero_plant(self, zero_plant):
         decision = stabilizable(zero_plant)
         assert decision.stabilizable
-        sharp = decision.certificate.sharp
+        sharp = partition_of_unity(decision).sharp
         assert len(sharp) == 1
         assert sharp[0][0] == zero_plant.denominator_rows()
         assert sharp[0][1] == zp("1")
@@ -82,7 +87,7 @@ class TestStabilizable:
     def test_siso_partition(self, siso_plant):
         decision = stabilizable(siso_plant)
         assert decision.stabilizable
-        lams = decision.certificate.lambdas()
+        lams = partition_of_unity(decision).lambdas()
         total = Polynomial.zero(Z)
         for lam in lams:
             total = total + lam
@@ -122,71 +127,116 @@ class TestGcdUnitTest:
         assert set(outcomes) == {True, False}
 
 
+def _record_runs(monkeypatch) -> list[bool]:
+    """Patch `groebner.buchberger` to record the `track_cofactors` flag of
+    every run; the list it returns fills as they happen."""
+    tracked = []
+    buchberger = groebner.buchberger
+
+    def counting(gens, variables, key=_grevlex_descending_key, track_cofactors=False):
+        tracked.append(track_cofactors)
+        return buchberger(gens, variables, key, track_cofactors)
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    return tracked
+
+
 class TestPolynomialRingUnitTest:
-    """Over Q[x,y] the full set's tracked run is reused when it is chosen."""
+    """Over Q[x,y] the decision is one untracked run on the full set; the
+    certificate tests subsets untracked and makes one tracked run, the last,
+    on the set it chooses."""
 
     XY = ("x", "y")
 
-    def _decide(self, monkeypatch, rows, den):
+    def _certify(self, monkeypatch, rows, den):
         N = Mat.from_rows([[parse_poly(r, self.XY)] for r in rows])
         pf = plant_from_parts(RingModel.polynomial(self.XY), N, parse_poly(den, self.XY))
         gr = gef(pf)
         monkeypatch.setattr(synth, "gef", lambda _: gr)
-        tracked = []  # track_cofactors of each Buchberger run after the GEFs
-        buchberger = groebner.buchberger
-
-        def counting(gens, variables, key=_grevlex_descending_key, track_cofactors=False):
-            tracked.append(track_cofactors)
-            return buchberger(gens, variables, key, track_cofactors)
-        monkeypatch.setattr(groebner, "buchberger", counting)
+        tracked = _record_runs(monkeypatch)  # the runs after the GEFs
         decision = stabilizable(pf)
-        assert decision.stabilizable and decision.certificate.verify()
-        return decision, tracked
+        assert decision.stabilizable and tracked == [False]
+        cert = partition_of_unity(decision)
+        assert cert.verify()
+        return cert, tracked
 
     def test_full_set_chosen_tracks_once(self, monkeypatch):
         # x/(1 + xy): neither factor alone generates, so both are chosen
-        decision, tracked = self._decide(monkeypatch, ["x"], "1 + x*y")
-        assert len(decision.certificate.sharp) == 2
-        assert tracked == [True, False, False]
+        cert, tracked = self._certify(monkeypatch, ["x"], "1 + x*y")
+        assert len(cert.sharp) == 2
+        assert tracked == [False, False, False, True]
 
-    def test_subset_chosen_tracks_full_and_subset(self, monkeypatch):
-        # [x; y]/(1 + xy): the first and third factors generate
-        decision, tracked = self._decide(monkeypatch, ["x", "y"], "1 + x*y")
-        assert [i for i, _ in decision.certificate.sharp] == [IndexSet((1,)),
-                                                               IndexSet((3,))]
-        assert tracked.count(True) == 2 and tracked[0] and tracked[-1]
+    def test_subset_chosen_tracks_the_subset_once(self, monkeypatch):
+        # [x; y]/(1 + xy): after three singletons and {1, 2}, {1, 3} generates
+        cert, tracked = self._certify(monkeypatch, ["x", "y"], "1 + x*y")
+        assert [i for i, _ in cert.sharp] == [IndexSet((1,)), IndexSet((3,))]
+        assert tracked == [False] * 6 + [True]
 
 
 class TestSubsetSearchBudget:
-    """`stabilizable` tries at most `_SUBSET_SEARCH_BUDGET` subsets of index
-    sets; with none tried, the certificate comes from the full set."""
+    """`partition_of_unity` tries at most `_SUBSET_SEARCH_BUDGET` subsets of
+    index sets; with none tried, the certificate comes from the full set."""
 
     @staticmethod
-    def _decide(monkeypatch, pf, budget):
+    def _certify(monkeypatch, pf, budget):
         monkeypatch.setattr(synth, "_SUBSET_SEARCH_BUDGET", budget)
-        with mock.patch.object(groebner.IdealHandle, "is_unit", autospec=True,
-                               side_effect=groebner.IdealHandle.is_unit) as is_unit:
-            decision = stabilizable(pf)
-        assert decision.stabilizable and decision.certificate.verify()
+        decision = stabilizable(pf)
+        with monkeypatch.context() as patch:
+            tracked = _record_runs(patch)
+            cert = partition_of_unity(decision)
+        assert cert.verify()
         assert synthesize(pf, decision).report.ok
-        return [i.members for i, _ in decision.certificate.sharp], is_unit.call_count
+        return [i.members for i, _ in cert.sharp], tracked
 
     @pytest.mark.parametrize("budget, spans", [(0, [(1,), (2,), (3,)]),
                                                (200, [(1,), (2,)])])
     def test_delay_plant(self, monkeypatch, delay_plant, budget, spans):
-        # no subset tried: all three factors; within the budget: {1}, {2}
-        assert self._decide(monkeypatch, delay_plant, budget) == (spans, 1)
+        # no subset tried: all three factors; within the budget: {1}, {2},
+        # found by gcds, so the one Buchberger run is the tracked one
+        assert self._certify(monkeypatch, delay_plant, budget) == (spans, [True])
 
-    @pytest.mark.parametrize("budget, unit_tests", [(0, 1), (200, 2)])
-    def test_polynomial_ring_reuses_the_full_certificate(self, monkeypatch, budget,
-                                                         unit_tests):
-        # [x; y]/(1 + 2xy) over Q[x,y]: at budget 0 the full set's tracked
-        # `is_unit` is the certificate, and no second one runs
+    @pytest.mark.parametrize("budget, untracked", [(0, 0), (200, 5)])
+    def test_polynomial_ring_tracks_the_chosen_set_once(self, monkeypatch, budget,
+                                                        untracked):
+        # [x; y]/(1 + 2xy) over Q[x,y]: at budget 0 the full set is certified,
+        # within the budget {1, 3}, after five untracked subset tests
         xy = ("x", "y")
         pf = scalar_denominator([[(parse_poly("x", xy), parse_poly("1 + 2*x*y", xy))],
                                  [(parse_poly("y", xy), parse_poly("1 + 2*x*y", xy))]],
                                 RingModel.polynomial(xy))
-        assert self._decide(monkeypatch, pf, budget) == ([(1,), (3,)], unit_tests)
+        assert self._certify(monkeypatch, pf, budget) == ([(1,), (3,)],
+                                                          [False] * untracked + [True])
+
+
+_XY_RING = RingModel.polynomial(("x", "y"), ZERO_IDEAL)
+
+
+class TestCheckAgainstSynth:
+    """`check` builds no certificate.  What backs a positive `check` is
+    tested here: `synth` exits with the same code, and for every positive
+    decision the certificate that `synth` builds holds, its lambda_I summing
+    to 1 and each with a witness."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.one_of(one_input_plants().map(lambda plant: scalar_denominator(plant[1],
+                                                                             plant[0])),
+                     causal_plants(_XY_RING)))
+    def test_same_exit_code_and_a_partition_of_unity(self, pf):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "plant.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(plant_block(pf), fh)
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = main(["check", path]), main(["synth", path])
+        assert codes in ((0, 0), (1, 1))
+        decision = stabilizable(pf)
+        assert decision.stabilizable == (codes[0] == 0)
+        event(f"{pf.ring.kind}, {'stabilizable' if decision.stabilizable else 'not'}")
+        if decision.stabilizable:
+            cert = partition_of_unity(decision)
+            one = Polynomial.one(pf.ring.variables)
+            assert sum(cert.lambdas(), one.zero_like()) == one
+            for index_set, lam in cert.sharp:
+                witness_matrix(pf, index_set, lam, decision.gef_result.quotients(index_set))
 
 
 class TestLocalFactorization:
@@ -225,8 +275,8 @@ class TestPartitionPowers:
     def test_single_unit(self):
         assert partition_powers([zp("1")]) == [zp("1")]
 
-    def test_omega_one_gives_units(self, delay_decision):
-        lams = delay_decision.certificate.lambdas()
+    def test_omega_one_gives_units(self, delay_certificate):
+        lams = delay_certificate.lambdas()
         coeffs = partition_powers(lams)
         assert all(a == zp("1") for a in coeffs)
 
