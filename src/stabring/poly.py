@@ -39,12 +39,22 @@ and no total degree of a power or product may pass `MAX_DEGREE`, no power or
 product that could have more than `MAX_TERMS` terms is expanded, and an
 integer longer than Python converts (`sys.get_int_max_str_digits`) is a
 `ParseError`.  A rational past that limit is a `DigitLimitError` when it
-is formatted.
+is formatted.  A digit is one that int() reads (`str.isdecimal`), so '٣' is
+3 and a superscript '²' is no integer.
+
+The parser carries each term as plain integers (num, den, exps), the
+monomial num/den * x^exps, while its factors are numbers, rationals,
+variables, or their powers and products.  A term becomes a `Polynomial`
+only when it meets a parenthesized factor.  Each expression is summed in
+one pass over integer numerators put over the lcm of the denominators
+(`_sum_terms`), so the result is canonical without an intermediate
+`Polynomial` per number, variable, power or product.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
@@ -331,21 +341,6 @@ class Polynomial:
 
     def one_like(self) -> "Polynomial":
         return Polynomial.one(self.variables)
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, point: dict[str, Fraction]) -> Fraction:
-        missing = [v for v in self.used_variables() if v not in point]
-        if missing:
-            raise PolyError(f"no value for {missing!r}")
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            val = Fraction(coeff)
-            for v, e in zip(self.variables, exps):
-                if e:
-                    val *= Fraction(point[v]) ** e
-            total += val
-        return total / self._den
 
     # -- univariate views ----------------------------------------------------
 
@@ -738,12 +733,30 @@ MAX_DEGREE = 1000
 MAX_TERMS = 2000
 
 
+# What the parser reads by one `match` at its position: whitespace, then
+# whitespace and the digits int() converts (str.isdecimal), and the rest of
+# a name after its first character (str.isalnum or '_').
+_SPACE = re.compile(r"\s*")
+_INTEGER = re.compile(r"\s*(\d*)")
+_NAME_REST = re.compile(r"\w*")
+
+# A parsed term while its factors are numbers, rationals and variables:
+# (num, den, exps) is num / den * x^exps, den > 0.
+_Monomial = tuple[int, int, Exponents]
+
+
 class _Parser:
+    """Recursive descent over the module's grammar.  A term is a `_Monomial`,
+    or a `Polynomial` once it has met a parenthesized factor; `expr` returns
+    a `Polynomial`."""
+
     def __init__(self, text: str, variables: tuple[str, ...]):
         self.text = text
         self.pos = 0
         self.depth = 0
         self.variables = variables
+        self.origin = (0,) * len(variables)
+        self.units = {v: tuple(int(w == v) for w in variables) for v in variables}
         # positions of the '/' of rationals read outside all parentheses
         self.rational_bars: list[int] = []
 
@@ -751,12 +764,14 @@ class _Parser:
         raise cls(message, self.pos)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        ch = self.text[self.pos:self.pos + 1]
+        if ch.isspace():
+            self.pos = _SPACE.match(self.text, self.pos).end()
+            ch = self.text[self.pos:self.pos + 1]
+        return ch
 
     def take(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -769,64 +784,74 @@ class _Parser:
             self.error(f"expected {ch!r}")
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        start, end = _INTEGER.match(self.text, self.pos).span(1)
+        self.pos = start
+        if end == start:
             self.error("expected an integer")
         try:
-            return int(self.text[start:self.pos])
+            value = int(self.text[start:end])
         except ValueError:  # past the interpreter's digit limit
-            digits, self.pos = self.pos - start, start
-            self.error(f"integer of {digits} digits is too long")
-
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        ch = self.text[self.pos]
-        if not (ch.isalpha() or ch == "_"):
-            self.error("expected a variable name")
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
+            self.error(f"integer of {end - start} digits is too long")
+        self.pos = end
+        return value
 
     def expr(self) -> Polynomial:
         terms = [(1, self.term())]
         while True:
-            if self.take("+"):
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
                 terms.append((1, self.term()))
-            elif self.take("-"):
+            elif ch == "-":
+                self.pos += 1
                 terms.append((-1, self.term()))
             else:
                 return _sum_terms(terms, self.variables)
 
-    def term(self) -> Polynomial:
+    def term(self) -> _Monomial | Polynomial:
         value = self.factor()
         while self.take("*"):
             other = self.factor()
-            degree = value.total_degree() + other.total_degree()
+            degree = _degree(value) + _degree(other)
             if degree > MAX_DEGREE:
                 self.error(f"product of degree past {MAX_DEGREE}")
+            if type(value) is tuple and type(other) is tuple:
+                value = (value[0] * other[0], value[1] * other[1],
+                         tuple(map(add, value[2], other[2])))
+                continue
+            value, other = self.polynomial(value), self.polynomial(other)
             self.bound_terms("product", len(value._terms) * len(other._terms), degree,
                              value, other)
             value = value * other
         return value
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> _Monomial | Polynomial:
         negate = False
         while self.take("-"):  # a loop, so a long run of signs takes no stack
             negate = not negate
         value = self.base()
         if self.take("^"):
             exponent = self.integer()
-            if exponent * max(value.total_degree(), 1) > MAX_DEGREE:
+            degree = _degree(value)
+            if exponent * max(degree, 1) > MAX_DEGREE:
                 self.error(f"power of exponent or degree past {MAX_DEGREE}")
-            self.bound_terms("power", len(value._terms) ** exponent,
-                             exponent * value.total_degree(), value)
-            value = value ** exponent
-        return -value if negate else value
+            if type(value) is tuple:
+                num, den, exps = value
+                value = (num ** exponent, den ** exponent, tuple(exponent * e for e in exps))
+            else:
+                self.bound_terms("power", len(value._terms) ** exponent, exponent * degree,
+                                 value)
+                value = value ** exponent
+        if not negate:
+            return value
+        return (-value[0], value[1], value[2]) if type(value) is tuple else -value
+
+    def polynomial(self, value: _Monomial | Polynomial) -> Polynomial:
+        """The term as a `Polynomial`."""
+        if type(value) is not tuple:
+            return value
+        num, den, exps = value
+        return Polynomial._from_clean({exps: num} if num else {}, den, self.variables)
 
     def bound_terms(self, what: str, count: int, degree: int, *operands: Polynomial):
         """Refuse a result of at most `count` terms and total `degree` that could
@@ -837,7 +862,7 @@ class _Parser:
         if math.comb(degree + v, v) > MAX_TERMS:
             self.error(f"{what} of more than {MAX_TERMS} terms")
 
-    def base(self) -> Polynomial:
+    def base(self) -> _Monomial | Polynomial:
         ch = self.peek()
         if ch == "(":
             if self.depth == MAX_NESTING:
@@ -848,42 +873,56 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return value
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self.integer()
             save = self.pos
             if self.take("/"):
                 bar = self.pos - 1
-                nxt = self.peek()
-                if nxt.isdigit():
+                if self.peek().isdecimal():
                     if self.depth == 0:
                         self.rational_bars.append(bar)
                     den = self.integer()
                     if den == 0:
                         self.error("zero denominator in rational")
-                    return Polynomial.const(Fraction(num, den), self.variables)
+                    return num, den, self.origin
                 self.pos = save
-            return Polynomial.const(num, self.variables)
+            return num, 1, self.origin
         if ch.isalpha() or ch == "_":
             start = self.pos
-            var = self.name()
-            if var not in self.variables:
-                self.pos = start
+            self.pos = _NAME_REST.match(self.text, start + 1).end()
+            unit = self.units.get(self.text[start:self.pos])
+            if unit is None:
+                var, self.pos = self.text[start:self.pos], start
                 self.error(f"unknown variable {var!r}", UnknownVariableError)
-            return Polynomial.var(var, self.variables)
+            return 1, 1, unit
         self.error("expected a number, variable, or '('")
 
 
-def _sum_terms(terms: list[tuple[int, Polynomial]], variables: tuple[str, ...]) -> Polynomial:
-    """The sum of sign * p over the terms, all over `variables`, in one pass
-    over their numerators put over the lcm of their denominators."""
-    if len(terms) == 1:  # the first term has sign 1
+def _degree(value: _Monomial | Polynomial) -> int:
+    """Total degree of a parsed term; -1 for zero."""
+    if type(value) is tuple:
+        return sum(value[2]) if value[0] else -1
+    return value.total_degree()
+
+
+def _sum_terms(terms: list[tuple[int, _Monomial | Polynomial]],
+               variables: tuple[str, ...]) -> Polynomial:
+    """The sum of sign * t over the terms, each a `_Monomial` or a
+    `Polynomial` over `variables`, in one pass over their integer numerators
+    put over the lcm of their denominators."""
+    if len(terms) == 1 and type(terms[0][1]) is Polynomial:  # the first sign is 1
         return terms[0][1]
-    den = math.lcm(*[p._den for _, p in terms])
+    den = math.lcm(*[t[1] if type(t) is tuple else t._den for _, t in terms])
     acc: dict[Exponents, int] = {}
     get = acc.get
-    for sign, p in terms:
-        m = sign * (den // p._den)
-        for e, c in p._terms.items():
+    for sign, t in terms:
+        if type(t) is tuple:
+            num, d, e = t
+            if num:
+                acc[e] = get(e, 0) + sign * num * (den // d)
+            continue
+        m = sign * (den // t._den)
+        for e, c in t._terms.items():
             acc[e] = get(e, 0) + c * m
     return Polynomial._from_clean({e: c for e, c in acc.items() if c}, den, variables)
 

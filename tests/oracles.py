@@ -26,24 +26,32 @@ run them:
   * the lift into the ring's presentation as one normal form of the whole
     element, and the witness matrix by one exact division per entry;
   * Buchberger's algorithm with dense cofactor lists of `Polynomial`s, the
-    reference for the library's sparse cofactor bookkeeping.
+    reference for the library's sparse cofactor bookkeeping;
+  * the value of a polynomial at a point (`evaluate`), and the parser that
+    built a `Polynomial` for every number, variable, power and product, the
+    reference for the library's parser over plain integers
+    (`reference_parse_fraction`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add
 from typing import Iterable, Sequence
+from unittest import mock
 
-from stabring import groebner
+from stabring import groebner, poly
 from stabring.gef import GefEntry, GefResult, PlantFraction
 from stabring.matrixring import IndexSet, Mat, MatrixError, enumerate_index_sets
 from stabring.groebner import (BezoutCertificate, DescendingKey, GroebnerBasis,
                                IdealHandle, _exp_add, _exp_divides, _exp_lcm, _exp_sub,
                                _lead, _s_polynomial)
-from stabring.poly import Exponents, Polynomial, _Divisor, _reduce_full, divide_exact
+from stabring.poly import (MAX_DEGREE, MAX_NESTING, MAX_TERMS, Exponents, ParseError,
+                           Polynomial, PolyError, UnknownVariableError, _Divisor,
+                           _reduce_full, divide_exact)
 from stabring.ring import (ZERO_IDEAL, MembershipError, PolyFraction, Presentation,
                            RingModel, causal, fraction_in_ring, membership,
                            presentation, z_nonsingular)
@@ -541,3 +549,184 @@ def dense_cofactor_buchberger(generators: Sequence[Polynomial], variables: Itera
                 cof = [a - q * b for a, b in zip(cof, cofs[j])]
         basis_cofs.append(cof)
     return GroebnerBasis(variables, key, gens, basis, basis_cofs)
+
+
+# ---------------------------------------------------------------------------
+# evaluation and the reference parser
+# ---------------------------------------------------------------------------
+
+
+def evaluate(p: Polynomial, point: dict[str, Fraction]) -> Fraction:
+    """The value of p at the point, which gives each used variable a value."""
+    missing = [v for v in p.used_variables() if v not in point]
+    if missing:
+        raise PolyError(f"no value for {missing!r}")
+    total = Fraction(0)
+    for exps, coeff in p.items():
+        for v, e in zip(p.variables, exps):
+            if e:
+                coeff *= Fraction(point[v]) ** e
+        total += coeff
+    return total
+
+
+# The parser that built a `Polynomial` for every number, variable, power and
+# product, summed by `_sum_terms`, as the reference for `poly._Parser`.  It
+# reads digits by `str.isdigit`, which also accepts superscripts that int()
+# does not, so it is compared on ASCII text only.
+
+class _Parser:
+    def __init__(self, text: str, variables: tuple[str, ...]):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+        self.variables = variables
+        # positions of the '/' of rationals read outside all parentheses
+        self.rational_bars: list[int] = []
+
+    def error(self, message: str, cls=ParseError):
+        raise cls(message, self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch: str) -> bool:
+        if self.peek() == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, ch: str):
+        if not self.take(ch):
+            self.error(f"expected {ch!r}")
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            self.error("expected an integer")
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's digit limit
+            digits, self.pos = self.pos - start, start
+            self.error(f"integer of {digits} digits is too long")
+
+    def name(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        ch = self.text[self.pos]
+        if not (ch.isalpha() or ch == "_"):
+            self.error("expected a variable name")
+        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
+                                             or self.text[self.pos] == "_"):
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def expr(self) -> Polynomial:
+        terms = [(1, self.term())]
+        while True:
+            if self.take("+"):
+                terms.append((1, self.term()))
+            elif self.take("-"):
+                terms.append((-1, self.term()))
+            else:
+                return _sum_terms(terms, self.variables)
+
+    def term(self) -> Polynomial:
+        value = self.factor()
+        while self.take("*"):
+            other = self.factor()
+            degree = value.total_degree() + other.total_degree()
+            if degree > MAX_DEGREE:
+                self.error(f"product of degree past {MAX_DEGREE}")
+            self.bound_terms("product", len(value._terms) * len(other._terms), degree,
+                             value, other)
+            value = value * other
+        return value
+
+    def factor(self) -> Polynomial:
+        negate = False
+        while self.take("-"):  # a loop, so a long run of signs takes no stack
+            negate = not negate
+        value = self.base()
+        if self.take("^"):
+            exponent = self.integer()
+            if exponent * max(value.total_degree(), 1) > MAX_DEGREE:
+                self.error(f"power of exponent or degree past {MAX_DEGREE}")
+            self.bound_terms("power", len(value._terms) ** exponent,
+                             exponent * value.total_degree(), value)
+            value = value ** exponent
+        return -value if negate else value
+
+    def bound_terms(self, what: str, count: int, degree: int, *operands: Polynomial):
+        """Refuse a result of at most `count` terms and total `degree` that could
+        have more than `MAX_TERMS`: in v variables it has at most C(degree + v, v)."""
+        if count <= MAX_TERMS:
+            return
+        v = len(set().union(*[p.used_variables() for p in operands]))
+        if math.comb(degree + v, v) > MAX_TERMS:
+            self.error(f"{what} of more than {MAX_TERMS} terms")
+
+    def base(self) -> Polynomial:
+        ch = self.peek()
+        if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
+            self.pos += 1
+            self.depth += 1
+            value = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return value
+        if ch.isdigit():
+            num = self.integer()
+            save = self.pos
+            if self.take("/"):
+                bar = self.pos - 1
+                nxt = self.peek()
+                if nxt.isdigit():
+                    if self.depth == 0:
+                        self.rational_bars.append(bar)
+                    den = self.integer()
+                    if den == 0:
+                        self.error("zero denominator in rational")
+                    return Polynomial.const(Fraction(num, den), self.variables)
+                self.pos = save
+            return Polynomial.const(num, self.variables)
+        if ch.isalpha() or ch == "_":
+            start = self.pos
+            var = self.name()
+            if var not in self.variables:
+                self.pos = start
+                self.error(f"unknown variable {var!r}", UnknownVariableError)
+            return Polynomial.var(var, self.variables)
+        self.error("expected a number, variable, or '('")
+
+
+def _sum_terms(terms: list[tuple[int, Polynomial]], variables: tuple[str, ...]) -> Polynomial:
+    """The sum of sign * p over the terms, all over `variables`, in one pass
+    over their numerators put over the lcm of their denominators."""
+    if len(terms) == 1:  # the first term has sign 1
+        return terms[0][1]
+    den = math.lcm(*[p._den for _, p in terms])
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for sign, p in terms:
+        m = sign * (den // p._den)
+        for e, c in p._terms.items():
+            acc[e] = get(e, 0) + c * m
+    return Polynomial._from_clean({e: c for e, c in acc.items() if c}, den, variables)
+
+
+def reference_parse_fraction(text: str, variables: Iterable[str]) -> tuple[Polynomial, Polynomial]:
+    """`poly.parse_fraction`, its bar search unchanged, run with the reference
+    parser in place of `poly._Parser`."""
+    with mock.patch.object(poly, "_Parser", _Parser):
+        return poly.parse_fraction(text, variables)

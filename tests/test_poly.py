@@ -16,6 +16,8 @@ from stabring.poly import (DigitLimitError, NotDivisibleError, ParseError, Polyn
                            gcd_univariate, lcm_univariate, parse_fraction,
                            parse_poly)
 
+from oracles import evaluate, reference_parse_fraction
+
 Z = ("z",)
 XY = ("x", "y")
 ZW = ("z", "w")
@@ -29,7 +31,7 @@ def _eval_oracle(text, poly, var, points):
     """Cross-check a parse by evaluating text naively and the result exactly."""
     for value in points:
         expected = eval(text.replace("^", "**"), {var: Fraction(value)})
-        assert poly.evaluate({var: Fraction(value)}) == expected
+        assert evaluate(poly, {var: Fraction(value)}) == expected
 
 
 class TestParse:
@@ -75,6 +77,19 @@ class TestParse:
         assert zp("1 - -z") == zp("1 + z")
         assert zp("2*-z") == zp("-2*z")
         assert zp("(-z)^2") == zp("z^2")
+
+    def test_superscript_digit_is_not_an_integer(self):
+        # '²' is a digit to str.isdigit, but int() does not read it
+        with pytest.raises(ParseError, match=r"^expected an integer \(at position 2\)$"):
+            zp("z^²")
+        with pytest.raises(ParseError, match=r"^expected a number, variable, or '\(' "
+                                             r"\(at position 0\)$"):
+            zp("²*z")
+
+    def test_decimal_digits_of_any_script(self):
+        # ARABIC-INDIC DIGIT THREE is a decimal digit that int() reads
+        assert zp("\u0663*z") == zp("3*z")
+        assert zp("z^\u0663") == zp("z^3")
 
     def test_repeated_minus(self):
         assert zp("--z") == zp("z")
@@ -776,3 +791,58 @@ class TestParseDegree:
     def test_past_the_term_bound_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="more than 2000 terms"):
             parse_poly(text, XY)
+
+
+# Texts for the differential test against the reference parser: monomial
+# sums with rationals (zero denominators too), runs of signs, nested
+# parentheses, powers of sums, '/' bars as in 1/2/3, unknown names, and
+# powers and products past the degree and term bounds.
+_ATOMS = st.one_of(
+    st.integers(0, 120).map(str),
+    st.tuples(st.integers(0, 40), st.integers(1, 12)).map(lambda p: f"{p[0]}/{p[1]}"),
+    st.sampled_from(["x", "y"] * 12 + ["w", "x1", "_", "1/0", "x^600", "2^1001",
+                                       "(x + y + 1)^62"]),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from(["+", " - ", "*", " * ", "/", "-", " / "]),
+                  inner).map("".join),
+        st.tuples(st.sampled_from(["-", "--", "- -", "---"]), inner).map("".join),
+        inner.map("({})".format),
+        st.tuples(inner, st.sampled_from(["^0", "^1", "^2", " ^ 3"])).map("".join),
+        st.tuples(inner, st.integers(0, 4)).map(lambda p: f"({p[0]})^{p[1]}"),
+    )
+
+
+_EXPRESSIONS = st.recursive(_ATOMS, _compound, max_leaves=14)
+
+_FRACTIONS = st.tuples(_EXPRESSIONS, st.sampled_from(["/", " / "]), _EXPRESSIONS,
+                       st.booleans()).map(lambda p: f"{p[0]}{p[1]}({p[2]})" if p[3]
+                                          else "".join(p[:3]))
+
+_TOKEN_SOUPS = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "12", "3/4", "x", "y", "w", "+", "-", "*", "/",
+                              "^", "(", ")", " ", "\t", "^1001", "/0", "x1", "$"]),
+             max_size=16).map("".join),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=20),
+)
+
+
+def _parse_outcome(parse, text):
+    """The parsed pair in canonical form, or the parse error's class, message
+    and position."""
+    try:
+        num, den = parse(text, XY)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+    return [(p.variables, p._den, p._terms) for p in (num, den)]
+
+
+class TestReferenceParser:
+    @settings(max_examples=800, derandomize=True, deadline=None)
+    @given(st.one_of(_EXPRESSIONS, _FRACTIONS, _TOKEN_SOUPS))
+    def test_same_pair_or_same_error(self, text):
+        assert (_parse_outcome(parse_fraction, text)
+                == _parse_outcome(reference_parse_fraction, text))
